@@ -29,11 +29,10 @@ from .grading import (
 )
 from .linalg import ComponentMatrix, KernelBasis, exact_kernel, prescreen_trivial, rank_mod_p
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
-from .matroid import EvaluatedJacobian, SkipCache, build_jacobian, can_skip
+from .matroid import EvaluatedJacobian, build_jacobian, can_skip
 from .polyring import (
     DEFAULT_PRIME,
     BadPrimeError,
-    ModP,
     Monomial,
     Polynomial,
     RingMap,

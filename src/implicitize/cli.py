@@ -2,7 +2,7 @@
 
     implicit run --map cusp.map -d 2
     implicit examples grassmannian 4 | implicit run -d 3
-    implicit run --map sunlet4.map -d 2 --threads 8 --seed 7
+    implicit run --map sunlet4.map -d 2 --seed 7
     implicit examples cusp --format text -o cusp.map
 
 `run` parses a map (file or stdin), computes all minimal kernel generators up
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="compute kernel generators up to a degree bound")
     run.add_argument("--map", dest="map_path", help="map file (JSON or text); stdin if omitted")
     run.add_argument("-d", "--max-degree", type=int, required=True, help="degree bound, >= 1")
-    run.add_argument("--threads", type=int, default=0, help="worker threads, 0 = all cores")
     run.add_argument("--seed", type=int, default=0, help="seed for the random evaluation point")
     run.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="prime for mod-p work")
     run.add_argument("--no-skip", action="store_true", help="disable the Jacobian component skip")
@@ -133,7 +132,6 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
     return {
         "options": {
             "max_degree": args.max_degree,
-            "threads": args.threads,
             "seed": args.seed,
             "prime": result.prime,
             "skip": not args.no_skip,
@@ -184,7 +182,7 @@ def _report_table(payload: dict) -> str:
     opts = payload["options"]
     lines.append(
         f"total: {payload['generator_count']} generator(s) in {payload['seconds']:.3f} s"
-        f"  [seed={opts['seed']} prime={opts['prime']} threads={opts['threads']}"
+        f"  [seed={opts['seed']} prime={opts['prime']}"
         f" skip={'on' if opts['skip'] else 'off'}"
         f" trim={'on' if opts['trim'] else 'off'}"
         f" prescreen={'on' if opts['prescreen'] else 'off'}"
@@ -205,7 +203,6 @@ def _cmd_run(args) -> int:
     else:
         phi = parse_map(sys.stdin.read())
     options = EngineOptions(
-        threads=args.threads,
         seed=args.seed,
         prime=args.prime,
         use_skip=not args.no_skip,

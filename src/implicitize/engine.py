@@ -1,16 +1,15 @@
 """Degree-by-degree computation of minimal kernel generators.
 
 For each weighted degree i up to the bound, the engine enumerates the level,
-then handles its components independently (the parallel unit):
+then handles its components one at a time, in canonical beta order:
 
     matroid skip -> trim against lower-degree generators -> assemble the
     component system -> prime-field prescreen -> exact rational kernel
 
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
-multidegree. Levels are sequential barriers: trimming at level i reads only
-generators from levels < i, so components within a level never interact and
-results are aggregated in canonical beta order regardless of scheduling.
+multidegree. Trimming at level i reads only generators from levels < i, so
+components within a level never interact.
 Every emitted generator is re-verified to map to zero and to be homogeneous
 under every grading row.
 """
@@ -18,9 +17,7 @@ under every grading row.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +37,7 @@ from .linalg import (
     prescreen_trivial,
     sparse_rref,
 )
-from .matroid import SkipCache, build_jacobian, can_skip
+from .matroid import build_jacobian, can_skip
 from .polyring import DEFAULT_PRIME, Monomial, Polynomial, RingMap, grlex_key
 
 
@@ -50,7 +47,6 @@ class EngineInvariantError(RuntimeError):
 
 @dataclass
 class EngineOptions:
-    threads: int = 0  # 0 = all cores
     seed: int = 0
     prime: int = DEFAULT_PRIME
     use_skip: bool = True
@@ -175,7 +171,7 @@ def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix
     for c, img in enumerate(images):
         for gamma, coeff in img.terms.items():
             rows[row_index[gamma]][c] = coeff
-    return ComponentMatrix(list(columns), row_monomials, rows, row_index)
+    return ComponentMatrix(list(columns), row_monomials, rows)
 
 
 @dataclass
@@ -187,7 +183,7 @@ class _LevelContext:
     options: EngineOptions
     prime: int
     jacobian: object | None
-    skip_cache: SkipCache
+    skip_cache: dict[tuple[int, ...], bool]
 
 
 def _process_component(
@@ -255,32 +251,16 @@ def _run_levels(
         options=options,
         prime=prime,
         jacobian=jacobian,
-        skip_cache=SkipCache(),
+        skip_cache={},
     )
-    workers = options.threads if options.threads > 0 else (os.cpu_count() or 1)
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
         level = enumerate_level(grading, degree)
         ctx.levels[degree] = level
-        # Big components dominate the solve time; dispatch them first.
-        order = sorted(
-            level.components.items(), key=lambda kv: (-len(kv[1].monomials), kv[0])
-        )
-
-        def handle(item):
-            beta, basis = item
-            return _process_component(ctx, degree, beta, basis)
-
-        if workers == 1 or len(order) < 2:
-            outcomes = [handle(item) for item in order]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(handle, order))
-
-        outcomes.sort(key=lambda pair: pair[0].beta)
         new_generators: list[Generator] = []
         skipped_m = skipped_p = solved = 0
-        for task, gens in outcomes:
+        for beta, basis in level.components.items():
+            task, gens = _process_component(ctx, degree, beta, basis)
             result.tasks.append(task)
             if task.status == "skipped-matroid":
                 skipped_m += 1
@@ -378,7 +358,6 @@ def naive_total_degree_kernel(
         A=[[1] * phi.n], n=phi.n, A_full=None, positive_weight=[1] * phi.n
     )
     forced = EngineOptions(
-        threads=options.threads,
         seed=options.seed,
         prime=options.prime,
         use_skip=False,

@@ -4,8 +4,7 @@ A level holds every exponent vector alpha >= 0 with a . alpha = i for the
 grading's positive weight a, partitioned into monomial bases keyed by
 beta = A alpha. Enumeration is a depth-first knapsack over the variables
 with beta accumulated incrementally, so membership is exact integer
-arithmetic throughout. Levels are immutable once built and safe to share
-read-only across worker threads.
+arithmetic throughout.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ Jacobian rank checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polyring import BadPrimeError, Monomial, grlex_key
+from .polyring import BadPrimeError, Monomial
 
 SparseRow = dict[int, Fraction]
 
@@ -110,13 +110,6 @@ def kernel_basis(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
                 vec[c] = -v
         basis.append(vec)
     return basis
-
-
-def rank_rational(rows: Iterable[Sequence], ncols: int | None = None) -> int:
-    sparse = _to_sparse(rows)
-    if ncols is None:
-        ncols = max((max(r) + 1 for r in sparse if r), default=0)
-    return len(sparse_rref(sparse, ncols)[1])
 
 
 def solve_exact(rows: Iterable[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -237,27 +230,10 @@ class ComponentMatrix:
     columns: list[Monomial]
     row_monomials: list[Monomial]
     rows: list[SparseRow]
-    row_index: dict[Monomial, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.row_index:
-            self.row_index = {m: i for i, m in enumerate(self.row_monomials)}
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.columns))
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence], columns=None, row_monomials=None):
-        ncols = len(rows[0]) if rows else 0
-        columns = list(columns) if columns else [Monomial.variable(j) for j in range(ncols)]
-        row_monomials = (
-            list(row_monomials)
-            if row_monomials
-            else [Monomial.variable(i) for i in range(len(rows))]
-        )
-        sparse = _to_sparse(rows)
-        return cls(columns, row_monomials, sparse)
 
 
 @dataclass
@@ -265,7 +241,6 @@ class KernelBasis:
     """Basis of ker of a component matrix over its column set."""
 
     vectors: list[list]
-    normalized: bool = False
 
     @property
     def dimension(self) -> int:
@@ -273,13 +248,13 @@ class KernelBasis:
 
     def normalize(self) -> "KernelBasis":
         """Integer entries, content 1, positive leading entry; idempotent."""
-        return KernelBasis([normalize_primitive(v) for v in self.vectors], True)
+        return KernelBasis([normalize_primitive(v) for v in self.vectors])
 
 
 def exact_kernel(matrix: ComponentMatrix) -> KernelBasis:
     """Exact rational kernel of the component system, canonically normalized."""
     raw = kernel_basis([dict(r) for r in matrix.rows], len(matrix.columns))
-    return KernelBasis(raw, False).normalize()
+    return KernelBasis(raw).normalize()
 
 
 def prescreen_trivial(matrix: ComponentMatrix, p: int) -> bool:

@@ -66,9 +66,13 @@ def parse_map_json(text: str) -> RingMap:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MapParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    if not isinstance(data, dict):
+        raise MapParseError("a JSON map must be an object")
     for key in ("domain_vars", "codomain_vars", "images"):
         if key not in data:
             raise MapParseError(f"missing field {key!r}")
+        if not isinstance(data[key], list):
+            raise MapParseError(f"field {key!r} must be a list")
     domain = _check_names(data["domain_vars"], "domain")
     codomain = _check_names(data["codomain_vars"], "codomain")
     if set(domain) & set(codomain):
@@ -81,6 +85,8 @@ def parse_map_json(text: str) -> RingMap:
         )
     images = []
     for i, terms in enumerate(images_data):
+        if not isinstance(terms, list):
+            raise MapParseError(f"image {i} must be a list of terms")
         poly_terms = []
         for term in terms:
             try:
@@ -91,6 +97,8 @@ def parse_map_json(text: str) -> RingMap:
                 raise MapParseError(f"non-integer coefficient in image {i}")
             if den == 0:
                 raise MapParseError(f"zero denominator in image {i}")
+            if not isinstance(exps, dict):
+                raise MapParseError(f"exponents in image {i} must be an object")
             pairs = []
             for name, exp in exps.items():
                 if name not in index:

@@ -11,8 +11,7 @@ solve we would have done anyway.
 from __future__ import annotations
 
 import random
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .linalg import rank_mod_p
@@ -26,25 +25,6 @@ class EvaluatedJacobian:
     entries: list[list[int]]
     point: list[int]
     prime: int
-
-
-@dataclass
-class SkipCache:
-    """Memoized skip decisions keyed by support set.
-
-    Concurrent duplicate computation is harmless: the cached value is a pure
-    function of the support set and the evaluated Jacobian.
-    """
-
-    decisions: dict[tuple[int, ...], bool] = field(default_factory=dict)
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def get(self, key):
-        return self.decisions.get(key)
-
-    def put(self, key, value: bool):
-        with self.lock:
-            self.decisions[key] = value
 
 
 def build_jacobian(phi: RingMap, prime: int, seed: int) -> EvaluatedJacobian:
@@ -61,9 +41,12 @@ def build_jacobian(phi: RingMap, prime: int, seed: int) -> EvaluatedJacobian:
 def can_skip(
     jacobian: EvaluatedJacobian,
     support: Sequence[int],
-    cache: SkipCache | None = None,
+    cache: dict[tuple[int, ...], bool] | None = None,
 ) -> bool:
-    """True iff the Jacobian columns on `support` have rank |support|."""
+    """True iff the Jacobian columns on `support` have rank |support|.
+
+    `cache`, when given, memoizes decisions by sorted support.
+    """
     key = tuple(sorted(support))
     if cache is not None:
         hit = cache.get(key)
@@ -75,5 +58,5 @@ def can_skip(
         sub = [[row[j] for j in key] for row in jacobian.entries]
         result = rank_mod_p(sub, jacobian.prime) == len(key)
     if cache is not None:
-        cache.put(key, result)
+        cache[key] = result
     return result

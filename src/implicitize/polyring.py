@@ -1,15 +1,14 @@
 """Sparse multivariate polynomial arithmetic over exact coefficient fields.
 
 Monomials are sparse exponent vectors; polynomials map monomials to nonzero
-coefficients. Coefficients are `fractions.Fraction` (the default, exact
-rationals) or `ModP` residues in a prime field used for screening and random
-evaluation. The canonical term order everywhere is graded lexicographic with
+coefficients. Coefficients are exact rationals (`fractions.Fraction`);
+screening evaluates polynomials at points of a prime field instead of storing
+residues. The canonical term order everywhere is graded lexicographic with
 variable 0 ranking highest, iterated leading term first.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -18,83 +17,6 @@ DEFAULT_PRIME = 2**61 - 1
 
 class BadPrimeError(ArithmeticError):
     """A denominator (or pivot inverse) vanishes modulo the chosen prime."""
-
-
-class ModP:
-    """An element of GF(p), stored as the canonical residue in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    @classmethod
-    def from_fraction(cls, q: Fraction, p: int) -> "ModP":
-        if q.denominator % p == 0:
-            raise BadPrimeError(f"denominator {q.denominator} divisible by {p}")
-        return cls(q.numerator * pow(q.denominator, -1, p), p)
-
-    def _lift(self, other):
-        if isinstance(other, ModP):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return ModP(other, self.p)
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModP(-self.value, self.p)
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return ModP(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return ModP(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, ModP):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"ModP({self.value}, {self.p})"
 
 
 class Monomial:
@@ -128,10 +50,6 @@ class Monomial:
     def variable(cls, i: int) -> "Monomial":
         return cls._make(((i, 1),))
 
-    @classmethod
-    def from_dense(cls, vec: Sequence[int]) -> "Monomial":
-        return cls((i, e) for i, e in enumerate(vec))
-
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
@@ -147,12 +65,6 @@ class Monomial:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.exps)
-
-    def to_dense(self, num_vars: int) -> list[int]:
-        vec = [0] * num_vars
-        for i, e in self.exps:
-            vec[i] = e
-        return vec
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.exps, other.exps
@@ -205,7 +117,7 @@ def grlex_key(m: Monomial):
 
 
 def _coerce(c):
-    if isinstance(c, (Fraction, ModP)):
+    if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
         return Fraction(c)
@@ -322,12 +234,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def scale(self, c) -> "Polynomial":
-        c = _coerce(c)
-        if not c:
-            return Polynomial.zero(self.num_vars)
-        return Polynomial._make(self.num_vars, {m: v * c for m, v in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -351,18 +257,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(m.degree() for m in self.terms)
-
-    def initial_form(self, weights: Sequence) -> "Polynomial":
-        """Sum of terms attaining the minimal weight over the support."""
-        if len(weights) != self.num_vars:
-            raise ValueError("weight vector length mismatch")
-        if not self.terms:
-            return self
-        best = min(m.weighted_degree(weights) for m in self.terms)
-        kept = {
-            m: c for m, c in self.terms.items() if m.weighted_degree(weights) == best
-        }
-        return Polynomial._make(self.num_vars, kept)
 
     def is_homogeneous(self, weights: Sequence) -> bool:
         """True iff the weight is constant over the support (vacuously for 0)."""
@@ -394,25 +288,12 @@ class Polynomial:
                 out[dm] = c
         return Polynomial._make(self.num_vars, out)
 
-    def reduce_mod_p(self, p: int) -> "Polynomial":
-        """Coefficient-wise reduction of a rational polynomial into GF(p)."""
-        out: dict[Monomial, ModP] = {}
-        for mono, coeff in self.terms.items():
-            if not isinstance(coeff, Fraction):
-                raise TypeError("reduce_mod_p expects rational coefficients")
-            r = ModP.from_fraction(coeff, p)
-            if r:
-                out[mono] = r
-        return Polynomial._make(self.num_vars, out)
-
     def eval_mod_p(self, point: Sequence[int], p: int) -> int:
-        """Evaluate at a point of GF(p)^num_vars; rational coefficients only."""
+        """Evaluate at a point of GF(p)^num_vars."""
         if len(point) != self.num_vars:
             raise ValueError("point length mismatch")
         total = 0
         for mono, coeff in self.terms.items():
-            if not isinstance(coeff, Fraction):
-                raise TypeError("eval_mod_p expects rational coefficients")
             if coeff.denominator % p == 0:
                 raise BadPrimeError(f"denominator divisible by {p}")
             v = coeff.numerator * pow(coeff.denominator, -1, p)
@@ -438,13 +319,9 @@ def format_polynomial(poly: Polynomial, names: Sequence[str] | None = None) -> s
 
     pieces = []
     for mono, coeff in poly.sorted_terms():
-        if isinstance(coeff, ModP):
-            sign, mag = "+", str(coeff.value)
-            trivial = coeff.value == 1
-        else:
-            sign = "-" if coeff < 0 else "+"
-            mag = str(abs(coeff))
-            trivial = abs(coeff) == 1
+        sign = "-" if coeff < 0 else "+"
+        mag = str(abs(coeff))
+        trivial = abs(coeff) == 1
         if not mono.exps:
             body = mag
         else:
@@ -464,8 +341,7 @@ class RingMap:
     """A homomorphism K[x_0..x_{n-1}] -> K[t_0..t_{m-1}], x_i -> images[i].
 
     Images may be zero (then x_i itself is a degree-1 kernel generator).
-    Monomial images are expanded through a per-power cache: reads dominate and
-    duplicated computation under concurrent misses is idempotent.
+    Monomial images are expanded through a per-power cache.
     """
 
     __slots__ = ("n", "m", "images", "domain_names", "codomain_names", "_powers")
@@ -551,23 +427,3 @@ class RingMap:
     def __repr__(self):
         return f"RingMap(n={self.n}, m={self.m})"
 
-
-def random_polynomial(
-    rng: random.Random,
-    num_vars: int,
-    max_degree: int = 3,
-    max_terms: int = 4,
-    coeff_bound: int = 5,
-) -> Polynomial:
-    """Small random rational polynomial; intended for randomized testing."""
-    terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        deg = rng.randint(0, max_degree)
-        exps: dict[int, int] = {}
-        for _ in range(deg):
-            i = rng.randrange(num_vars)
-            exps[i] = exps.get(i, 0) + 1
-        num = rng.randint(-coeff_bound, coeff_bound)
-        den = rng.randint(1, 3)
-        terms.append((Monomial(exps.items()), Fraction(num, den)))
-    return Polynomial(num_vars, terms)

@@ -20,7 +20,7 @@ from implicitize import (
     naive_total_degree_kernel,
 )
 from implicitize.engine import assemble_component, trim_basis
-from implicitize.linalg import exact_kernel, rank_rational
+from implicitize.linalg import exact_kernel
 from implicitize.mapfile import emit_map_json
 
 from support import (
@@ -34,6 +34,7 @@ from support import (
     reference_beta,
     ring_laws_suite,
     run_cli,
+    sympy_rank,
 )
 
 
@@ -50,7 +51,7 @@ def criterion(number: int, label: str):
 @pytest.fixture(scope="module")
 def sunlet_run(sunlet):
     started = time.perf_counter()
-    result = components_of_kernel(sunlet, 3, EngineOptions(threads=0, seed=0))
+    result = components_of_kernel(sunlet, 3, EngineOptions(seed=0))
     return result, time.perf_counter() - started
 
 
@@ -66,13 +67,13 @@ def test_criterion_1_grassmannian_golden(gr24):
         from implicitize import homogeneity_space
 
         basis = homogeneity_space(gr24)
-        ours = rank_rational(basis.full_vectors, 14)
-        golden = rank_rational(GR24_HOMOGENEITY, 14)
-        stacked = rank_rational(basis.full_vectors + GR24_HOMOGENEITY, 14)
+        ours = sympy_rank(basis.full_vectors)
+        golden = sympy_rank(GR24_HOMOGENEITY)
+        stacked = sympy_rank(basis.full_vectors + GR24_HOMOGENEITY)
         assert ours == golden == stacked == 5
 
         started = time.perf_counter()
-        result = components_of_kernel(gr24, 3, EngineOptions(threads=1))
+        result = components_of_kernel(gr24, 3)
         elapsed = time.perf_counter() - started
         assert result.counts_by_degree() == {2: 1}
         expected = poly_by_names(gr24, {"p12*p34": 1, "p13*p24": -1, "p23*p14": 1})
@@ -89,7 +90,7 @@ def test_criterion_2_cusp_golden(cusp):
         assert [2 * v for v in row] == [row[0] * 2] * 3
 
         started = time.perf_counter()
-        result = components_of_kernel(cusp, 2, EngineOptions(threads=1))
+        result = components_of_kernel(cusp, 2)
         elapsed = time.perf_counter() - started
         expected = poly_by_names(cusp, {"x*z": 1, "y^2": -1})
         assert [g.poly for g in result.generators] == [expected]
@@ -114,7 +115,7 @@ def test_criterion_3_component_golden(gr24):
 def test_criterion_4_trim_golden(gr24):
     with criterion(4, "Gr(2,4) trim at the lifted cubic component"):
         grading = grading_for_map(gr24)
-        run = components_of_kernel(gr24, 2, EngineOptions(threads=1))
+        run = components_of_kernel(gr24, 2)
         levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
         beta, basis = _component_by_reference(levels[3], (3, 1, 1, 2, -1))
         columns, lift_rank = trim_basis(run.generators, beta, 3, basis, levels)
@@ -166,8 +167,8 @@ def test_criterion_6_oracle_equivalence(gr24, gr25, cusp):
         maps = _fixture_maps(gr24, gr25, cusp)
         for name, bound in FIXTURE_SPECS:
             phi = maps[name]
-            fast = components_of_kernel(phi, bound, EngineOptions(threads=1))
-            slow = naive_total_degree_kernel(phi, bound, EngineOptions(threads=1))
+            fast = components_of_kernel(phi, bound)
+            slow = naive_total_degree_kernel(phi, bound)
             assert fast.counts_by_degree() == slow.counts_by_degree(), name
 
 
@@ -185,15 +186,23 @@ def test_criterion_7_skip_ab_identical(gr24, gr25, cusp, tmp_path):
 
 
 def test_criterion_8_determinism(gr24, gr25, cusp, tmp_path):
-    with criterion(8, "byte-identical output across threads, repeats, hash seeds"):
+    with criterion(8, "byte-identical output across seeds, primes, hash seeds"):
         maps = _fixture_maps(gr24, gr25, cusp)
+        variants = (
+            (["--seed", "7"], "0"),
+            (["--seed", "0"], "1"),
+            (["--seed", "12345"], "2"),
+            (["--seed", "7", "--prime", "3"], "3"),
+            (["--seed", "7", "--prime", "5"], "0"),
+            (["--seed", "7", "--prime", "101"], "1"),
+        )
         for name, bound in FIXTURE_SPECS:
             path = tmp_path / f"{name}.json"
             path.write_text(emit_map_json(maps[name]), encoding="utf-8")
-            base = ["run", "--map", str(path), "-d", str(bound), "--seed", "7"]
+            base = ["run", "--map", str(path), "-d", str(bound)]
             outputs = []
-            for threads, hashseed in (("1", "0"), ("4", "1"), ("0", "2"), ("1", "3")):
-                code, out, _ = run_cli(base + ["--threads", threads], hashseed=hashseed)
+            for extra, hashseed in variants:
+                code, out, _ = run_cli(base + extra, hashseed=hashseed)
                 assert code == 0
                 outputs.append(out)
             assert len(set(outputs)) == 1, name

@@ -74,7 +74,7 @@ def test_assemble_zero_image_column():
 
 def test_trim_cubic_component(gr24):
     grading = grading_for_map(gr24)
-    run = components_of_kernel(gr24, 2, EngineOptions(threads=1))
+    run = components_of_kernel(gr24, 2)
     assert len(run.generators) == 1
     levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
     beta, basis = find_component(levels[3], (3, 1, 1, 2, -1))
@@ -104,7 +104,7 @@ def test_trim_with_no_generators(gr24):
 
 def test_trim_without_compatible_degrees(cusp):
     grading = grading_for_map(cusp)
-    run = components_of_kernel(cusp, 2, EngineOptions(threads=1))
+    run = components_of_kernel(cusp, 2)
     levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
     # at level 3 the only generator has degree 2; shifting it by one variable
     # covers beta (6,), so a mismatched beta keeps the full basis
@@ -117,7 +117,7 @@ def test_trim_without_compatible_degrees(cusp):
 
 
 def test_grassmannian_run(gr24):
-    result = components_of_kernel(gr24, 3, EngineOptions(threads=1))
+    result = components_of_kernel(gr24, 3)
     assert result.counts_by_degree() == {2: 1}
     gen = result.generators[0]
     assert gen.poly == pluecker_quadric(gr24)
@@ -128,7 +128,7 @@ def test_grassmannian_run(gr24):
 
 
 def test_cusp_run(cusp):
-    result = components_of_kernel(cusp, 2, EngineOptions(threads=1))
+    result = components_of_kernel(cusp, 2)
     assert len(result.generators) == 1
     assert result.generators[0].poly == poly_by_names(cusp, {"x*z": 1, "y^2": -1})
 
@@ -136,11 +136,11 @@ def test_cusp_run(cusp):
 def test_zero_image_and_coincident_images_make_linear_generators():
     t = Polynomial.variable(1, 0)
     phi = RingMap([t, Polynomial.zero(1)], m=1, domain_names=["x", "y"], codomain_names=["t"])
-    result = components_of_kernel(phi, 2, EngineOptions(threads=1))
+    result = components_of_kernel(phi, 2)
     assert [g.poly for g in result.generators] == [Polynomial.variable(2, 1)]
 
     phi2 = RingMap([t, t], m=1, domain_names=["x", "y"], codomain_names=["t"])
-    result2 = components_of_kernel(phi2, 2, EngineOptions(threads=1))
+    result2 = components_of_kernel(phi2, 2)
     expected = Polynomial.variable(2, 0) - Polynomial.variable(2, 1)
     assert [g.poly for g in result2.generators] == [expected]
 
@@ -149,8 +149,8 @@ def test_weighted_degree_bound_semantics():
     # x -> t^2, y -> t^3: the kernel generator x^3 - y^2 has weighted degree 6
     t = Polynomial.variable(1, 0)
     phi = RingMap([t**2, t**3], m=1, domain_names=["x", "y"], codomain_names=["t"])
-    assert components_of_kernel(phi, 5, EngineOptions(threads=1)).generators == []
-    result = components_of_kernel(phi, 6, EngineOptions(threads=1))
+    assert components_of_kernel(phi, 5).generators == []
+    result = components_of_kernel(phi, 6)
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     assert [g.poly for g in result.generators] == [x**3 - y**2]
     assert result.generators[0].weighted_degree == 6
@@ -172,8 +172,8 @@ def test_naive_cap(sunlet):
 
 def test_oracle_equivalence_small(gr24, cusp):
     for phi in (gr24, cusp):
-        fast = components_of_kernel(phi, 3, EngineOptions(threads=1))
-        slow = naive_total_degree_kernel(phi, 3, EngineOptions(threads=1))
+        fast = components_of_kernel(phi, 3)
+        slow = naive_total_degree_kernel(phi, 3)
         assert fast.counts_by_degree() == slow.counts_by_degree()
 
 
@@ -181,15 +181,15 @@ def test_oracle_equivalence_random_monomial_maps():
     rng = random.Random(1234)
     for _ in range(4):
         phi = random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3))
-        fast = components_of_kernel(phi, 3, EngineOptions(threads=1))
-        slow = naive_total_degree_kernel(phi, 3, EngineOptions(threads=1))
+        fast = components_of_kernel(phi, 3)
+        slow = naive_total_degree_kernel(phi, 3)
         assert fast.counts_by_degree() == slow.counts_by_degree()
 
 
 def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
     for phi in (gr24, gr25, cusp):
-        on = components_of_kernel(phi, 3, EngineOptions(threads=1))
-        off = components_of_kernel(phi, 3, EngineOptions(threads=1, use_trim=False))
+        on = components_of_kernel(phi, 3)
+        off = components_of_kernel(phi, 3, EngineOptions(use_trim=False))
         for degree in (1, 2, 3):
             on_tasks = [t for t in on.tasks if t.weighted_degree == degree]
             off_tasks = [t for t in off.tasks if t.weighted_degree == degree]
@@ -200,31 +200,13 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
 
 
 def test_prescreen_off_same_output(gr24):
-    base = components_of_kernel(gr24, 3, EngineOptions(threads=1))
-    off = components_of_kernel(gr24, 3, EngineOptions(threads=1, use_prescreen=False))
+    base = components_of_kernel(gr24, 3)
+    off = components_of_kernel(gr24, 3, EngineOptions(use_prescreen=False))
     assert [g.poly for g in base.generators] == [g.poly for g in off.generators]
 
 
-def test_thread_counts_agree(gr25):
-    runs = [
-        components_of_kernel(gr25, 3, EngineOptions(threads=t)) for t in (1, 4, 0)
-    ]
-    reference = [(g.poly, g.beta, g.weighted_degree) for g in runs[0].generators]
-    for other in runs[1:]:
-        assert [(g.poly, g.beta, g.weighted_degree) for g in other.generators] == reference
-
-
-def test_thread_counts_agree_sunlet(sunlet):
-    single = components_of_kernel(sunlet, 2, EngineOptions(threads=1))
-    pooled = components_of_kernel(sunlet, 2, EngineOptions(threads=4))
-    assert [(g.poly, g.beta) for g in single.generators] == [
-        (g.poly, g.beta) for g in pooled.generators
-    ]
-    assert single.counts_by_degree() == {2: 12}
-
-
 def test_small_prime_still_exact(gr24):
-    result = components_of_kernel(gr24, 3, EngineOptions(threads=1, prime=101))
+    result = components_of_kernel(gr24, 3, EngineOptions(prime=101))
     assert result.counts_by_degree() == {2: 1}
     assert result.prime == 101
 
@@ -233,7 +215,7 @@ def test_prime_bumped_when_unsafe():
     # image coefficient 1/5 makes 5 unusable; the engine moves to the next prime
     f = Polynomial(1, [(Monomial([(0, 1)]), Fraction(1, 5))])
     phi = RingMap([f], m=1)
-    result = components_of_kernel(phi, 2, EngineOptions(threads=1, prime=5))
+    result = components_of_kernel(phi, 2, EngineOptions(prime=5))
     assert result.prime == 7
 
 
@@ -250,7 +232,7 @@ def test_error_paths():
 
 def test_component_task_records(gr24):
     grading = grading_for_map(gr24)
-    result = components_of_kernel(gr24, 3, EngineOptions(threads=1))
+    result = components_of_kernel(gr24, 3)
     levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
     for task in result.tasks:
         basis = levels[task.weighted_degree].components[task.beta]
@@ -263,7 +245,7 @@ def test_component_task_records(gr24):
 
 
 def test_generator_order_is_canonical(gr25):
-    result = components_of_kernel(gr25, 2, EngineOptions(threads=1))
+    result = components_of_kernel(gr25, 2)
     keys = [(g.weighted_degree, g.beta) for g in result.generators]
     assert keys == sorted(keys)
     for gen in result.generators:

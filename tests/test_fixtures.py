@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from implicitize import (
-    EngineOptions,
     HomogeneityBasis,
     components_of_kernel,
     domain_grading,
@@ -35,7 +34,7 @@ def test_grassmannian_three_columns_trivial_kernel():
     g3 = gen_grassmannian(3)
     assert g3.n == 3
     assert naive_total_degree_kernel(g3, 3).generators == []
-    assert components_of_kernel(g3, 3, EngineOptions(threads=1)).generators == []
+    assert components_of_kernel(g3, 3).generators == []
 
 
 def test_sunlet_shape(sunlet):

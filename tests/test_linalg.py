@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from implicitize.linalg import (
-    ComponentMatrix,
     exact_kernel,
     is_prime,
     kernel_basis,
@@ -14,13 +13,14 @@ from implicitize.linalg import (
     nullspace_primitive,
     prescreen_trivial,
     rank_mod_p,
-    rank_rational,
     solve_exact,
+    sparse_rref,
 )
 
 from support import (
     GR24_CUBIC_COMPONENT,
     GR24_QUADRIC_COMPONENT,
+    component_from_dense,
     dense_rank_oracle,
     linalg_suite,
     sympy_nullspace,
@@ -29,10 +29,9 @@ from support import (
 
 
 def test_quadric_component_kernel():
-    matrix = ComponentMatrix.from_dense(GR24_QUADRIC_COMPONENT)
+    matrix = component_from_dense(GR24_QUADRIC_COMPONENT)
     kernel = exact_kernel(matrix)
     assert kernel.vectors == [[1, -1, 1]]
-    assert kernel.normalized
     # oracle agreement
     oracle = sympy_nullspace(GR24_QUADRIC_COMPONENT)
     assert len(oracle) == 1
@@ -40,10 +39,10 @@ def test_quadric_component_kernel():
 
 
 def test_cubic_component_kernel_and_trimmed_column():
-    kernel = exact_kernel(ComponentMatrix.from_dense(GR24_CUBIC_COMPONENT))
+    kernel = exact_kernel(component_from_dense(GR24_CUBIC_COMPONENT))
     assert kernel.vectors == [[1, -1, 1]]
     trimmed = [row[1:] for row in GR24_CUBIC_COMPONENT]
-    assert exact_kernel(ComponentMatrix.from_dense(trimmed)).dimension == 0
+    assert exact_kernel(component_from_dense(trimmed)).dimension == 0
 
 
 def test_rank_mod_p_examples():
@@ -55,17 +54,17 @@ def test_rank_mod_p_examples():
 
 
 def test_prescreen_examples():
-    assert prescreen_trivial(ComponentMatrix.from_dense(GR24_QUADRIC_COMPONENT), 101) is False
-    full_rank = ComponentMatrix.from_dense([[1, 0], [0, 1], [1, 1]])
+    assert prescreen_trivial(component_from_dense(GR24_QUADRIC_COMPONENT), 101) is False
+    full_rank = component_from_dense([[1, 0], [0, 1], [1, 1]])
     assert prescreen_trivial(full_rank, 101) is True
-    zero = ComponentMatrix.from_dense([[0]])
+    zero = component_from_dense([[0]])
     assert prescreen_trivial(zero, 101) is False
 
 
 def test_prescreen_bad_prime():
     from implicitize.polyring import BadPrimeError
 
-    matrix = ComponentMatrix.from_dense([[Fraction(1, 5)]])
+    matrix = component_from_dense([[Fraction(1, 5)]])
     with pytest.raises(BadPrimeError):
         prescreen_trivial(matrix, 5)
 
@@ -73,7 +72,7 @@ def test_prescreen_bad_prime():
 def test_kernel_of_empty_and_zero_matrices():
     # no rows: every column is free
     assert kernel_basis([], 2) == [[1, 0], [0, 1]]
-    zero_row = ComponentMatrix.from_dense([[0, 0]])
+    zero_row = component_from_dense([[0, 0]])
     assert exact_kernel(zero_row).vectors == [[1, 0], [0, 1]]
 
 
@@ -87,7 +86,8 @@ def test_normalize_primitive():
 
 def test_rank_rational_and_solve():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank_rational(rows, 3) == 2 == dense_rank_oracle(rows)
+    sparse = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    assert len(sparse_rref(sparse, 3)[1]) == 2 == dense_rank_oracle(rows)
     sol = solve_exact([[1, 0], [0, 2]], [3, 4])
     assert sol == [Fraction(3), Fraction(2)]
     assert solve_exact([[1, 1], [1, 1]], [0, 1]) is None

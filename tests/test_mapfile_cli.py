@@ -71,6 +71,16 @@ def test_parse_errors():
         parse_map_json(
             '{"domain_vars": ["x"], "codomain_vars": ["t"], "images": [[[1, 0, {"t": 1}]]]}'
         )
+    with pytest.raises(MapParseError):
+        parse_map_json('{"domain_vars": ["x"], "codomain_vars": ["t"], "images": 7}')
+    with pytest.raises(MapParseError):
+        parse_map_json('{"domain_vars": ["x"], "codomain_vars": ["t"], "images": [5]}')
+    with pytest.raises(MapParseError):
+        parse_map_json(
+            '{"domain_vars": ["x"], "codomain_vars": ["t"], "images": [[[1, 1, [["t", 1]]]]]}'
+        )
+    with pytest.raises(MapParseError):
+        parse_map_json('{"domain_vars": "xy", "codomain_vars": ["t"], "images": [[], []]}')
 
 
 def test_parse_error_location():
@@ -91,7 +101,7 @@ def test_parse_map_file(tmp_path, cusp):
 def test_cli_examples_pipe_run():
     code, map_json, _ = run_cli(["examples", "grassmannian", "4"])
     assert code == 0
-    code, out, err = run_cli(["run", "-d", "3", "--threads", "2"], stdin_text=map_json)
+    code, out, err = run_cli(["run", "-d", "3"], stdin_text=map_json)
     assert code == 0
     assert "# generators: 1" in out
     assert "p12*p34 - p13*p24 + p23*p14" in out
@@ -157,6 +167,8 @@ def test_cli_exit_codes(tmp_path):
     code, _, _ = run_cli(["run", "-d", "0"], stdin_text="x = t")
     assert code == 2
     code, _, _ = run_cli(["run", "-d", "2", "--prime", "10"], stdin_text="x = t")
+    assert code == 2
+    code, _, _ = run_cli(["run", "-d", "2", "--threads", "2"], stdin_text="x = t")
     assert code == 2
     # unreadable map: 2
     code, _, _ = run_cli(["run", "-d", "2", "--map", str(tmp_path / "missing.map")])

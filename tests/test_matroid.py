@@ -6,7 +6,6 @@ from implicitize import (
     EngineOptions,
     Polynomial,
     RingMap,
-    SkipCache,
     build_jacobian,
     can_skip,
     components_of_kernel,
@@ -54,7 +53,7 @@ def test_grassmannian_jacobian_rank(gr24):
 
 def test_cache_consistency(gr24):
     jac = build_jacobian(gr24, PRIME, seed=0)
-    cache = SkipCache()
+    cache = {}
     first = can_skip(jac, (0, 1, 2), cache)
     assert cache.get((0, 1, 2)) == first
     assert can_skip(jac, (0, 1, 2), cache) == first == can_skip(jac, (0, 1, 2))
@@ -62,7 +61,7 @@ def test_cache_consistency(gr24):
 
 def test_monotonicity_under_subsets(gr25):
     jac = build_jacobian(gr25, PRIME, seed=1)
-    cache = SkipCache()
+    cache = {}
     rng = random.Random(17)
     for _ in range(200):
         big = tuple(sorted(rng.sample(range(gr25.n), rng.randint(1, gr25.n))))
@@ -76,7 +75,7 @@ def test_skipped_components_truly_trivial(gr24, cusp):
     for phi in (gr24, cusp):
         grading = grading_for_map(phi)
         jac = build_jacobian(phi, PRIME, seed=0)
-        cache = SkipCache()
+        cache = {}
         for degree in (1, 2, 3):
             level = enumerate_level(grading, degree)
             for basis in level.components.values():
@@ -87,7 +86,7 @@ def test_skipped_components_truly_trivial(gr24, cusp):
 
 def test_sunlet_skip_counts_pinned(sunlet):
     # measured once and stable: deterministic grading basis and seed-0 point
-    result = components_of_kernel(sunlet, 2, EngineOptions(threads=1, seed=0))
+    result = components_of_kernel(sunlet, 2, EngineOptions(seed=0))
     stats = result.level_stats[1]
     assert stats.components == 1720
     assert stats.skipped_matroid == 1708
@@ -95,8 +94,8 @@ def test_sunlet_skip_counts_pinned(sunlet):
 
 
 def test_skip_neutral_on_outputs(gr24):
-    with_skip = components_of_kernel(gr24, 3, EngineOptions(threads=1))
-    without = components_of_kernel(gr24, 3, EngineOptions(threads=1, use_skip=False))
+    with_skip = components_of_kernel(gr24, 3)
+    without = components_of_kernel(gr24, 3, EngineOptions(use_skip=False))
     assert [(g.poly, g.beta) for g in with_skip.generators] == [
         (g.poly, g.beta) for g in without.generators
     ]

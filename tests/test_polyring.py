@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from implicitize import ModP, Monomial, Polynomial, RingMap
-from implicitize.polyring import BadPrimeError, format_polynomial, grlex_key
+from implicitize import Monomial, Polynomial, RingMap
+from implicitize.polyring import format_polynomial, grlex_key
 
 from support import mono_by_names, poly_by_names, ring_laws_suite
 
@@ -56,17 +56,6 @@ def test_arity_mismatch_raises():
         f * g
 
 
-def test_initial_form_examples():
-    f = P(2, ({0: 1}, 1), ({1: 1}, 1))
-    assert f.initial_form([1, 1]) == f
-    assert f.initial_form([1, 2]) == P(2, ({0: 1}, 1))
-    g = P(2, ({0: 2}, 1), ({0: 1, 1: 1}, 1), ({1: 2}, 1))
-    assert g.initial_form([0, 1]) == P(2, ({0: 2}, 1))
-    assert Polynomial.zero(2).initial_form([1, 1]).is_zero()
-    with pytest.raises(ValueError):
-        f.initial_form([1])
-
-
 def test_is_homogeneous_examples():
     f = P(3, ({0: 1, 2: 1}, 1), ({1: 2}, -1))  # xz - y^2
     assert f.is_homogeneous([1, 1, 1])
@@ -83,17 +72,6 @@ def test_partial_derivative_examples():
     assert h.partial_derivative(1) == P(2, ({1: 1}, -2))
     with pytest.raises(IndexError):
         f.partial_derivative(2)
-
-
-def test_reduce_mod_p_examples():
-    f = P(1, ({0: 1}, Fraction(1, 2)))
-    r = f.reduce_mod_p(5)
-    assert r == Polynomial(1, [(Monomial([(0, 1)]), ModP(3, 5))])
-    g = P(2, ({0: 1}, 5), ({1: 1}, 1))
-    assert g.reduce_mod_p(5) == Polynomial(2, [(Monomial([(1, 1)]), ModP(1, 5))])
-    assert Polynomial.zero(3).reduce_mod_p(7).is_zero()
-    with pytest.raises(BadPrimeError):
-        P(1, ({0: 1}, Fraction(1, 5))).reduce_mod_p(5)
 
 
 def test_apply_map_grassmannian(gr24):
