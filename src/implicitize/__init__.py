@@ -11,7 +11,6 @@ from .engine import (
     Generator,
     GeneratorSet,
     components_of_kernel,
-    naive_total_degree_kernel,
 )
 from .enumeration import DegreeLevel, MonomialBasis, enumerate_level, lookup_basis
 from .fixtures import gen_cusp, gen_grassmannian, gen_sunlet_k3p

@@ -8,7 +8,9 @@
 `run` parses a map (file or stdin), computes all minimal kernel generators up
 to the degree bound, prints them to stdout (text or JSON), and prints a
 per-level summary table to stderr. With a non-standard positive weight the
-bound applies to the weighted degree; the summary says which weight was used.
+bound applies to the weighted degree; the `--report` JSON says whether the
+all-ones weight was used. `--no-skip` and `--no-prescreen` turn off the two
+screening shortcuts; they change where the time goes, never the output.
 
 Exit codes: 0 success, 2 bad flags or unreadable input, 3 no positive
 grading exists for the map, 4 internal invariant violation.
@@ -26,7 +28,6 @@ from .engine import (
     EngineOptions,
     GeneratorSet,
     components_of_kernel,
-    naive_total_degree_kernel,
 )
 from .fixtures import gen_cusp, gen_grassmannian, gen_sunlet_k3p
 from .grading import NoPositiveWeightError
@@ -48,9 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="seed for the random evaluation point")
     run.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="prime for mod-p work")
     run.add_argument("--no-skip", action="store_true", help="disable the Jacobian component skip")
-    run.add_argument("--no-trim", action="store_true", help="disable lower-degree trimming")
     run.add_argument("--no-prescreen", action="store_true", help="disable the mod-p prescreen")
-    run.add_argument("--naive", action="store_true", help="one total-degree system per level")
     run.add_argument("--output", choices=("text", "json"), default="text")
     run.add_argument("--grading-out", help="write the grading matrix to this path")
     run.add_argument("--report", help="write the run report as JSON to this path")
@@ -135,9 +134,7 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
             "seed": args.seed,
             "prime": result.prime,
             "skip": not args.no_skip,
-            "trim": not args.no_trim,
             "prescreen": not args.no_prescreen,
-            "naive": args.naive,
         },
         "grading_rank": result.grading.rank,
         "positive_weight_is_ones": result.grading.positive_weight
@@ -184,7 +181,6 @@ def _report_table(payload: dict) -> str:
         f"total: {payload['generator_count']} generator(s) in {payload['seconds']:.3f} s"
         f"  [seed={opts['seed']} prime={opts['prime']}"
         f" skip={'on' if opts['skip'] else 'off'}"
-        f" trim={'on' if opts['trim'] else 'off'}"
         f" prescreen={'on' if opts['prescreen'] else 'off'}"
         f" grading_rank={payload['grading_rank']}]"
     )
@@ -206,14 +202,10 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         prime=args.prime,
         use_skip=not args.no_skip,
-        use_trim=not args.no_trim,
         use_prescreen=not args.no_prescreen,
     )
     started = time.perf_counter()
-    if args.naive:
-        result = naive_total_degree_kernel(phi, args.max_degree, options)
-    else:
-        result = components_of_kernel(phi, args.max_degree, options)
+    result = components_of_kernel(phi, args.max_degree, options)
     wall = time.perf_counter() - started
 
     if args.output == "json":

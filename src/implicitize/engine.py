@@ -8,15 +8,16 @@ then handles its components one at a time, in canonical beta order:
 
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
-multidegree. Trimming at level i reads only generators from levels < i, so
-components within a level never interact.
+multidegree. Trimming runs whenever lower-degree generators exist: without it
+the kernel would also hold their multiples, which are not minimal. Trimming
+at level i reads only generators from levels < i, so components within a
+level never interact.
 Every emitted generator is re-verified to map to zero and to be homogeneous
 under every grading row.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,9 +51,7 @@ class EngineOptions:
     seed: int = 0
     prime: int = DEFAULT_PRIME
     use_skip: bool = True
-    use_trim: bool = True
     use_prescreen: bool = True
-    naive_cap: int = 5000
 
 
 @dataclass
@@ -64,10 +63,6 @@ class Generator:
     weighted_degree: int
     component_size: int
     lift_rank: int
-
-    @property
-    def total_degree(self) -> int:
-        return self.poly.total_degree()
 
 
 @dataclass
@@ -111,9 +106,6 @@ class GeneratorSet:
         for g in self.generators:
             counts[g.weighted_degree] = counts.get(g.weighted_degree, 0) + 1
         return counts
-
-    def __len__(self):
-        return len(self.generators)
 
 
 def trim_basis(
@@ -194,7 +186,7 @@ def _process_component(
         task.status = "skipped-matroid"
         return task, []
 
-    if ctx.options.use_trim and ctx.generators:
+    if ctx.generators:
         columns, lift_rank = trim_basis(ctx.generators, beta, degree, basis, ctx.levels)
     else:
         columns, lift_rank = list(basis.monomials), 0
@@ -237,9 +229,42 @@ def _verify_generator(ctx: _LevelContext, gen: Generator):
         raise EngineInvariantError(f"multidegree mismatch for {gen.poly!r}")
 
 
-def _run_levels(
-    phi: RingMap, grading: GradingMatrix, max_degree: int, options: EngineOptions
+def _safe_prime(phi: RingMap, prime: int) -> int:
+    """First prime >= the requested one dividing no image denominator.
+
+    Component entries and Jacobian values only ever involve products and sums
+    of image coefficients, so their denominators divide products of image
+    denominators; one upfront check covers every later reduction.
+    """
+    if prime < 2 or not is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    while True:
+        if all(
+            coeff.denominator % prime
+            for image in phi.images
+            for coeff in image.terms.values()
+        ):
+            return prime
+        prime = next_prime(prime)
+
+
+def components_of_kernel(
+    phi: RingMap, max_degree: int, options: EngineOptions | None = None
 ) -> GeneratorSet:
+    """All minimal generators of ker(phi) of weighted degree <= max_degree.
+
+    The weighted degree is taken against the grading's positive weight, which
+    is the all-ones vector (plain total degree) whenever the row span allows
+    it. Raises NoPositiveWeightError when no positive weight exists.
+    """
+    if max_degree < 1:
+        raise ValueError("degree bound must be >= 1")
+    options = options or EngineOptions()
+    grading = grading_for_map(phi)
+    if grading.positive_weight is None:
+        raise NoPositiveWeightError(
+            "the grading admits no strictly positive weight vector"
+        )
     prime = _safe_prime(phi, options.prime)
     jacobian = build_jacobian(phi, prime, options.seed) if options.use_skip else None
     result = GeneratorSet(grading=grading, prime=prime, seed=options.seed)
@@ -294,75 +319,3 @@ def _run_levels(
             )
         )
     return result
-
-
-def _safe_prime(phi: RingMap, prime: int) -> int:
-    """First prime >= the requested one dividing no image denominator.
-
-    Component entries and Jacobian values only ever involve products and sums
-    of image coefficients, so their denominators divide products of image
-    denominators; one upfront check covers every later reduction.
-    """
-    if prime < 2 or not is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    while True:
-        if all(
-            coeff.denominator % prime
-            for image in phi.images
-            for coeff in image.terms.values()
-        ):
-            return prime
-        prime = next_prime(prime)
-
-
-def components_of_kernel(
-    phi: RingMap, max_degree: int, options: EngineOptions | None = None
-) -> GeneratorSet:
-    """All minimal generators of ker(phi) of weighted degree <= max_degree.
-
-    The weighted degree is taken against the grading's positive weight, which
-    is the all-ones vector (plain total degree) whenever the row span allows
-    it. Raises NoPositiveWeightError when no positive weight exists.
-    """
-    if max_degree < 1:
-        raise ValueError("degree bound must be >= 1")
-    options = options or EngineOptions()
-    grading = grading_for_map(phi)
-    if grading.positive_weight is None:
-        raise NoPositiveWeightError(
-            "the grading admits no strictly positive weight vector"
-        )
-    return _run_levels(phi, grading, max_degree, options)
-
-
-def naive_total_degree_kernel(
-    phi: RingMap, max_degree: int, options: EngineOptions | None = None
-) -> GeneratorSet:
-    """Brute-force oracle: one large system per total degree.
-
-    Uses the rank-1 all-ones grading so each level is a single component,
-    with the same lower-degree trimming as the main path but no matroid skip
-    and no prescreen. Guarded by a monomial-count cap since the ansatz grows
-    as C(n + d - 1, d).
-    """
-    if max_degree < 1:
-        raise ValueError("degree bound must be >= 1")
-    options = options or EngineOptions()
-    cap = options.naive_cap
-    worst = math.comb(phi.n + max_degree - 1, max_degree)
-    if worst > cap:
-        raise ValueError(
-            f"naive ansatz needs {worst} monomials at degree {max_degree}, cap is {cap}"
-        )
-    grading = GradingMatrix(
-        A=[[1] * phi.n], n=phi.n, A_full=None, positive_weight=[1] * phi.n
-    )
-    forced = EngineOptions(
-        seed=options.seed,
-        prime=options.prime,
-        use_skip=False,
-        use_trim=True,
-        use_prescreen=False,
-        naive_cap=cap,
-    )
-    return _run_levels(phi, grading, max_degree, forced)

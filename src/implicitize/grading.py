@@ -103,42 +103,25 @@ def homogeneity_space(phi: RingMap) -> HomogeneityBasis:
 def domain_grading(basis: HomogeneityBasis) -> GradingMatrix:
     """Project the basis onto the domain and keep a maximal independent subset.
 
-    Candidates are ordered by (max absolute entry, lexicographic) before the
-    greedy rank selection so the result is deterministic; surviving rows stay
-    aligned with their un-projected counterparts in A_full.
+    Candidates are ordered by (max absolute entry, lexicographic), then one
+    elimination over their projections, taken as columns, keeps the pivot
+    columns: the leftmost independent ones, so exactly the greedy picks in
+    that order, and the result is deterministic. Surviving rows stay aligned
+    with their un-projected counterparts in A_full.
     """
     n = basis.n
     ordered = sorted(
         basis.full_vectors, key=lambda v: (max(map(abs, v), default=0), tuple(v))
     )
-    kept_full: list[list[int]] = []
-    kept_proj: list[list[int]] = []
-    reducer: list[linalg.SparseRow] = []
-    for vec in ordered:
-        proj = vec[:n]
-        row = {j: Fraction(v) for j, v in enumerate(proj) if v}
-        if not row:
-            continue
-        for pivot in reducer:
-            c = min(pivot)
-            v = row.get(c)
-            if not v:
-                continue
-            for j, pj in pivot.items():
-                s = row.get(j, 0) - v * pj
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-        if not row:
-            continue
-        c = min(row)
-        pv = row[c]
-        reducer.append({j: v / pv for j, v in row.items()})
-        reducer.sort(key=min)
-        kept_full.append(list(vec))
-        kept_proj.append(list(proj))
-    return GradingMatrix(A=kept_proj, n=n, A_full=kept_full)
+    by_coordinate = [
+        {k: Fraction(vec[i]) for k, vec in enumerate(ordered) if vec[i]} for i in range(n)
+    ]
+    _, picked = linalg.sparse_rref(by_coordinate, len(ordered))
+    return GradingMatrix(
+        A=[list(ordered[k][:n]) for k in picked],
+        n=n,
+        A_full=[list(ordered[k]) for k in picked],
+    )
 
 
 def _feasible_point(stages: list[list[tuple[Fraction, ...]]], r: int) -> list[Fraction]:
@@ -232,10 +215,15 @@ def find_positive_weight(grading: GradingMatrix) -> list[int] | None:
     r, n = grading.rank, grading.n
     if r == 0:
         return None
-    transpose = [[grading.A[k][j] for k in range(r)] for j in range(n)]
-    if linalg.solve_exact(transpose, [1] * n) is not None:
+    columns = grading.columns()
+    # Rows of [A^T | 1]: pivot columns are the leftmost independent ones, so
+    # the ones column r is a pivot exactly when ones is not in rowspan(A).
+    augmented = [
+        {**{k: Fraction(v) for k, v in enumerate(col) if v}, r: Fraction(1)} for col in columns
+    ]
+    if r not in linalg.sparse_rref(augmented, r + 1)[1]:
         return [1] * n
-    u = _positive_combination([tuple(col) for col in transpose], r)
+    u = _positive_combination(columns, r)
     if u is None:
         return None
     weight = [sum(u[k] * grading.A[k][j] for k in range(r)) for j in range(n)]

@@ -112,20 +112,6 @@ def kernel_basis(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def solve_exact(rows: Iterable[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of rows * u = rhs (free variables 0), or None."""
-    dense = [list(r) for r in rows]
-    ncols = len(dense[0]) if dense else 0
-    aug = _to_sparse([row + [b] for row, b in zip(dense, rhs)])
-    pivots, pivot_cols = sparse_rref(aug, ncols + 1)
-    if ncols in pivot_cols:
-        return None
-    sol = [Fraction(0)] * ncols
-    for c, row in pivots:
-        sol[c] = row.get(ncols, Fraction(0))
-    return sol
-
-
 def normalize_primitive(vec: Sequence) -> list[int]:
     """Scale a rational vector to integers with content 1, first nonzero > 0."""
     fracs = [Fraction(v) for v in vec]

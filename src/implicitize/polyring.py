@@ -253,11 +253,6 @@ class Polynomial:
         mono = min(self.terms, key=grlex_key)
         return mono, self.terms[mono]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(m.degree() for m in self.terms)
-
     def is_homogeneous(self, weights: Sequence) -> bool:
         """True iff the weight is constant over the support (vacuously for 0)."""
         if len(weights) != self.num_vars:

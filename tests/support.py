@@ -1,13 +1,15 @@
 """Shared test helpers: golden data, independent oracles, random generators.
 
 Independent oracles deliberately avoid the package's own elimination code:
-sympy provides exact nullspaces and symbolic Jacobian ranks, and
-`dense_rank_oracle` is a plain first-pivot Fraction elimination with a
-different pivot policy than the package's sparse path.
+sympy provides exact nullspaces, symbolic Jacobian ranks and the
+degree-by-degree kernel check `sympy_oracle_check`, and `dense_rank_oracle`
+is a plain first-pivot Fraction elimination with a different pivot policy
+than the package's sparse path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -136,6 +138,117 @@ def sympy_jacobian_rank(phi: RingMap, subset=None) -> int:
     return mat.rank()
 
 
+def _dense_exponents(mono, n: int) -> tuple[int, ...]:
+    exps = [0] * n
+    for i, e in mono.exps:
+        exps[i] = e
+    return tuple(exps)
+
+
+def _qq_rank(rows: list[dict], ncols: int) -> int:
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not rows or not ncols:
+        return 0
+    nonzero = {i: row for i, row in enumerate(rows) if row}
+    return DomainMatrix(nonzero, (len(rows), ncols), QQ).rank()
+
+
+def sympy_oracle_check(phi: RingMap, result, max_degree: int) -> dict[int, int]:
+    """Check a total-degree run against sympy, degree by degree.
+
+    Shares no code with the engine: images are expanded with `sympy.Poly`
+    over QQ and ranks come from `DomainMatrix.rank()`. For every degree d it
+    asserts that each reported generator of degree d is homogeneous of that
+    degree and maps to zero, that their count is dim K_d - dim (I_{<d})_d,
+    where I_{<d} is spanned by the monomial shifts of the reported
+    lower-degree generators, and that the shifts plus the degree-d
+    generators span K_d. Returns the oracle's per-degree counts.
+    """
+    from sympy import QQ, Poly, symbols
+
+    n = phi.n
+    assert result.grading.positive_weight == [1] * n, "oracle needs total degree"
+    ts = symbols(f"t0:{phi.m}")
+
+    def qq(coeff):
+        return QQ(coeff.numerator, coeff.denominator)
+
+    images = [
+        Poly.from_dict(
+            {_dense_exponents(mono, phi.m): qq(c) for mono, c in img.terms.items()},
+            ts,
+            domain=QQ,
+        )
+        for img in phi.images
+    ]
+    image_of = {(0,) * n: Poly(1, *ts, domain=QQ)}
+
+    def image(exps):
+        if exps not in image_of:
+            i = next(k for k, e in enumerate(exps) if e)
+            parent = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            image_of[exps] = image(parent) * images[i]
+        return image_of[exps]
+
+    def monomials(d):
+        out = []
+        for combo in itertools.combinations_with_replacement(range(n), d):
+            exps = [0] * n
+            for i in combo:
+                exps[i] += 1
+            out.append(tuple(exps))
+        return out
+
+    gens_by_degree: dict[int, list[dict]] = {}
+    for gen in result.generators:
+        assert 1 <= gen.weighted_degree <= max_degree
+        terms = {_dense_exponents(m, n): c for m, c in gen.poly.terms.items()}
+        assert terms and all(sum(e) == gen.weighted_degree for e in terms)
+        gens_by_degree.setdefault(gen.weighted_degree, []).append(terms)
+
+    counts: dict[int, int] = {}
+    for d in range(1, max_degree + 1):
+        basis = monomials(d)
+        column = {exps: j for j, exps in enumerate(basis)}
+        targets: dict[tuple[int, ...], int] = {}
+        image_rows = []
+        for exps in basis:
+            row = {}
+            for t_exps, c in image(exps).terms():
+                if c:
+                    row[targets.setdefault(t_exps, len(targets))] = c
+            image_rows.append(row)
+        kernel_dim = len(basis) - _qq_rank(image_rows, len(targets))
+
+        shifts = []
+        for e, gens in gens_by_degree.items():
+            if e >= d:
+                continue
+            for gamma in monomials(d - e):
+                for terms in gens:
+                    shifts.append(
+                        {
+                            column[tuple(a + b for a, b in zip(gamma, exps))]: qq(c)
+                            for exps, c in terms.items()
+                        }
+                    )
+        here = gens_by_degree.get(d, [])
+        for terms in here:
+            mapped = Poly(0, *ts, domain=QQ)
+            for exps, c in terms.items():
+                mapped += image(exps) * qq(c)
+            assert mapped.is_zero, f"degree-{d} generator does not map to zero"
+        lower = _qq_rank(shifts, len(basis))
+        assert len(here) == kernel_dim - lower, (d, len(here), kernel_dim, lower)
+        spanned = shifts + [{column[exps]: qq(c) for exps, c in t.items()} for t in here]
+        assert _qq_rank(spanned, len(basis)) == kernel_dim, d
+        if kernel_dim - lower:
+            counts[d] = kernel_dim - lower
+    return counts
+
+
 def dense_rank_oracle(rows) -> int:
     """Plain Fraction elimination, first-nonzero pivot top-down."""
     mat = [[Fraction(v) for v in row] for row in rows]
@@ -231,6 +344,21 @@ def random_monomial_map(rng: random.Random, n: int, m: int, degree: int) -> Ring
             exps[j] = exps.get(j, 0) + 1
         images.append(Polynomial(m, [(Monomial(exps.items()), 1)]))
     return RingMap(images, m=m)
+
+
+def rational_quadrics_map() -> RingMap:
+    """Five dense quadrics in 3 variables with small random rational coefficients.
+
+    Its kernel starts with seven cubics, so it covers generators above degree
+    2 and non-integer coefficients, which the other small fixtures lack.
+    """
+    rng = random.Random(3)
+    quadratic = [Monomial([(i, 1), (j, 1)]) for i in range(3) for j in range(i, 3)]
+    images = [
+        Polynomial(3, [(mono, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for mono in quadratic])
+        for _ in range(5)
+    ]
+    return RingMap(images, m=3)
 
 
 def grading_from_rows(rows, n: int, weight=None) -> GradingMatrix:

@@ -17,7 +17,6 @@ from implicitize import (
     components_of_kernel,
     enumerate_level,
     grading_for_map,
-    naive_total_degree_kernel,
 )
 from implicitize.engine import assemble_component, trim_basis
 from implicitize.linalg import exact_kernel
@@ -31,9 +30,11 @@ from support import (
     mono_by_names,
     poly_by_names,
     random_monomial_map,
+    rational_quadrics_map,
     reference_beta,
     ring_laws_suite,
     run_cli,
+    sympy_oracle_check,
     sympy_rank,
 )
 
@@ -163,13 +164,16 @@ def _fixture_maps(gr24, gr25, cusp):
 
 
 def test_criterion_6_oracle_equivalence(gr24, gr25, cusp):
-    with criterion(6, "per-degree counts match the naive total-degree oracle"):
+    with criterion(6, "generators vanish, counts and span match the sympy oracle"):
         maps = _fixture_maps(gr24, gr25, cusp)
-        for name, bound in FIXTURE_SPECS:
+        maps["rational-quadrics"] = rational_quadrics_map()
+        counts = {}
+        for name, bound in FIXTURE_SPECS + (("rational-quadrics", 3),):
             phi = maps[name]
-            fast = components_of_kernel(phi, bound)
-            slow = naive_total_degree_kernel(phi, bound)
-            assert fast.counts_by_degree() == slow.counts_by_degree(), name
+            result = components_of_kernel(phi, bound)
+            counts[name] = sympy_oracle_check(phi, result, bound)
+            assert result.counts_by_degree() == counts[name], name
+        assert counts["rational-quadrics"] == {3: 7}  # cubics, rational coefficients
 
 
 def test_criterion_7_skip_ab_identical(gr24, gr25, cusp, tmp_path):

@@ -13,7 +13,6 @@ from implicitize import (
     components_of_kernel,
     enumerate_level,
     grading_for_map,
-    naive_total_degree_kernel,
 )
 from implicitize.engine import assemble_component, trim_basis
 from implicitize.grading import NoPositiveWeightError
@@ -25,6 +24,7 @@ from support import (
     poly_by_names,
     random_monomial_map,
     reference_beta,
+    sympy_oracle_check,
 )
 
 
@@ -156,47 +156,29 @@ def test_weighted_degree_bound_semantics():
     assert result.generators[0].weighted_degree == 6
 
 
-def test_naive_oracle_by_itself(gr24, gr25, cusp):
-    assert naive_total_degree_kernel(gr24, 2).counts_by_degree() == {2: 1}
-    assert naive_total_degree_kernel(cusp, 2).counts_by_degree() == {2: 1}
-    assert naive_total_degree_kernel(gr25, 2).counts_by_degree() == {2: 5}
-
-
-def test_naive_cap(sunlet):
-    with pytest.raises(ValueError):
-        naive_total_degree_kernel(sunlet, 3)
-    assert naive_total_degree_kernel(
-        sunlet, 2, EngineOptions(naive_cap=3000)
-    ).counts_by_degree() == {2: 12}
-
-
 def test_oracle_equivalence_small(gr24, cusp):
     for phi in (gr24, cusp):
-        fast = components_of_kernel(phi, 3)
-        slow = naive_total_degree_kernel(phi, 3)
-        assert fast.counts_by_degree() == slow.counts_by_degree()
+        result = components_of_kernel(phi, 3)
+        assert result.counts_by_degree() == sympy_oracle_check(phi, result, 3)
 
 
 def test_oracle_equivalence_random_monomial_maps():
     rng = random.Random(1234)
     for _ in range(4):
         phi = random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3))
-        fast = components_of_kernel(phi, 3)
-        slow = naive_total_degree_kernel(phi, 3)
-        assert fast.counts_by_degree() == slow.counts_by_degree()
+        result = components_of_kernel(phi, 3)
+        assert result.counts_by_degree() == sympy_oracle_check(phi, result, 3)
 
 
 def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
+    # the untrimmed component kernel is the new generators plus the lifts
     for phi in (gr24, gr25, cusp):
-        on = components_of_kernel(phi, 3)
-        off = components_of_kernel(phi, 3, EngineOptions(use_trim=False))
-        for degree in (1, 2, 3):
-            on_tasks = [t for t in on.tasks if t.weighted_degree == degree]
-            off_tasks = [t for t in off.tasks if t.weighted_degree == degree]
-            off_kernel = sum(t.kernel_dim for t in off_tasks)
-            on_kernel = sum(t.kernel_dim for t in on_tasks)
-            on_lift = sum(t.lift_rank for t in on_tasks)
-            assert off_kernel == on_kernel + on_lift
+        grading = grading_for_map(phi)
+        levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
+        for task in components_of_kernel(phi, 3).tasks:
+            basis = levels[task.weighted_degree].components[task.beta]
+            full = exact_kernel(assemble_component(phi, list(basis.monomials)))
+            assert full.dimension == task.kernel_dim + task.lift_rank
 
 
 def test_prescreen_off_same_output(gr24):

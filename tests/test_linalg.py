@@ -13,7 +13,6 @@ from implicitize.linalg import (
     nullspace_primitive,
     prescreen_trivial,
     rank_mod_p,
-    solve_exact,
     sparse_rref,
 )
 
@@ -88,9 +87,6 @@ def test_rank_rational_and_solve():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     sparse = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
     assert len(sparse_rref(sparse, 3)[1]) == 2 == dense_rank_oracle(rows)
-    sol = solve_exact([[1, 0], [0, 2]], [3, 4])
-    assert sol == [Fraction(3), Fraction(2)]
-    assert solve_exact([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_nullspace_primitive_matches_oracle():
