@@ -26,9 +26,8 @@ from .grading import (
     homogeneity_space,
     multidegree_of,
 )
-from .linalg import ComponentMatrix, KernelBasis, exact_kernel, prescreen_trivial, rank_mod_p
+from .linalg import ComponentMatrix, KernelBasis, exact_kernel, rank_mod_p
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
-from .matroid import EvaluatedJacobian, build_jacobian, can_skip
 from .polyring import (
     DEFAULT_PRIME,
     BadPrimeError,

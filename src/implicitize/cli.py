@@ -9,8 +9,11 @@
 to the degree bound, prints them to stdout (text or JSON), and prints a
 per-level summary table to stderr. With a non-standard positive weight the
 bound applies to the weighted degree; the `--report` JSON says whether the
-all-ones weight was used. `--no-skip` and `--no-prescreen` turn off the two
-screening shortcuts; they change where the time goes, never the output.
+all-ones weight was used. Before any rational work, each component is
+screened by evaluating its images at random points mod the prime (`--seed`
+picks the points); a full-rank evaluation certifies that it has no new
+generators. `--no-prescreen` turns that screen off and solves every component
+exactly; it changes where the time goes, never the output.
 
 Exit codes: 0 success, 2 bad flags or unreadable input, 3 no positive
 grading exists for the map, 4 internal invariant violation.
@@ -46,10 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="compute kernel generators up to a degree bound")
     run.add_argument("--map", dest="map_path", help="map file (JSON or text); stdin if omitted")
     run.add_argument("-d", "--max-degree", type=int, required=True, help="degree bound, >= 1")
-    run.add_argument("--seed", type=int, default=0, help="seed for the random evaluation point")
+    run.add_argument("--seed", type=int, default=0, help="seed for the random evaluation points")
     run.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="prime for mod-p work")
-    run.add_argument("--no-skip", action="store_true", help="disable the Jacobian component skip")
-    run.add_argument("--no-prescreen", action="store_true", help="disable the mod-p prescreen")
+    run.add_argument(
+        "--no-prescreen", action="store_true", help="solve every component exactly, unscreened"
+    )
     run.add_argument("--output", choices=("text", "json"), default="text")
     run.add_argument("--grading-out", help="write the grading matrix to this path")
     run.add_argument("--report", help="write the run report as JSON to this path")
@@ -133,7 +137,6 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
             "max_degree": args.max_degree,
             "seed": args.seed,
             "prime": result.prime,
-            "skip": not args.no_skip,
             "prescreen": not args.no_prescreen,
         },
         "grading_rank": result.grading.rank,
@@ -150,8 +153,8 @@ def _report_table(payload: dict) -> str:
         "degree",
         "monomials",
         "multidegrees",
-        "skip(jacobian)",
-        "skip(prescreen)",
+        "certified",
+        "certified(trim)",
         "solved",
         "gens",
         "seconds",
@@ -180,7 +183,6 @@ def _report_table(payload: dict) -> str:
     lines.append(
         f"total: {payload['generator_count']} generator(s) in {payload['seconds']:.3f} s"
         f"  [seed={opts['seed']} prime={opts['prime']}"
-        f" skip={'on' if opts['skip'] else 'off'}"
         f" prescreen={'on' if opts['prescreen'] else 'off'}"
         f" grading_rank={payload['grading_rank']}]"
     )
@@ -201,7 +203,6 @@ def _cmd_run(args) -> int:
     options = EngineOptions(
         seed=args.seed,
         prime=args.prime,
-        use_skip=not args.no_skip,
         use_prescreen=not args.no_prescreen,
     )
     started = time.perf_counter()

@@ -3,24 +3,30 @@
 For each weighted degree i up to the bound, the engine enumerates the level,
 then handles its components one at a time, in canonical beta order:
 
-    matroid skip -> trim against lower-degree generators -> assemble the
-    component system -> prime-field prescreen -> exact rational kernel
+    trim against lower-degree generators -> certify mod p -> assemble the
+    component system -> exact rational kernel
 
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
 multidegree. Trimming runs whenever lower-degree generators exist: without it
 the kernel would also hold their multiples, which are not minimal. Trimming
 at level i reads only generators from levels < i, so components within a
-level never interact.
+level never interact. The certificate evaluates the images of the trimmed
+columns at seeded random points of GF(p)^m; when those values have full rank
+the component has no new generators, and no rational matrix is built for it.
+A failed certificate only costs the exact solve, so no seed or prime changes
+the output.
 Every emitted generator is re-verified to map to zero and to be homogeneous
 under every grading row.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 from .enumeration import DegreeLevel, MonomialBasis, enumerate_level, lookup_basis
 from .grading import (
@@ -30,15 +36,13 @@ from .grading import (
     multidegree_of,
 )
 from .linalg import (
-    BadPrimeError,
     ComponentMatrix,
     exact_kernel,
     is_prime,
     next_prime,
-    prescreen_trivial,
+    rank_mod_p,
     sparse_rref,
 )
-from .matroid import build_jacobian, can_skip
 from .polyring import DEFAULT_PRIME, Monomial, Polynomial, RingMap, grlex_key
 
 
@@ -50,7 +54,6 @@ class EngineInvariantError(RuntimeError):
 class EngineOptions:
     seed: int = 0
     prime: int = DEFAULT_PRIME
-    use_skip: bool = True
     use_prescreen: bool = True
 
 
@@ -72,10 +75,10 @@ class ComponentTask:
     beta: tuple[int, ...]
     weighted_degree: int
     size: int
-    status: str = "pending"  # skipped-matroid | skipped-prescreen | solved
+    status: str = "pending"  # certified | solved
     lift_rank: int = 0
     kernel_dim: int = 0
-    columns: tuple[Monomial, ...] | None = None  # trimmed basis, when computed
+    columns: tuple[Monomial, ...] = ()  # the trimmed basis
 
 
 @dataclass
@@ -83,8 +86,8 @@ class LevelStats:
     weighted_degree: int
     monomials: int
     components: int
-    skipped_matroid: int
-    skipped_prescreen: int
+    skipped_matroid: int  # certified, with nothing trimmed
+    skipped_prescreen: int  # certified after a non-empty trim
     solved: int
     generators: int
     seconds: float
@@ -130,7 +133,7 @@ def trim_basis(
         level = levels.get(shift)
         if level is None:
             continue
-        target = tuple(b - bg for b, bg in zip(beta, g.beta))
+        target = tuple(map(sub, beta, g.beta))
         for gamma in lookup_basis(level, target).monomials:
             row = {}
             for mono, coeff in g.poly.terms.items():
@@ -163,7 +166,46 @@ def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix
     for c, img in enumerate(images):
         for gamma, coeff in img.terms.items():
             rows[row_index[gamma]][c] = coeff
-    return ComponentMatrix(list(columns), row_monomials, rows)
+    return ComponentMatrix(list(columns), rows)
+
+
+class EvaluationPoints:
+    """Seeded random points t_k of GF(p)^m, drawn as needed and shared by a run.
+
+    `values[k][i]` is image i evaluated at t_k.
+    """
+
+    def __init__(self, phi: RingMap, prime: int, seed: int):
+        self.phi = phi
+        self.prime = prime
+        self.rng = random.Random(seed)
+        self.values: list[list[int]] = []
+
+    def certify_no_generators(self, columns: list[Monomial]) -> bool:
+        """True certifies that the images of `columns` are linearly independent.
+
+        E[k][j] = prod_i phi_i(t_k)^e_ij over the first c = len(columns)
+        points equals V C, where C is the component's coefficient matrix mod p
+        and V holds the codomain monomials evaluated at the points; C exists
+        because `_safe_prime` keeps every image denominator a unit mod p.
+        Rank can only drop from Q to GF(p) and under the product, so rank
+        E = c forces a trivial rational kernel; a smaller rank certifies
+        nothing.
+        """
+        p = self.prime
+        while len(self.values) < len(columns):
+            point = [self.rng.randrange(p) for _ in range(self.phi.m)]
+            self.values.append([image.eval_mod_p(point, p) for image in self.phi.images])
+        matrix = []
+        for values in self.values[: len(columns)]:
+            row = []
+            for mono in columns:
+                v = 1
+                for i, e in mono.exps:
+                    v = v * pow(values[i], e, p) % p
+                row.append(v)
+            matrix.append(row)
+        return rank_mod_p(matrix, p) == len(columns)
 
 
 @dataclass
@@ -172,20 +214,13 @@ class _LevelContext:
     grading: GradingMatrix
     levels: dict[int, DegreeLevel]
     generators: list[Generator]
-    options: EngineOptions
-    prime: int
-    jacobian: object | None
-    skip_cache: dict[tuple[int, ...], bool]
+    points: EvaluationPoints | None  # None when screening is off
 
 
 def _process_component(
     ctx: _LevelContext, degree: int, beta: tuple[int, ...], basis: MonomialBasis
 ) -> tuple[ComponentTask, list[Generator]]:
     task = ComponentTask(beta, degree, len(basis.monomials))
-    if ctx.jacobian is not None and can_skip(ctx.jacobian, basis.support, ctx.skip_cache):
-        task.status = "skipped-matroid"
-        return task, []
-
     if ctx.generators:
         columns, lift_rank = trim_basis(ctx.generators, beta, degree, basis, ctx.levels)
     else:
@@ -195,16 +230,11 @@ def _process_component(
     if not columns:
         task.status = "solved"
         return task, []
+    if ctx.points is not None and ctx.points.certify_no_generators(columns):
+        task.status = "certified"
+        return task, []
 
     matrix = assemble_component(ctx.phi, columns)
-    if ctx.options.use_prescreen and len(matrix.rows) >= len(columns):
-        try:
-            if prescreen_trivial(matrix, ctx.prime):
-                task.status = "skipped-prescreen"
-                return task, []
-        except BadPrimeError:
-            pass  # fall through to the exact solve
-
     kernel = exact_kernel(matrix)
     task.status = "solved"
     task.kernel_dim = kernel.dimension
@@ -232,9 +262,9 @@ def _verify_generator(ctx: _LevelContext, gen: Generator):
 def _safe_prime(phi: RingMap, prime: int) -> int:
     """First prime >= the requested one dividing no image denominator.
 
-    Component entries and Jacobian values only ever involve products and sums
-    of image coefficients, so their denominators divide products of image
-    denominators; one upfront check covers every later reduction.
+    Image values at a point of GF(p)^m are sums of products of image
+    coefficients, so this one upfront check lets `eval_mod_p` reduce every
+    image without a BadPrimeError.
     """
     if prime < 2 or not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
@@ -266,17 +296,13 @@ def components_of_kernel(
             "the grading admits no strictly positive weight vector"
         )
     prime = _safe_prime(phi, options.prime)
-    jacobian = build_jacobian(phi, prime, options.seed) if options.use_skip else None
     result = GeneratorSet(grading=grading, prime=prime, seed=options.seed)
     ctx = _LevelContext(
         phi=phi,
         grading=grading,
         levels={},
         generators=result.generators,
-        options=options,
-        prime=prime,
-        jacobian=jacobian,
-        skip_cache={},
+        points=EvaluationPoints(phi, prime, options.seed) if options.use_prescreen else None,
     )
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
@@ -287,9 +313,9 @@ def components_of_kernel(
         for beta, basis in level.components.items():
             task, gens = _process_component(ctx, degree, beta, basis)
             result.tasks.append(task)
-            if task.status == "skipped-matroid":
+            if task.status == "certified" and not task.lift_rank:
                 skipped_m += 1
-            elif task.status == "skipped-prescreen":
+            elif task.status == "certified":
                 skipped_p += 1
             else:
                 solved += 1

@@ -18,16 +18,15 @@ from .polyring import Monomial, grlex_key
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Canonically ordered monomials of one component plus their variable support."""
+    """Canonically ordered monomials of one component."""
 
     monomials: tuple[Monomial, ...]
-    support: tuple[int, ...]
 
     def __len__(self):
         return len(self.monomials)
 
 
-EMPTY_BASIS = MonomialBasis((), ())
+EMPTY_BASIS = MonomialBasis(())
 
 
 @dataclass
@@ -93,9 +92,7 @@ def enumerate_level(grading: GradingMatrix, degree: int) -> DegreeLevel:
 
     components: dict[tuple[int, ...], MonomialBasis] = {}
     for key in sorted(buckets):
-        monos = sorted(buckets[key], key=grlex_key)
-        support = sorted({i for mono in monos for i, _ in mono.exps})
-        components[key] = MonomialBasis(tuple(monos), tuple(support))
+        components[key] = MonomialBasis(tuple(sorted(buckets[key], key=grlex_key)))
     return DegreeLevel(degree, components)
 
 

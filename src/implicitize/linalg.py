@@ -4,8 +4,8 @@ Rational elimination runs on sparse rows (dicts keyed by column index) with
 pivot rows chosen sparsest-first and smallest-magnitude to limit fill-in;
 because the reduced row echelon form is unique, every result downstream of
 it (rank, pivot columns, kernel basis) is independent of that choice. Dense
-Gaussian elimination over GF(p) backs the prime-field prescreen and the
-Jacobian rank checks.
+Gaussian elimination over GF(p) (`rank_mod_p`) backs the engine's mod-p
+certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polyring import BadPrimeError, Monomial
+from .polyring import Monomial
 
 SparseRow = dict[int, Fraction]
 
@@ -209,12 +209,11 @@ class ComponentMatrix:
     """The linear system of one graded component.
 
     Column j holds the coefficient vector of the image of the j-th basis
-    monomial, rows are indexed by the codomain monomials those images touch
-    (graded-lex descending); all-zero rows are never stored.
+    monomial, one row per codomain monomial those images touch; all-zero rows
+    are never stored.
     """
 
     columns: list[Monomial]
-    row_monomials: list[Monomial]
     rows: list[SparseRow]
 
     @property
@@ -241,24 +240,3 @@ def exact_kernel(matrix: ComponentMatrix) -> KernelBasis:
     """Exact rational kernel of the component system, canonically normalized."""
     raw = kernel_basis([dict(r) for r in matrix.rows], len(matrix.columns))
     return KernelBasis(raw).normalize()
-
-
-def prescreen_trivial(matrix: ComponentMatrix, p: int) -> bool:
-    """True certifies the rational kernel is trivial (full column rank mod p).
-
-    Rank can only drop under reduction mod p, so full column rank mod p
-    forces full column rank over the rationals. A False answer certifies
-    nothing. Raises BadPrimeError when an entry denominator vanishes mod p.
-    """
-    ncols = len(matrix.columns)
-    if len(matrix.rows) < ncols:
-        return False
-    dense = []
-    for row in matrix.rows:
-        out = [0] * ncols
-        for j, v in row.items():
-            if v.denominator % p == 0:
-                raise BadPrimeError(f"denominator divisible by {p}")
-            out[j] = v.numerator * pow(v.denominator, -1, p) % p
-        dense.append(out)
-    return rank_mod_p(dense, p) == ncols

@@ -11,6 +11,8 @@ Two interchangeable formats:
   parentheses, and integer or `p/q` rational literals. `#` starts a comment.
   Without headers, the domain is the left-hand sides in order and the
   codomain is every right-hand-side name in order of first appearance.
+  Expansion is capped: a product or power that could exceed MAX_TERMS terms,
+  or nesting deeper than the interpreter's recursion limit, is a parse error.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .polyring import Monomial, Polynomial, RingMap, format_polynomial
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Most terms a text-map product or power may expand to, bounded before expanding.
+MAX_TERMS = 1000
 
 
 class MapParseError(ValueError):
@@ -61,6 +67,10 @@ def _check_names(names: Sequence[str], what: str) -> list[str]:
     return list(names)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_map_json(text: str) -> RingMap:
     try:
         data = json.loads(text)
@@ -93,7 +103,7 @@ def parse_map_json(text: str) -> RingMap:
                 num, den, exps = term
             except (TypeError, ValueError):
                 raise MapParseError(f"malformed term {term!r} in image {i}") from None
-            if not isinstance(num, int) or not isinstance(den, int):
+            if not _is_int(num) or not _is_int(den):
                 raise MapParseError(f"non-integer coefficient in image {i}")
             if den == 0:
                 raise MapParseError(f"zero denominator in image {i}")
@@ -103,7 +113,7 @@ def parse_map_json(text: str) -> RingMap:
             for name, exp in exps.items():
                 if name not in index:
                     raise MapParseError(f"unknown variable {name!r} in image {i}")
-                if not isinstance(exp, int) or exp < 1:
+                if not _is_int(exp) or exp < 1:
                     raise MapParseError(f"bad exponent for {name!r} in image {i}")
                 pairs.append((index[name], exp))
             poly_terms.append((Monomial(pairs), Fraction(num, den)))
@@ -213,7 +223,10 @@ class _ExprParser:
             token = self.peek()
             if token and token[0] == "op" and token[1] == "*":
                 self.take()
-                poly = poly * self.factor()
+                other = self.factor()
+                if len(poly.terms) * len(other.terms) > MAX_TERMS:
+                    self.fail(f"product may exceed {MAX_TERMS} terms", token)
+                poly = poly * other
             else:
                 return poly
 
@@ -225,6 +238,9 @@ class _ExprParser:
             exp = self.take()
             if exp[0] != "int":
                 self.fail("exponent must be a nonnegative integer", exp)
+            t = len(base.terms)
+            if t > 1 and comb(exp[1] + t - 1, t - 1) > MAX_TERMS:
+                self.fail(f"power may exceed {MAX_TERMS} terms", token)
             return base ** exp[1]
         return base
 
@@ -315,5 +331,8 @@ def parse_map_text(text: str) -> RingMap:
     for name, rhs, lineno in assignments:
         tokens = _tokenize(rhs, lineno)
         parser = _ExprParser(tokens, index, len(codomain), lineno)
-        images.append(parser.parse())
+        try:
+            images.append(parser.parse())
+        except RecursionError:
+            raise MapParseError("expression nested too deeply", lineno) from None
     return RingMap(images, m=len(codomain), domain_names=domain, codomain_names=codomain)

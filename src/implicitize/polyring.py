@@ -56,16 +56,6 @@ class Monomial:
     def weighted_degree(self, weights: Sequence) -> int | Fraction:
         return sum(weights[i] * e for i, e in self.exps)
 
-    def exponent(self, i: int) -> int:
-        for j, e in self.exps:
-            if j == i:
-                return e
-        return 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.exps, other.exps
         if not a:
@@ -259,29 +249,6 @@ class Polynomial:
             raise ValueError("weight vector length mismatch")
         values = {m.weighted_degree(weights) for m in self.terms}
         return len(values) <= 1
-
-    def partial_derivative(self, j: int) -> "Polynomial":
-        if not 0 <= j < self.num_vars:
-            raise IndexError(f"variable index {j} out of range")
-        out: dict[Monomial, object] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.exponent(j)
-            if not e:
-                continue
-            pairs = tuple(
-                (i, ee - 1 if i == j else ee) for i, ee in mono.exps if not (i == j and ee == 1)
-            )
-            dm = Monomial._make(tuple((i, ee) for i, ee in pairs if ee))
-            c = coeff * e
-            if dm in out:
-                s = out[dm] + c
-                if s:
-                    out[dm] = s
-                else:
-                    del out[dm]
-            elif c:
-                out[dm] = c
-        return Polynomial._make(self.num_vars, out)
 
     def eval_mod_p(self, point: Sequence[int], p: int) -> int:
         """Evaluate at a point of GF(p)^num_vars."""

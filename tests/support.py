@@ -1,10 +1,9 @@
 """Shared test helpers: golden data, independent oracles, random generators.
 
 Independent oracles deliberately avoid the package's own elimination code:
-sympy provides exact nullspaces, symbolic Jacobian ranks and the
-degree-by-degree kernel check `sympy_oracle_check`, and `dense_rank_oracle`
-is a plain first-pivot Fraction elimination with a different pivot policy
-than the package's sparse path.
+sympy provides exact nullspaces, ranks and the degree-by-degree kernel check
+`sympy_oracle_check`, and `dense_rank_oracle` is a plain first-pivot Fraction
+elimination with a different pivot policy than the package's sparse path.
 """
 
 from __future__ import annotations
@@ -62,11 +61,10 @@ GR24_CUBIC_COMPONENT = [list(row) for row in zip(*_GR24_CUBIC_COMPONENT_T)]
 
 
 def component_from_dense(rows) -> ComponentMatrix:
-    """A component system with placeholder monomials indexing rows and columns."""
+    """A component system with placeholder monomials indexing the columns."""
     ncols = len(rows[0]) if rows else 0
     return ComponentMatrix(
         [Monomial.variable(j) for j in range(ncols)],
-        [Monomial.variable(i) for i in range(len(rows))],
         [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows],
     )
 
@@ -115,27 +113,6 @@ def sympy_rank(rows) -> int:
     import sympy
 
     return sympy.Matrix(rows).rank()
-
-
-def sympy_jacobian_rank(phi: RingMap, subset=None) -> int:
-    """Generic (symbolic) rank of the Jacobian columns over the function field."""
-    import sympy
-
-    ts = sympy.symbols(f"t0:{phi.m}")
-    cols = list(range(phi.n)) if subset is None else list(subset)
-
-    def to_sympy(poly: Polynomial):
-        expr = sympy.Integer(0)
-        for mono, coeff in poly.terms.items():
-            term = sympy.Rational(coeff.numerator, coeff.denominator)
-            for i, e in mono.exps:
-                term *= ts[i] ** e
-            expr += term
-        return expr
-
-    images = [to_sympy(phi.images[j]) for j in cols]
-    mat = sympy.Matrix([[sympy.diff(img, ts[i]) for img in images] for i in range(phi.m)])
-    return mat.rank()
 
 
 def _dense_exponents(mono, n: int) -> tuple[int, ...]:
@@ -500,7 +477,7 @@ def enumeration_suite(cases: int) -> int:
 
 
 def linalg_suite(cases: int) -> int:
-    from implicitize.linalg import exact_kernel, prescreen_trivial, sparse_rref, _to_sparse
+    from implicitize.linalg import exact_kernel, rank_mod_p, sparse_rref, _to_sparse
 
     rng = random.Random(2718)
     checked = 0
@@ -521,7 +498,9 @@ def linalg_suite(cases: int) -> int:
                 assert sum(a * v for a, v in zip(row, vec)) == 0
         renorm = kernel.normalize()
         assert renorm.vectors == kernel.vectors
-        if prescreen_trivial(matrix, 101):
+        # full column rank mod p certifies full column rank over Q
+        residues = [[v.numerator * pow(v.denominator, -1, 101) for v in row] for row in rows]
+        if rank_mod_p(residues, 101) == ncols:
             assert kernel.dimension == 0
         checked += 1
     return checked

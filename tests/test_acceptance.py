@@ -177,14 +177,14 @@ def test_criterion_6_oracle_equivalence(gr24, gr25, cusp):
 
 
 def test_criterion_7_skip_ab_identical(gr24, gr25, cusp, tmp_path):
-    with criterion(7, "--no-skip output is byte-identical"):
+    with criterion(7, "--no-prescreen output is byte-identical"):
         maps = _fixture_maps(gr24, gr25, cusp)
         for name, bound in FIXTURE_SPECS:
             path = tmp_path / f"{name}.json"
             path.write_text(emit_map_json(maps[name]), encoding="utf-8")
             base_args = ["run", "--map", str(path), "-d", str(bound), "--seed", "0"]
             code_a, out_a, _ = run_cli(base_args)
-            code_b, out_b, _ = run_cli(base_args + ["--no-skip"])
+            code_b, out_b, _ = run_cli(base_args + ["--no-prescreen"])
             assert code_a == code_b == 0
             assert out_a == out_b, name
 

@@ -181,10 +181,15 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
             assert full.dimension == task.kernel_dim + task.lift_rank
 
 
-def test_prescreen_off_same_output(gr24):
-    base = components_of_kernel(gr24, 3)
-    off = components_of_kernel(gr24, 3, EngineOptions(use_prescreen=False))
-    assert [g.poly for g in base.generators] == [g.poly for g in off.generators]
+def test_prescreen_off_same_output(gr24, gr25):
+    for phi, options in ((gr24, EngineOptions()), (gr25, EngineOptions(seed=7, prime=101))):
+        base = components_of_kernel(phi, 3, options)
+        options.use_prescreen = False
+        off = components_of_kernel(phi, 3, options)
+        assert [(g.poly, g.beta) for g in base.generators] == [
+            (g.poly, g.beta) for g in off.generators
+        ]
+        assert all(task.status == "solved" for task in off.tasks)
 
 
 def test_small_prime_still_exact(gr24):
@@ -219,11 +224,13 @@ def test_component_task_records(gr24):
     for task in result.tasks:
         basis = levels[task.weighted_degree].components[task.beta]
         assert task.size == len(basis.monomials)
-        if task.status == "skipped-matroid":
-            assert task.columns is None
-        else:
-            assert set(task.columns) <= set(basis.monomials)
-            assert task.size - len(task.columns) == task.lift_rank
+        assert set(task.columns) <= set(basis.monomials)
+        assert task.size - len(task.columns) == task.lift_rank
+        assert task.status in ("certified", "solved")
+        if task.status == "certified":
+            assert task.columns and task.kernel_dim == 0
+    statuses = {task.status for task in result.tasks}
+    assert statuses == {"certified", "solved"}
 
 
 def test_generator_order_is_canonical(gr25):

@@ -30,7 +30,6 @@ def test_grassmannian_level_two(gr24):
         mono_by_names(gr24, {"p23": 1, "p14": 1}),
     ]
     assert list(big[0].monomials) == expected
-    assert big[0].support == (0, 1, 2, 3, 4, 5)
 
 
 def test_grassmannian_level_one_singletons(gr24):

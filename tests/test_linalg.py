@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from implicitize import BadPrimeError, Monomial, Polynomial, RingMap
+from implicitize.engine import EvaluationPoints
 from implicitize.linalg import (
     exact_kernel,
     is_prime,
@@ -11,7 +13,6 @@ from implicitize.linalg import (
     next_prime,
     normalize_primitive,
     nullspace_primitive,
-    prescreen_trivial,
     rank_mod_p,
     sparse_rref,
 )
@@ -22,6 +23,7 @@ from support import (
     component_from_dense,
     dense_rank_oracle,
     linalg_suite,
+    mono_by_names,
     sympy_nullspace,
     sympy_rank,
 )
@@ -52,20 +54,36 @@ def test_rank_mod_p_examples():
     assert rank_mod_p(GR24_QUADRIC_COMPONENT, 101) == 2
 
 
-def test_prescreen_examples():
-    assert prescreen_trivial(component_from_dense(GR24_QUADRIC_COMPONENT), 101) is False
-    full_rank = component_from_dense([[1, 0], [0, 1], [1, 1]])
-    assert prescreen_trivial(full_rank, 101) is True
-    zero = component_from_dense([[0]])
-    assert prescreen_trivial(zero, 101) is False
+def test_prescreen_examples(gr24):
+    points = EvaluationPoints(gr24, 101, seed=0)
+    # the quadric component p12*p34, p13*p24, p23*p14 holds the Pluecker relation
+    quadric = [
+        mono_by_names(gr24, {"p12": 1, "p34": 1}),
+        mono_by_names(gr24, {"p13": 1, "p24": 1}),
+        mono_by_names(gr24, {"p23": 1, "p14": 1}),
+    ]
+    assert points.certify_no_generators(quadric) is False
+    # the cubic component after trimming p12*p34^2 has a trivial kernel
+    trimmed = [
+        mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
+        mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
+    ]
+    assert points.certify_no_generators(trimmed) is True
+    assert points.certify_no_generators(quadric[:2]) is True
+    assert len(points.values) == 3  # one point per column, drawn as needed
+    zero = RingMap([Polynomial.zero(1)], m=1)
+    assert not EvaluationPoints(zero, 101, seed=0).certify_no_generators([Monomial.variable(0)])
 
 
 def test_prescreen_bad_prime():
-    from implicitize.polyring import BadPrimeError
-
-    matrix = component_from_dense([[Fraction(1, 5)]])
+    # image evaluation is the prescreen's one place to meet a bad prime
+    f = Polynomial(1, [(Monomial.variable(0), Fraction(1, 5))])
     with pytest.raises(BadPrimeError):
-        prescreen_trivial(matrix, 5)
+        f.eval_mod_p([1], 5)
+    with pytest.raises(BadPrimeError):
+        EvaluationPoints(RingMap([f], m=1), 5, seed=0).certify_no_generators(
+            [Monomial.variable(0)]
+        )
 
 
 def test_kernel_of_empty_and_zero_matrices():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from implicitize import parse_map, parse_map_file
 from implicitize.mapfile import (
+    MAX_TERMS,
     MapParseError,
     emit_map_json,
     emit_map_text,
@@ -64,6 +66,8 @@ def test_parse_errors():
     with pytest.raises(MapParseError):
         parse_map_text("x = 1/0")  # zero denominator
     with pytest.raises(MapParseError):
+        parse_map_text("x = " + "(" * 3000 + "t" + ")" * 3000)  # nested past the stack
+    with pytest.raises(MapParseError):
         parse_map_json("{")  # malformed JSON
     with pytest.raises(MapParseError):
         parse_map_json('{"domain_vars": ["x"], "codomain_vars": ["t"]}')
@@ -81,6 +85,34 @@ def test_parse_errors():
         )
     with pytest.raises(MapParseError):
         parse_map_json('{"domain_vars": "xy", "codomain_vars": ["t"], "images": [[], []]}')
+    # booleans are not numbers: numerator, denominator, exponent
+    for term in ('[true, 1, {"t": 1}]', '[1, true, {"t": 1}]', '[1, 1, {"t": true}]'):
+        with pytest.raises(MapParseError):
+            parse_map_json(
+                '{"domain_vars": ["x"], "codomain_vars": ["t"], "images": [[%s]]}' % term
+            )
+
+
+def _sum_of_variables(name: str, count: int) -> str:
+    return "(" + " + ".join(f"{name}{i}" for i in range(count)) + ")"
+
+
+def test_expansion_cap():
+    started = time.perf_counter()
+    with pytest.raises(MapParseError):
+        parse_map_text("x = (a+b+c)^200\ny = a*b*c")
+    assert time.perf_counter() - started < 1.0
+    code, _, err = run_cli(["run", "-d", "2"], stdin_text="x = (a+b+c)^200\ny = a*b*c")
+    assert code == 2 and f"{MAX_TERMS} terms" in err
+    # the bounds are checked before expanding, and a result at the cap still parses
+    assert MAX_TERMS == 1000
+    assert len(parse_map_text("x = (a+b+c+d)^16").images[0].terms) == 969
+    with pytest.raises(MapParseError):
+        parse_map_text("x = (a+b+c+d)^17")  # up to 1140 terms
+    product = f"x = {_sum_of_variables('s', 25)}*{_sum_of_variables('t', 40)}"
+    assert len(parse_map_text(product).images[0].terms) == 1000
+    with pytest.raises(MapParseError):
+        parse_map_text(f"x = {_sum_of_variables('s', 7)}*{_sum_of_variables('t', 143)}")
 
 
 def test_parse_error_location():
@@ -161,7 +193,7 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
     code, _, _ = run_cli(["run", "-d", "2", "--prime", "10"], stdin_text="x = t")
     assert code == 2
-    for removed in (["--threads", "2"], ["--naive"], ["--no-trim"]):
+    for removed in (["--threads", "2"], ["--naive"], ["--no-trim"], ["--no-skip"]):
         code, _, _ = run_cli(["run", "-d", "2", *removed], stdin_text="x = t")
         assert code == 2
     # unreadable map: 2

@@ -64,16 +64,6 @@ def test_is_homogeneous_examples():
     assert Polynomial.zero(1).is_homogeneous([7])
 
 
-def test_partial_derivative_examples():
-    f = P(2, ({0: 2, 1: 1}, 1))  # t0^2 t1
-    assert f.partial_derivative(0) == P(2, ({0: 1, 1: 1}, 2))
-    assert Polynomial.constant(2, 5).partial_derivative(0).is_zero()
-    h = P(2, ({0: 2}, 1), ({1: 2}, -1))  # a^2 - b^2
-    assert h.partial_derivative(1) == P(2, ({1: 1}, -2))
-    with pytest.raises(IndexError):
-        f.partial_derivative(2)
-
-
 def test_apply_map_grassmannian(gr24):
     p12 = poly_by_names(gr24, {"p12": 1})
     image = gr24.apply(p12)
@@ -106,7 +96,6 @@ def test_monomial_basics():
     assert m1.degree() == 3
     assert m1.weighted_degree([1, 1, 2]) == 4
     assert (m1 * Monomial([(1, 1)])).exps == ((0, 2), (1, 1), (2, 1))
-    assert m1.exponent(0) == 2 and m1.exponent(1) == 0
     with pytest.raises(ValueError):
         Monomial([(0, -1)])
 
