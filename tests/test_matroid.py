@@ -38,3 +38,13 @@ def test_sunlet_skip_counts_pinned(sunlet):
     assert stats.components == 1720
     assert stats.skipped_matroid == 1708
     assert stats.solved == 12
+
+
+def test_skip_neutral_on_outputs(gr24):
+    # certifying a component only skips its exact solve; generators are unchanged
+    with_skip = components_of_kernel(gr24, 3)
+    without = components_of_kernel(gr24, 3, EngineOptions(use_prescreen=False))
+    assert any(task.status == "certified" for task in with_skip.tasks)
+    assert [(g.poly, g.beta) for g in with_skip.generators] == [
+        (g.poly, g.beta) for g in without.generators
+    ]
