@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import sub
 
 from .enumeration import DegreeLevel, MonomialBasis, enumerate_level, lookup_basis
@@ -37,11 +36,11 @@ from .grading import (
 )
 from .linalg import (
     ComponentMatrix,
+    echelon,
     exact_kernel,
     is_prime,
     next_prime,
     rank_mod_p,
-    sparse_rref,
 )
 from .polyring import DEFAULT_PRIME, Monomial, Polynomial, RingMap, grlex_key
 
@@ -91,6 +90,10 @@ class LevelStats:
     solved: int
     generators: int
     seconds: float
+    stage_seconds: dict[str, float]  # keyed by STAGES, summed over components
+
+
+STAGES = ("enumerate", "trim", "certify", "assemble", "kernel", "verify")
 
 
 @dataclass
@@ -123,6 +126,7 @@ def trim_basis(
     Each lower-degree generator g is shifted by every monomial gamma with
     multidegree beta - beta_g; the span of those shifts is removed from the
     component, leaving the non-pivot columns. Returns (columns, lift rank).
+    Generator coefficients are primitive integers, so the lift rows are too.
     """
     position = {mono: idx for idx, mono in enumerate(basis.monomials)}
     lift_rows = []
@@ -143,14 +147,13 @@ def trim_basis(
                     raise EngineInvariantError(
                         f"lift monomial {shifted!r} escapes component {beta}"
                     )
-                row[idx] = coeff
+                row[idx] = coeff.numerator
             lift_rows.append(row)
     if not lift_rows:
         return list(basis.monomials), 0
-    _, pivot_cols = sparse_rref(lift_rows, len(basis.monomials))
-    taken = set(pivot_cols)
+    taken = {c for c, _ in echelon(lift_rows, len(basis.monomials))}
     columns = [m for idx, m in enumerate(basis.monomials) if idx not in taken]
-    return columns, len(pivot_cols)
+    return columns, len(taken)
 
 
 def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix:
@@ -162,7 +165,7 @@ def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix
     images = [phi.apply_monomial(mono) for mono in columns]
     row_monomials = sorted({g for img in images for g in img.terms}, key=grlex_key)
     row_index = {g: i for i, g in enumerate(row_monomials)}
-    rows: list[dict[int, Fraction]] = [{} for _ in row_monomials]
+    rows: list[dict] = [{} for _ in row_monomials]
     for c, img in enumerate(images):
         for gamma, coeff in img.terms.items():
             rows[row_index[gamma]][c] = coeff
@@ -215,36 +218,40 @@ class _LevelContext:
     levels: dict[int, DegreeLevel]
     generators: list[Generator]
     points: EvaluationPoints | None  # None when screening is off
+    stages: dict[str, float] = field(default_factory=dict)  # the current level's
 
 
 def _process_component(
     ctx: _LevelContext, degree: int, beta: tuple[int, ...], basis: MonomialBasis
 ) -> tuple[ComponentTask, list[Generator]]:
     task = ComponentTask(beta, degree, len(basis.monomials))
-    if ctx.generators:
-        columns, lift_rank = trim_basis(ctx.generators, beta, degree, basis, ctx.levels)
-    else:
-        columns, lift_rank = list(basis.monomials), 0
-    task.lift_rank = lift_rank
+    started = time.perf_counter()
+    columns, task.lift_rank = trim_basis(ctx.generators, beta, degree, basis, ctx.levels)
     task.columns = tuple(columns)
+    trimmed = time.perf_counter()
+    ctx.stages["trim"] += trimmed - started
     if not columns:
         task.status = "solved"
         return task, []
-    if ctx.points is not None and ctx.points.certify_no_generators(columns):
-        task.status = "certified"
-        return task, []
+    if ctx.points is not None:
+        certified = ctx.points.certify_no_generators(columns)
+        ctx.stages["certify"] += time.perf_counter() - trimmed
+        if certified:
+            task.status = "certified"
+            return task, []
 
+    started = time.perf_counter()
     matrix = assemble_component(ctx.phi, columns)
+    assembled = time.perf_counter()
     kernel = exact_kernel(matrix)
+    ctx.stages["assemble"] += assembled - started
+    ctx.stages["kernel"] += time.perf_counter() - assembled
     task.status = "solved"
     task.kernel_dim = kernel.dimension
     found = []
     for vec in kernel.vectors:
-        poly = Polynomial(
-            ctx.phi.n,
-            {columns[c]: Fraction(v) for c, v in enumerate(vec) if v},
-        )
-        found.append(Generator(poly, beta, degree, len(basis.monomials), lift_rank))
+        poly = Polynomial(ctx.phi.n, {columns[c]: v for c, v in enumerate(vec) if v})
+        found.append(Generator(poly, beta, degree, len(basis.monomials), task.lift_rank))
     return task, found
 
 
@@ -306,8 +313,10 @@ def components_of_kernel(
     )
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
+        ctx.stages = stages = dict.fromkeys(STAGES, 0.0)
         level = enumerate_level(grading, degree)
         ctx.levels[degree] = level
+        stages["enumerate"] = time.perf_counter() - started
         new_generators: list[Generator] = []
         skipped_m = skipped_p = solved = 0
         for beta, basis in level.components.items():
@@ -329,8 +338,10 @@ def components_of_kernel(
                 tuple(sorted((m.exps, str(c)) for m, c in g.poly.terms.items())),
             )
         )
+        verifying = time.perf_counter()
         for gen in new_generators:
             _verify_generator(ctx, gen)
+        stages["verify"] = time.perf_counter() - verifying
         result.generators.extend(new_generators)
         result.level_stats.append(
             LevelStats(
@@ -342,6 +353,7 @@ def components_of_kernel(
                 solved=solved,
                 generators=len(new_generators),
                 seconds=time.perf_counter() - started,
+                stage_seconds=stages,
             )
         )
     return result

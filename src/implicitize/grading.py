@@ -113,10 +113,8 @@ def domain_grading(basis: HomogeneityBasis) -> GradingMatrix:
     ordered = sorted(
         basis.full_vectors, key=lambda v: (max(map(abs, v), default=0), tuple(v))
     )
-    by_coordinate = [
-        {k: Fraction(vec[i]) for k, vec in enumerate(ordered) if vec[i]} for i in range(n)
-    ]
-    _, picked = linalg.sparse_rref(by_coordinate, len(ordered))
+    by_coordinate = [[vec[i] for vec in ordered] for i in range(n)]
+    picked = [k for k, _ in linalg.echelon(by_coordinate, len(ordered))]
     return GradingMatrix(
         A=[list(ordered[k][:n]) for k in picked],
         n=n,
@@ -124,7 +122,7 @@ def domain_grading(basis: HomogeneityBasis) -> GradingMatrix:
     )
 
 
-def _feasible_point(stages: list[list[tuple[Fraction, ...]]], r: int) -> list[Fraction]:
+def _feasible_point(stages: list[list[tuple[int, ...]]], r: int) -> list[Fraction]:
     """Back-substitute through Fourier-Motzkin stages; stages[k] constrains u_0..u_k."""
     u: list[Fraction] = []
     for k in range(r):
@@ -152,30 +150,22 @@ def _feasible_point(stages: list[list[tuple[Fraction, ...]]], r: int) -> list[Fr
 
 
 def _positive_combination(columns: list[tuple[int, ...]], r: int) -> list[Fraction] | None:
-    """Exact Fourier-Motzkin: find u in Q^r with u . c > 0 for every column."""
+    """Exact Fourier-Motzkin over primitive integer inequalities: u . c > 0 for all c."""
 
-    def canonical(vec: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
+    def canonical(vec: tuple[int, ...]) -> tuple[int, ...] | None:
         # Positive scaling only: strict inequalities are orientation-sensitive.
-        den = 1
-        for v in vec:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = [int(v * den) for v in vec]
-        content = 0
-        for v in ints:
-            content = math.gcd(content, abs(v))
-        if content == 0:
-            return None
-        return tuple(Fraction(v // content) for v in ints)
+        content = math.gcd(*vec)
+        return tuple(v // content for v in vec) if content else None
 
     system = []
     for col in columns:
-        vec = canonical(tuple(Fraction(c) for c in col))
+        vec = canonical(col)
         if vec is None:
             return None  # 0 > 0 demanded by an all-zero column
         system.append(vec)
     system = sorted(set(system))
 
-    stages: list[list[tuple[Fraction, ...]]] = [[] for _ in range(r)]
+    stages: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     current = system
     for v in range(r - 1, -1, -1):
         stages[v] = current
@@ -218,10 +208,7 @@ def find_positive_weight(grading: GradingMatrix) -> list[int] | None:
     columns = grading.columns()
     # Rows of [A^T | 1]: pivot columns are the leftmost independent ones, so
     # the ones column r is a pivot exactly when ones is not in rowspan(A).
-    augmented = [
-        {**{k: Fraction(v) for k, v in enumerate(col) if v}, r: Fraction(1)} for col in columns
-    ]
-    if r not in linalg.sparse_rref(augmented, r + 1)[1]:
+    if r not in dict(linalg.echelon([[*col, 1] for col in columns], r + 1)):
         return [1] * n
     u = _positive_combination(columns, r)
     if u is None:

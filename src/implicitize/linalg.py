@@ -1,141 +1,121 @@
 """Exact nullspace and rank computation.
 
-Rational elimination runs on sparse rows (dicts keyed by column index) with
-pivot rows chosen sparsest-first and smallest-magnitude to limit fill-in;
-because the reduced row echelon form is unique, every result downstream of
-it (rank, pivot columns, kernel basis) is independent of that choice. Dense
-Gaussian elimination over GF(p) (`rank_mod_p`) backs the engine's mod-p
-certificate.
+Every exact elimination goes through `echelon`: forward elimination on sparse
+primitive integer rows (dicts keyed by column index). Denominators are
+cleared once per input row, and each update row := (a/g)*row - (v/g)*pivot
+is followed by dividing out the row's content, so no common factor carries
+from one update into the next (fraction-free elimination keeps them, and
+rational elimination pays for them in gcds). Pivot columns advance left to
+right, so they are the leftmost independent columns whatever pivot row is
+chosen; rows are picked sparsest first, then by the smallest pivot, to limit
+fill-in and growth. Kernels come from integer back-substitution through the
+echelon form, one primitive vector per free column, so they equal the
+normalized kernel of the unique reduced row echelon form. Dense Gaussian
+elimination over GF(p) (`rank_mod_p`) backs the engine's mod-p certificate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .polyring import Monomial
 
-SparseRow = dict[int, Fraction]
+IntRow = dict[int, int]
 
 
-def _to_sparse(rows: Iterable[Sequence]) -> list[SparseRow]:
-    out = []
-    for row in rows:
-        out.append({j: Fraction(v) for j, v in enumerate(row) if v})
-    return out
+def _primitive(row: Mapping | Sequence) -> IntRow:
+    """Scale a sparse or dense rational row to sparse integers with content 1."""
+    if not isinstance(row, Mapping):
+        row = dict(enumerate(row))
+    den = math.lcm(*(v.denominator for v in row.values()))
+    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+    content = math.gcd(*ints.values())
+    return {j: v // content for j, v in ints.items()} if content > 1 else ints
 
 
-def sparse_rref(
-    rows: list[SparseRow], ncols: int
-) -> tuple[list[tuple[int, SparseRow]], list[int]]:
-    """Reduced row echelon form of sparse rational rows.
+def echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tuple[int, IntRow]]:
+    """Row echelon form of rational rows (sparse or dense), over primitive integer rows.
 
-    Returns (pivot_rows, pivot_cols) where pivot_rows[k] = (col, row) with
-    row[col] == 1 and zero entries above and below every pivot. Pivot columns
-    advance left to right, so they are exactly the leftmost independent
-    columns and do not depend on the pivot-row heuristic.
+    Returns (pivot column, pivot row) pairs in increasing column order; each
+    pivot row is a primitive integer row whose entries all lie at or right of
+    its pivot column. Zero rows are dropped.
     """
-    work: list[SparseRow | None] = [dict(r) if r else None for r in rows]
-    pivots: list[tuple[int, SparseRow]] = []
+    work = [row for row in map(_primitive, rows) if row]
+    pivots: list[tuple[int, IntRow]] = []
     for c in range(ncols):
-        best = None
-        best_key = None
-        for idx, row in enumerate(work):
-            if row is None:
-                continue
-            v = row.get(c)
-            if not v:
-                continue
-            key = (
-                len(row),
-                abs(v.numerator).bit_length() + v.denominator.bit_length(),
-                idx,
-            )
-            if best_key is None or key < best_key:
-                best, best_key = idx, key
-        if best is None:
+        if not work:
+            break
+        candidates = [
+            (len(row), abs(row[c]).bit_length(), idx) for idx, row in enumerate(work) if c in row
+        ]
+        if not candidates:
             continue
-        prow = work[best]
-        work[best] = None
-        pv = prow[c]
-        if pv != 1:
-            prow = {j: v / pv for j, v in prow.items()}
-        for idx, row in enumerate(work):
-            if row is None:
-                continue
+        prow = work.pop(min(candidates)[2])
+        a = prow[c]
+        remaining = []
+        for row in work:
             v = row.get(c)
-            if not v:
-                continue
-            for j, pvj in prow.items():
-                s = row.get(j, 0) - v * pvj
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-            if not row:
-                work[idx] = None
-        for _, prev in pivots:
-            v = prev.get(c)
-            if not v:
-                continue
-            for j, pvj in prow.items():
-                s = prev.get(j, 0) - v * pvj
-                if s:
-                    prev[j] = s
-                else:
-                    prev.pop(j, None)
+            if v:
+                g = math.gcd(a, v)
+                ma, mv = a // g, v // g
+                if ma != 1:
+                    row = {j: ma * x for j, x in row.items()}
+                for j, x in prow.items():
+                    s = row.get(j, 0) - mv * x
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                if not row:
+                    continue
+                content = math.gcd(*row.values())
+                if content > 1:
+                    row = {j: x // content for j, x in row.items()}
+            remaining.append(row)
+        work = remaining
         pivots.append((c, prow))
-    return pivots, [c for c, _ in pivots]
+    return pivots
 
 
-def kernel_basis(rows: list[SparseRow], ncols: int) -> list[list[Fraction]]:
-    """Canonical rational kernel basis, one vector per free column.
+def nullspace_primitive(rows: Iterable[Mapping | Sequence], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of the right kernel, one vector per free column.
 
-    Vector k has 1 in its free column, the negated reduced-echelon entries in
-    the pivot columns, and 0 elsewhere; vectors are ordered by free column.
+    Vector k has 1 in its free column and 0 in the other free columns before
+    normalization; its pivot entries come from back-substitution, scaling the
+    whole vector whenever a pivot does not divide its right-hand side. The
+    result has content 1 and a positive first nonzero entry.
     """
-    pivots, pivot_cols = sparse_rref(rows, ncols)
-    taken = set(pivot_cols)
+    pivots = echelon(rows, ncols)
+    taken = {c for c, _ in pivots}
     basis = []
     for f in range(ncols):
         if f in taken:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, row in pivots:
-            v = row.get(f)
-            if v:
-                vec[c] = -v
-        basis.append(vec)
+        vec = {f: 1}
+        for c, row in reversed(pivots):
+            if c > f:
+                continue
+            s = sum(x * vec[j] for j, x in row.items() if j in vec)
+            if not s:
+                continue
+            a = row[c]
+            if a < 0:
+                a, s = -a, -s
+            g = math.gcd(a, s)
+            if a != g:
+                vec = {j: x * (a // g) for j, x in vec.items()}
+            vec[c] = -s // g
+        basis.append(normalize_primitive([vec.get(j, 0) for j in range(ncols)]))
     return basis
 
 
 def normalize_primitive(vec: Sequence) -> list[int]:
     """Scale a rational vector to integers with content 1, first nonzero > 0."""
-    fracs = [Fraction(v) for v in vec]
-    den = 1
-    for v in fracs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in fracs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, abs(v))
-    if content == 0:
-        return ints
-    ints = [v // content for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
-
-
-def nullspace_primitive(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the right kernel of an exact matrix."""
-    return [normalize_primitive(v) for v in kernel_basis(_to_sparse(rows), ncols)]
+    ints = _primitive(vec)
+    sign = -1 if ints and ints[min(ints)] < 0 else 1
+    return [sign * ints.get(j, 0) for j in range(len(vec))]
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -214,7 +194,7 @@ class ComponentMatrix:
     """
 
     columns: list[Monomial]
-    rows: list[SparseRow]
+    rows: list[dict]  # column index -> nonzero rational coefficient
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -223,20 +203,15 @@ class ComponentMatrix:
 
 @dataclass
 class KernelBasis:
-    """Basis of ker of a component matrix over its column set."""
+    """Primitive integer basis of ker of a component matrix, by free column."""
 
-    vectors: list[list]
+    vectors: list[list[int]]
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def normalize(self) -> "KernelBasis":
-        """Integer entries, content 1, positive leading entry; idempotent."""
-        return KernelBasis([normalize_primitive(v) for v in self.vectors])
-
 
 def exact_kernel(matrix: ComponentMatrix) -> KernelBasis:
     """Exact rational kernel of the component system, canonically normalized."""
-    raw = kernel_basis([dict(r) for r in matrix.rows], len(matrix.columns))
-    return KernelBasis(raw).normalize()
+    return KernelBasis(nullspace_primitive(matrix.rows, len(matrix.columns)))

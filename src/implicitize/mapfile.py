@@ -12,7 +12,9 @@ Two interchangeable formats:
   Without headers, the domain is the left-hand sides in order and the
   codomain is every right-hand-side name in order of first appearance.
   Expansion is capped: a product or power that could exceed MAX_TERMS terms,
-  or nesting deeper than the interpreter's recursion limit, is a parse error.
+  an expression whose products together multiply more than MAX_PRODUCTS
+  pairs of terms, or nesting deeper than the interpreter's recursion limit, is
+  a parse error.
 """
 
 from __future__ import annotations
@@ -29,6 +31,29 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Most terms a text-map product or power may expand to, bounded before expanding.
 MAX_TERMS = 1000
+# Most term-by-term multiplications one text-map expression may spend, charged
+# before expanding (the squarings and multiplications of `^` included):
+# MAX_TERMS bounds a result's size, this bounds the work to compute it.
+MAX_PRODUCTS = 60_000
+
+
+def _power_products(t: int, k: int) -> int:
+    """Term pairs `Polynomial.__pow__` multiplies for a t-term base to the k,
+    each power sized by the term cap's bound, which (a+b)-like bases attain."""
+
+    def size(e: int) -> int:
+        return comb(e + t - 1, t - 1)
+
+    products, result, square = 0, 0, 1  # exponents of the two factors
+    while k:
+        if k & 1:
+            products += size(result) * size(square)
+            result += square
+        k >>= 1
+        if k:
+            products += size(square) ** 2
+            square *= 2
+    return products
 
 
 class MapParseError(ValueError):
@@ -185,6 +210,7 @@ class _ExprParser:
         self.names = names
         self.num_vars = num_vars
         self.line = line
+        self.products = 0  # term pairs multiplied so far, against MAX_PRODUCTS
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -199,6 +225,11 @@ class _ExprParser:
     def fail(self, message, token=None):
         column = token[2] + 1 if token else None
         raise MapParseError(message, self.line, column)
+
+    def charge(self, products: int, token):
+        self.products += products
+        if self.products > MAX_PRODUCTS:
+            self.fail(f"expansion may need more than {MAX_PRODUCTS} term products", token)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
@@ -226,6 +257,7 @@ class _ExprParser:
                 other = self.factor()
                 if len(poly.terms) * len(other.terms) > MAX_TERMS:
                     self.fail(f"product may exceed {MAX_TERMS} terms", token)
+                self.charge(len(poly.terms) * len(other.terms), token)
                 poly = poly * other
             else:
                 return poly
@@ -239,8 +271,10 @@ class _ExprParser:
             if exp[0] != "int":
                 self.fail("exponent must be a nonnegative integer", exp)
             t = len(base.terms)
-            if t > 1 and comb(exp[1] + t - 1, t - 1) > MAX_TERMS:
-                self.fail(f"power may exceed {MAX_TERMS} terms", token)
+            if t > 1:
+                if comb(exp[1] + t - 1, t - 1) > MAX_TERMS:
+                    self.fail(f"power may exceed {MAX_TERMS} terms", token)
+                self.charge(_power_products(t, exp[1]), token)
             return base ** exp[1]
         return base
 

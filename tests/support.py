@@ -109,6 +109,17 @@ def sympy_nullspace(rows) -> list[list[Fraction]]:
     ]
 
 
+def sympy_pivots_and_nullspace(rows, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns of `Matrix.rref()` and the `nullspace()` basis, by sympy alone."""
+    import sympy
+
+    entries = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
+    mat = sympy.Matrix(len(rows), ncols, entries)
+    _, pivots = mat.rref()
+    kernel = [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in mat.nullspace()]
+    return list(pivots), kernel
+
+
 def sympy_rank(rows) -> int:
     import sympy
 
@@ -323,6 +334,57 @@ def random_monomial_map(rng: random.Random, n: int, m: int, degree: int) -> Ring
     return RingMap(images, m=m)
 
 
+def random_rational_matrix(rng: random.Random) -> list[list[Fraction]]:
+    """Small random rational matrix, sometimes empty, with zero and dependent rows."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+    rows = [
+        [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+    for k in range(len(rows)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows[k] = [Fraction(0)] * ncols
+        elif kind < 0.35 and k >= 2:
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            rows[k] = [a * x + b * y for x, y in zip(rows[k - 1], rows[k - 2])]
+    return rows
+
+
+def shifted_stack(rng: random.Random, bits: int = 210) -> list[list[Fraction]]:
+    """Monomial shifts of two big-coefficient quadrics in 3 variables, as rows.
+
+    Each quadric is multiplied by every monomial of degree 2 and written in the
+    15 quartic monomials: the shape of a trim elimination, with numerators of
+    at least bits - 3 bits, and of rank at most 11 (the Koszul syzygy).
+    """
+
+    def monomials(d):
+        return [
+            tuple(sum(1 for i in combo if i == v) for v in range(3))
+            for combo in itertools.combinations_with_replacement(range(3), d)
+        ]
+
+    column = {exps: j for j, exps in enumerate(monomials(4))}
+    rows = []
+    for _ in range(2):
+        quadric = {
+            exps: Fraction(
+                rng.choice((-1, 1)) * ((1 << bits) | rng.getrandbits(bits)), rng.randint(1, 9)
+            )
+            for exps in monomials(2)
+        }
+        for gamma in monomials(2):
+            row = [Fraction(0)] * len(column)
+            for exps, c in quadric.items():
+                row[column[tuple(a + b for a, b in zip(gamma, exps))]] = c
+            rows.append(row)
+    return rows
+
+
 def rational_quadrics_map() -> RingMap:
     """Five dense quadrics in 3 variables with small random rational coefficients.
 
@@ -336,6 +398,30 @@ def rational_quadrics_map() -> RingMap:
         for _ in range(5)
     ]
     return RingMap(images, m=3)
+
+
+def generic_cubics_map(seed: int) -> RingMap:
+    """Eight dense cubics in s, t, u with coefficients n/d, n in [-5, 5] (0 -> 1), d in [1, 3].
+
+    Draws like the benchmark's generic-cubics generator, so a seed gives the
+    same map there. Its grading has rank 1, every level is one component, and
+    trimming runs a 64 x 120 elimination over coefficients of hundreds of bits.
+    """
+    rng = random.Random(seed)
+    cubic = [
+        Monomial((j, combo.count(j)) for j in set(combo))
+        for combo in itertools.combinations_with_replacement(range(3), 3)
+    ]
+    images = []
+    for _ in range(8):
+        terms = []
+        for mono in cubic:
+            num = rng.randint(-5, 5) or 1
+            terms.append((mono, Fraction(num, rng.randint(1, 3))))
+        images.append(Polynomial(3, terms))
+    return RingMap(
+        images, m=3, domain_names=[f"x{i}" for i in range(8)], codomain_names=["s", "t", "u"]
+    )
 
 
 def grading_from_rows(rows, n: int, weight=None) -> GradingMatrix:
@@ -477,7 +563,7 @@ def enumeration_suite(cases: int) -> int:
 
 
 def linalg_suite(cases: int) -> int:
-    from implicitize.linalg import exact_kernel, rank_mod_p, sparse_rref, _to_sparse
+    from implicitize.linalg import echelon, exact_kernel, normalize_primitive, rank_mod_p
 
     rng = random.Random(2718)
     checked = 0
@@ -490,14 +576,14 @@ def linalg_suite(cases: int) -> int:
         ]
         matrix = component_from_dense(rows)
         kernel = exact_kernel(matrix)
-        rank = len(sparse_rref(_to_sparse(rows), ncols)[1])
+        rank = len(echelon(matrix.rows, ncols))
         assert rank + kernel.dimension == ncols
         assert rank == dense_rank_oracle(rows)
         for vec in kernel.vectors:
             for row in rows:
                 assert sum(a * v for a, v in zip(row, vec)) == 0
-        renorm = kernel.normalize()
-        assert renorm.vectors == kernel.vectors
+        # already normalized: integer, content 1, first nonzero positive
+        assert [normalize_primitive(v) for v in kernel.vectors] == kernel.vectors
         # full column rank mod p certifies full column rank over Q
         residues = [[v.numerator * pow(v.denominator, -1, 101) for v in row] for row in rows]
         if rank_mod_p(residues, 101) == ncols:

@@ -1,20 +1,21 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from implicitize import BadPrimeError, Monomial, Polynomial, RingMap
+from implicitize import BadPrimeError, ComponentMatrix, Monomial, Polynomial, RingMap
 from implicitize.engine import EvaluationPoints
 from implicitize.linalg import (
+    echelon,
     exact_kernel,
     is_prime,
-    kernel_basis,
     next_prime,
     normalize_primitive,
     nullspace_primitive,
     rank_mod_p,
-    sparse_rref,
 )
 
 from support import (
@@ -24,7 +25,10 @@ from support import (
     dense_rank_oracle,
     linalg_suite,
     mono_by_names,
+    random_rational_matrix,
+    shifted_stack,
     sympy_nullspace,
+    sympy_pivots_and_nullspace,
     sympy_rank,
 )
 
@@ -88,7 +92,8 @@ def test_prescreen_bad_prime():
 
 def test_kernel_of_empty_and_zero_matrices():
     # no rows: every column is free
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert nullspace_primitive([], 2) == [[1, 0], [0, 1]]
+    assert echelon([], 2) == []
     zero_row = component_from_dense([[0, 0]])
     assert exact_kernel(zero_row).vectors == [[1, 0], [0, 1]]
 
@@ -104,7 +109,14 @@ def test_normalize_primitive():
 def test_rank_rational_and_solve():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     sparse = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
-    assert len(sparse_rref(sparse, 3)[1]) == 2 == dense_rank_oracle(rows)
+    pivots = echelon(sparse, 3)
+    assert [c for c, _ in pivots] == [0, 1] and dense_rank_oracle(rows) == 2
+    # pivot rows are primitive integer rows, zero left of their pivot column
+    for c, row in pivots:
+        assert min(row) == c and all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1
+    halves = [{0: Fraction(1, 2), 2: Fraction(-3, 4)}]
+    assert echelon(halves, 3) == [(0, {0: 2, 2: -3})]
 
 
 def test_nullspace_primitive_matches_oracle():
@@ -113,7 +125,33 @@ def test_nullspace_primitive_matches_oracle():
     for vec in ours:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
-    assert len(ours) == len(sympy_nullspace(rows)) == 2
+    # sympy's basis is the RREF one, by free column, so it matches normalized
+    assert ours == [normalize_primitive(v) for v in sympy_nullspace(rows)]
+    assert ours == [[2, -1, -1, 0], [2, -2, 0, 1]]
+
+
+def test_echelon_and_kernel_match_sympy_rref():
+    rng = random.Random(1618)
+    cases = [random_rational_matrix(rng) for _ in range(200)]
+    cases += [shifted_stack(rng) for _ in range(6)]
+    # empty matrices, all-zero rows and rank-deficient matrices all occur
+    assert any(not rows for rows in cases)
+    assert any(not any(row) for rows in cases for row in rows)
+    deficient = 0
+    for rows in cases:
+        ncols = len(rows[0]) if rows else rng.randint(1, 4)
+        pivots, kernel = sympy_pivots_and_nullspace(rows, ncols)
+        deficient += len(pivots) < min(len(rows), ncols)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert [c for c, _ in echelon(sparse, ncols)] == pivots
+        expected = [normalize_primitive(v) for v in kernel]
+        assert nullspace_primitive(rows, ncols) == expected
+        matrix = ComponentMatrix([Monomial.variable(j) for j in range(ncols)], sparse)
+        assert exact_kernel(matrix).vectors == expected
+    assert deficient >= 20
+    big = cases[-1]
+    assert min(abs(v.numerator).bit_length() for row in big for v in row if v) >= 200
+    assert len(sympy_pivots_and_nullspace(big, 15)[0]) == 11
 
 
 def test_primes():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from implicitize import parse_map, parse_map_file
 from implicitize.mapfile import (
+    MAX_PRODUCTS,
     MAX_TERMS,
     MapParseError,
     emit_map_json,
@@ -15,7 +17,7 @@ from implicitize.mapfile import (
     parse_map_text,
 )
 
-from support import run_cli
+from support import generic_cubics_map, rational_quadrics_map, run_cli
 
 CUSP_TEXT = """
 # a quadric cone chart
@@ -113,6 +115,15 @@ def test_expansion_cap():
     assert len(parse_map_text(product).images[0].terms) == 1000
     with pytest.raises(MapParseError):
         parse_map_text(f"x = {_sum_of_variables('s', 7)}*{_sum_of_variables('t', 143)}")
+    # the work is bounded too: powers under the term cap whose binary powering
+    # multiplies more than MAX_PRODUCTS term pairs fail before expanding far
+    assert MAX_PRODUCTS == 60_000
+    for text in ("x = (a+b)^500", "x = (a+b)^999"):  # 104,649 and 414,688 products
+        started = time.perf_counter()
+        with pytest.raises(MapParseError, match="term products"):
+            parse_map_text(text)
+        assert time.perf_counter() - started < 0.1
+    assert len(parse_map_text("x = (a+b)^100").images[0].terms) == 101  # 4,072 products
 
 
 def test_parse_error_location():
@@ -183,6 +194,42 @@ def test_cli_json_output_and_reports(tmp_path):
         skipped = level["skipped_matroid"] + level["skipped_prescreen"]
         assert skipped + level["solved"] == level["multidegrees"]
     assert report["options"]["seed"] == 0
+
+
+def test_cli_report_stage_seconds(tmp_path):
+    report_path = tmp_path / "report.json"
+    code, map_json, _ = run_cli(["examples", "grassmannian", "5"])
+    code, _, err = run_cli(["run", "-d", "3", "--report", str(report_path)], stdin_text=map_json)
+    assert code == 0 and "stage" not in err  # the stderr table keeps its columns
+    stages = ("enumerate", "trim", "certify", "assemble", "kernel", "verify")
+    for level in json.loads(report_path.read_text())["levels"]:
+        seconds = level["stage_seconds"]
+        assert tuple(seconds) == stages
+        assert all(v >= 0 for v in seconds.values())
+        assert sum(seconds.values()) <= level["seconds"] + 1e-9
+
+
+GENERIC_CUBICS_SHA256 = "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45"
+RATIONAL_QUADRICS_SHA256 = "bb6839887e7c308c969caf225ea142733a419b633d21bb77124c55d33265ea9d"
+
+
+def test_fat_coefficient_outputs_pinned():
+    # stdout of `run -d 3`, recorded from the Fraction elimination the integer one replaced
+    for phi, digest, counts in (
+        (generic_cubics_map(2), GENERIC_CUBICS_SHA256, {2: 8, 3: 4}),
+        (rational_quadrics_map(), RATIONAL_QUADRICS_SHA256, {3: 7}),
+    ):
+        code, out, _ = run_cli(["run", "-d", "3"], stdin_text=emit_map_json(phi))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        found: dict[int, int] = {}
+        for line in out.splitlines():
+            if line.startswith("# degree "):
+                degree = int(line.split()[2])
+                found.setdefault(degree, 0)
+            elif not line.startswith("#"):
+                found[degree] += 1
+        assert found == counts
 
 
 def test_cli_exit_codes(tmp_path):
