@@ -89,6 +89,7 @@ def enumerate_level(grading: GradingMatrix, degree: int) -> DegreeLevel:
             pairs.pop()
 
     descend(0, degree)
+    del descend  # it refers to itself: free the level's buckets now, not at the next gc
 
     components: dict[tuple[int, ...], MonomialBasis] = {}
     for key in sorted(buckets):

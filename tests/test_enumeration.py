@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -93,3 +94,16 @@ def test_weight_required():
 
 def test_partition_identity_randomized():
     assert enumeration_suite(300) == 300
+
+
+def test_level_leaves_no_cyclic_garbage(gr25):
+    # the recursive walk must not keep a level's buckets alive until the next gc
+    grading = grading_for_map(gr25)
+    gc.collect()
+    gc.disable()
+    try:
+        level = enumerate_level(grading, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert level.monomial_count == math.comb(10 + 3 - 1, 3)
