@@ -12,7 +12,7 @@ from .engine import (
     GeneratorSet,
     components_of_kernel,
 )
-from .enumeration import DegreeLevel, MonomialBasis, enumerate_level, lookup_basis
+from .enumeration import DegreeLevel, enumerate_level
 from .fixtures import gen_cusp, gen_grassmannian, gen_sunlet_k3p
 from .grading import (
     GradingMatrix,
@@ -32,6 +32,7 @@ from .polyring import (
     DEFAULT_PRIME,
     BadPrimeError,
     Monomial,
+    MonomialPacking,
     Polynomial,
     RingMap,
     format_polynomial,

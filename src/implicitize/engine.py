@@ -6,11 +6,13 @@ then handles its components one at a time, in canonical beta order:
     trim against lower-degree generators -> certify mod p -> assemble the
     component system -> exact rational kernel
 
+Until assembly, monomials are ints of one run-wide `MonomialPacking`.
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
 multidegree. Trimming runs whenever lower-degree generators exist: without it
 the kernel would also hold their multiples, which are not minimal. Trimming
-at level i reads only generators from levels < i, so components within a
+at level i reads only generators from levels < i, through a push index that
+files their shifts under the components they land on, so components within a
 level never interact. The certificate evaluates the images of the trimmed
 columns at seeded random points of GF(p)^m; when those values have full rank
 the component has no new generators, and no rational matrix is built for it.
@@ -25,9 +27,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from operator import sub
+from operator import add, mul
 
-from .enumeration import DegreeLevel, MonomialBasis, enumerate_level, lookup_basis
+from .enumeration import DegreeLevel, enumerate_level
 from .grading import (
     GradingMatrix,
     NoPositiveWeightError,
@@ -42,7 +44,7 @@ from .linalg import (
     next_prime,
     rank_mod_p,
 )
-from .polyring import DEFAULT_PRIME, Monomial, Polynomial, RingMap, grlex_key
+from .polyring import DEFAULT_PRIME, Monomial, MonomialPacking, Polynomial, RingMap, grlex_key
 
 
 class EngineInvariantError(RuntimeError):
@@ -77,7 +79,7 @@ class ComponentTask:
     status: str = "pending"  # certified | solved
     lift_rank: int = 0
     kernel_dim: int = 0
-    columns: tuple[Monomial, ...] = ()  # the trimmed basis
+    columns: tuple[int, ...] = ()  # the trimmed basis, packed by the run's packing
 
 
 @dataclass
@@ -104,6 +106,7 @@ class GeneratorSet:
     level_stats: list[LevelStats] = field(default_factory=list)
     tasks: list[ComponentTask] = field(default_factory=list)
     grading: GradingMatrix | None = None
+    packing: MonomialPacking | None = None
     prime: int = DEFAULT_PRIME
     seed: int = 0
 
@@ -114,46 +117,56 @@ class GeneratorSet:
         return counts
 
 
-def trim_basis(
-    generators: list[Generator],
-    beta: tuple[int, ...],
-    weighted_degree: int,
-    basis: MonomialBasis,
-    levels: dict[int, DegreeLevel],
-) -> tuple[list[Monomial], int]:
-    """Columns that can still support new minimal generators of degree beta.
+def push_index(generators: list[Generator], level: DegreeLevel, levels: dict) -> dict:
+    """The lift sources of each component of `level`, keyed by its beta.
 
-    Each lower-degree generator g is shifted by every monomial gamma with
-    multidegree beta - beta_g; the span of those shifts is removed from the
-    component, leaving the non-pivot columns. Returns (columns, lift rank).
-    Generator coefficients are primitive integers, so the lift rows are too.
+    Each lower-degree generator g is walked over the components of level
+    deg(level) - deg(g); every shift lands on the component of `level` whose
+    beta is the sum, and is filed under it, in generator order, as (g's packed
+    monomials, their integer coefficients, the shift monomials).
     """
-    position = {mono: idx for idx, mono in enumerate(basis.monomials)}
-    lift_rows = []
+    index: dict[tuple[int, ...], list] = {}
     for g in generators:
-        shift = weighted_degree - g.weighted_degree
-        if shift < 1:
+        shifts = levels.get(level.weighted_degree - g.weighted_degree)
+        if shifts is None:
             continue
-        level = levels.get(shift)
-        if level is None:
-            continue
-        target = tuple(map(sub, beta, g.beta))
-        for gamma in lookup_basis(level, target).monomials:
-            row = {}
-            for mono, coeff in g.poly.terms.items():
-                shifted = gamma * mono
-                idx = position.get(shifted)
-                if idx is None:
-                    raise EngineInvariantError(
-                        f"lift monomial {shifted!r} escapes component {beta}"
-                    )
-                row[idx] = coeff.numerator
-            lift_rows.append(row)
-    if not lift_rows:
-        return list(basis.monomials), 0
-    taken = {c for c, _ in echelon(lift_rows, len(basis.monomials))}
-    columns = [m for idx, m in enumerate(basis.monomials) if idx not in taken]
-    return columns, len(taken)
+        if shifts.packing is not level.packing:
+            raise ValueError("push_index needs levels that share one packing")
+        monos = tuple(map(level.packing.pack, g.poly.terms))
+        coeffs = tuple(c.numerator for c in g.poly.terms.values())
+        for gamma_beta, gammas in shifts.components.items():
+            index.setdefault(tuple(map(add, g.beta, gamma_beta)), []).append((monos, coeffs, gammas))
+    return index
+
+
+def trim_basis(basis: tuple[int, ...], lifts: list, pivots: dict) -> tuple[list[int], int]:
+    """Columns of a component that can still support new minimal generators.
+
+    `lifts` is the component's `push_index` entry. The span of its shifted
+    generators is removed, leaving the non-pivot columns. Returns (columns,
+    lift rank). Generator coefficients are primitive integers, so the lift
+    rows are too. `pivots` caches the pivot columns of lift rows, keyed by
+    coefficients and column positions: symmetric maps repeat them.
+    """
+    if not lifts:
+        return list(basis), 0
+    position = {mono: idx for idx, mono in enumerate(basis)}
+    try:
+        key = tuple(
+            (coeffs, tuple([position[gamma + m] for gamma in gammas for m in monos]))
+            for monos, coeffs, gammas in lifts
+        )
+    except KeyError as missing:
+        raise EngineInvariantError(f"lift monomial {missing} escapes its component") from None
+    taken = pivots.get(key)
+    if taken is None:
+        rows = (
+            dict(zip(cols[i : i + len(coeffs)], coeffs))
+            for coeffs, cols in key
+            for i in range(0, len(cols), len(coeffs))
+        )
+        taken = pivots[key] = {c for c, _ in echelon(rows, len(basis))}
+    return [m for idx, m in enumerate(basis) if idx not in taken], len(taken)
 
 
 def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix:
@@ -175,40 +188,50 @@ def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix
 class EvaluationPoints:
     """Seeded random points t_k of GF(p)^m, drawn as needed and shared by a run.
 
-    `values[k][i]` is image i evaluated at t_k.
+    `powers[i][e][k]` is image i evaluated at t_k, raised to the power e <=
+    the bound of the packing that the certified columns use.
     """
 
-    def __init__(self, phi: RingMap, prime: int, seed: int):
+    def __init__(self, phi: RingMap, prime: int, seed: int, packing: MonomialPacking):
         self.phi = phi
         self.prime = prime
+        self.packing = packing
         self.rng = random.Random(seed)
-        self.values: list[list[int]] = []
+        self.drawn = 0
+        self.powers = [[[] for _ in range(packing.bound + 1)] for _ in phi.images]
+        self.zero_fields = sum(packing.mask << s for s, f in zip(packing.shifts, phi.images) if not f)
 
-    def certify_no_generators(self, columns: list[Monomial]) -> bool:
-        """True certifies that the images of `columns` are linearly independent.
+    def certify_no_generators(self, columns: list[int]) -> bool:
+        """True certifies that the images of the packed `columns` are independent.
 
-        E[k][j] = prod_i phi_i(t_k)^e_ij over the first c = len(columns)
-        points equals V C, where C is the component's coefficient matrix mod p
-        and V holds the codomain monomials evaluated at the points; C exists
-        because `_safe_prime` keeps every image denominator a unit mod p.
-        Rank can only drop from Q to GF(p) and under the product, so rank
-        E = c forces a trivial rational kernel; a smaller rank certifies
-        nothing.
+        A lone column needs no points: its image, a product of images, is
+        nonzero unless the column sets a field of a variable with zero image.
+        Otherwise E[k][j] = prod_i phi_i(t_k)^e_ij over the first c = len(columns)
+        points (built here as its transpose) equals V C, where C is the
+        component's coefficient matrix mod p and V holds the codomain monomials
+        evaluated at the points; C exists because `_safe_prime` keeps every
+        image denominator a unit mod p. Rank can only drop from Q to GF(p) and
+        under the product, so rank E = c forces a trivial rational kernel; a
+        smaller rank certifies nothing.
         """
-        p = self.prime
-        while len(self.values) < len(columns):
+        c, p = len(columns), self.prime
+        if c == 1 and not columns[0] & self.zero_fields:
+            return True
+        for _ in range(self.drawn, c):
             point = [self.rng.randrange(p) for _ in range(self.phi.m)]
-            self.values.append([image.eval_mod_p(point, p) for image in self.phi.images])
+            for image, table in zip(self.phi.images, self.powers):
+                value, power = image.eval_mod_p(point, p), 1
+                for column in table:
+                    column.append(power)
+                    power = power * value % p
+        self.drawn = max(self.drawn, c)
         matrix = []
-        for values in self.values[: len(columns)]:
-            row = []
-            for mono in columns:
-                v = 1
-                for i, e in mono.exps:
-                    v = v * pow(values[i], e, p) % p
-                row.append(v)
-            matrix.append(row)
-        return rank_mod_p(matrix, p) == len(columns)
+        for pairs in map(self.packing.pairs, columns):
+            values = [1] * c
+            for i, e in pairs:
+                values = list(map(mul, values, self.powers[i][e]))
+            matrix.append(values)
+        return rank_mod_p(matrix, p) == c
 
 
 @dataclass
@@ -218,15 +241,16 @@ class _LevelContext:
     levels: dict[int, DegreeLevel]
     generators: list[Generator]
     points: EvaluationPoints | None  # None when screening is off
+    pivots: dict = field(default_factory=dict)  # trim_basis's, for the current level
     stages: dict[str, float] = field(default_factory=dict)  # the current level's
 
 
 def _process_component(
-    ctx: _LevelContext, degree: int, beta: tuple[int, ...], basis: MonomialBasis
+    ctx: _LevelContext, degree: int, beta: tuple[int, ...], basis: tuple[int, ...], lifts: list
 ) -> tuple[ComponentTask, list[Generator]]:
-    task = ComponentTask(beta, degree, len(basis.monomials))
+    task = ComponentTask(beta, degree, len(basis))
     started = time.perf_counter()
-    columns, task.lift_rank = trim_basis(ctx.generators, beta, degree, basis, ctx.levels)
+    columns, task.lift_rank = trim_basis(basis, lifts, ctx.pivots)
     task.columns = tuple(columns)
     trimmed = time.perf_counter()
     ctx.stages["trim"] += trimmed - started
@@ -241,6 +265,7 @@ def _process_component(
             return task, []
 
     started = time.perf_counter()
+    columns = [ctx.levels[degree].packing.monomial(c) for c in columns]
     matrix = assemble_component(ctx.phi, columns)
     assembled = time.perf_counter()
     kernel = exact_kernel(matrix)
@@ -251,7 +276,7 @@ def _process_component(
     found = []
     for vec in kernel.vectors:
         poly = Polynomial(ctx.phi.n, {columns[c]: v for c, v in enumerate(vec) if v})
-        found.append(Generator(poly, beta, degree, len(basis.monomials), task.lift_rank))
+        found.append(Generator(poly, beta, degree, len(basis), task.lift_rank))
     return task, found
 
 
@@ -303,24 +328,29 @@ def components_of_kernel(
             "the grading admits no strictly positive weight vector"
         )
     prime = _safe_prime(phi, options.prime)
-    result = GeneratorSet(grading=grading, prime=prime, seed=options.seed)
+    # a monomial's total degree is at most its weighted degree
+    packing = MonomialPacking(phi.n, max_degree)
+    result = GeneratorSet(grading=grading, packing=packing, prime=prime, seed=options.seed)
     ctx = _LevelContext(
         phi=phi,
         grading=grading,
         levels={},
         generators=result.generators,
-        points=EvaluationPoints(phi, prime, options.seed) if options.use_prescreen else None,
+        points=EvaluationPoints(phi, prime, options.seed, packing) if options.use_prescreen else None,
     )
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
         ctx.stages = stages = dict.fromkeys(STAGES, 0.0)
-        level = enumerate_level(grading, degree)
+        ctx.pivots = {}
+        level = enumerate_level(grading, degree, packing)
         ctx.levels[degree] = level
         stages["enumerate"] = time.perf_counter() - started
+        index = push_index(ctx.generators, level, ctx.levels)
+        stages["trim"] = time.perf_counter() - started - stages["enumerate"]
         new_generators: list[Generator] = []
         skipped_m = skipped_p = solved = 0
         for beta, basis in level.components.items():
-            task, gens = _process_component(ctx, degree, beta, basis)
+            task, gens = _process_component(ctx, degree, beta, basis, index.get(beta, []))
             result.tasks.append(task)
             if task.status == "certified" and not task.lift_rank:
                 skipped_m += 1

@@ -1,51 +1,51 @@
 """Stream domain monomials level by level and bucket them by multidegree.
 
 A level holds every exponent vector alpha >= 0 with a . alpha = i for the
-grading's positive weight a, partitioned into monomial bases keyed by
-beta = A alpha. Enumeration is a depth-first knapsack over the variables
-with beta accumulated incrementally, so membership is exact integer
-arithmetic throughout.
+grading's positive weight a, partitioned into components keyed by
+beta = A alpha. Enumeration is a depth-first knapsack over the variables.
+Each step adds one precomputed integer for the monomial, its packed key
+(`MonomialPacking`), and one for beta, packed the same way into fixed-width
+fields that hold beta_k + 2^(w-1) (so they never borrow) and wide enough for
+any beta of the level; a component's beta is unpacked once, as two's
+complement after flipping each field's top bit. Both keys stay exact integer
+arithmetic throughout, and a component sorts its keys numerically, which is
+graded-lex order.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .grading import GradingMatrix, NoPositiveWeightError
-from .polyring import Monomial, grlex_key
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Canonically ordered monomials of one component."""
-
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self):
-        return len(self.monomials)
-
-
-EMPTY_BASIS = MonomialBasis(())
+from .polyring import MonomialPacking
 
 
 @dataclass
 class DegreeLevel:
-    """All monomials of one weighted degree, grouped into components."""
+    """All monomials of one weighted degree, grouped into components.
+
+    A component is a tuple of packed keys, graded-lex descending.
+    """
 
     weighted_degree: int
-    components: dict[tuple[int, ...], MonomialBasis]
+    components: dict[tuple[int, ...], tuple[int, ...]]
+    packing: MonomialPacking
 
     @property
     def monomial_count(self) -> int:
-        return sum(len(b.monomials) for b in self.components.values())
+        return sum(map(len, self.components.values()))
 
 
-def enumerate_level(grading: GradingMatrix, degree: int) -> DegreeLevel:
+def enumerate_level(
+    grading: GradingMatrix, degree: int, packing: MonomialPacking | None = None
+) -> DegreeLevel:
     """Bucket every monomial of the given weighted degree by its multidegree.
 
     Components are keyed by beta in lexicographic order; members are sorted
-    graded-lex, leading monomial first.
+    graded-lex, leading monomial first. Keys use `packing`, by default one
+    sized for this degree; a run shares one sized for its degree bound.
     """
     if grading.positive_weight is None:
         raise NoPositiveWeightError("enumeration requires a positive weight")
@@ -53,50 +53,48 @@ def enumerate_level(grading: GradingMatrix, degree: int) -> DegreeLevel:
         raise ValueError("weighted degree must be >= 1")
     n = grading.n
     weights = grading.positive_weight
-    r = grading.rank
-    cols = grading.columns()
+    packing = packing or MonomialPacking(n, degree)
+    if packing.n != n or packing.bound < degree:
+        raise ValueError(f"packing of {packing.n} variables to degree {packing.bound}")
+    units = packing.units
+    # a total degree <= degree bounds every |beta_k| by degree * max |A|
+    span = degree * max(abs(a) for row in grading.A for a in row)
+    for size, code in ((1, "b"), (2, "h"), (4, "i"), (8, "q")):
+        if span < 1 << 8 * size - 1:
+            break
+    else:
+        raise ValueError(f"multidegrees up to {span} do not fit 64-bit fields")
+    fmt = f"<{grading.rank}{code}"
+    flip = sum(1 << 8 * size * (k + 1) - 1 for k in range(grading.rank))
+    bunits = [sum(c << 8 * size * k for k, c in enumerate(col)) for col in grading.columns()]
 
     # suffix_gcd[v] divides every weight reachable using variables >= v
     suffix_gcd = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix_gcd[v] = math.gcd(weights[v], suffix_gcd[v + 1])
 
-    buckets: dict[tuple[int, ...], list[Monomial]] = {}
-    beta = [0] * r
-    pairs: list[tuple[int, int]] = []
+    buckets: dict[int, list[int]] = {}
 
-    def descend(start: int, remaining: int):
+    def descend(start: int, remaining: int, key: int, bkey: int):
         if remaining == 0:
-            key = tuple(beta)
-            buckets.setdefault(key, []).append(Monomial._make(tuple(pairs)))
+            buckets.setdefault(bkey, []).append(key)
             return
         if start >= n or remaining % suffix_gcd[start]:
             return
         for v in range(start, n):
             w = weights[v]
-            top = remaining // w
-            if top == 0:
-                continue
-            col = cols[v]
-            pairs.append((v, 0))
-            for e in range(1, top + 1):
-                for k in range(r):
-                    beta[k] += col[k]
-                pairs[-1] = (v, e)
-                descend(v + 1, remaining - w * e)
-            for k in range(r):
-                beta[k] -= top * col[k]
-            pairs.pop()
+            mono, beta = key, bkey
+            for rest in range(remaining - w, -1, -w):
+                mono += units[v]
+                beta += bunits[v]
+                descend(v + 1, rest, mono, beta)
 
-    descend(0, degree)
+    descend(0, degree, 0, flip)  # every field starts at its bias 2^(w-1)
     del descend  # it refers to itself: free the level's buckets now, not at the next gc
 
-    components: dict[tuple[int, ...], MonomialBasis] = {}
-    for key in sorted(buckets):
-        components[key] = MonomialBasis(tuple(sorted(buckets[key], key=grlex_key)))
-    return DegreeLevel(degree, components)
-
-
-def lookup_basis(level: DegreeLevel, beta: tuple[int, ...]) -> MonomialBasis:
-    """The component basis for beta, or the empty basis when absent."""
-    return level.components.get(tuple(beta), EMPTY_BASIS)
+    components = {
+        struct.unpack(fmt, (bkey ^ flip).to_bytes(size * grading.rank, "little")): members
+        for bkey, members in buckets.items()
+    }
+    ordered = {beta: tuple(sorted(components[beta], reverse=True)) for beta in sorted(components)}
+    return DegreeLevel(degree, ordered, packing)

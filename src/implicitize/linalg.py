@@ -42,39 +42,40 @@ def echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tuple[int, I
     pivot row is a primitive integer row whose entries all lie at or right of
     its pivot column. Zero rows are dropped.
     """
-    work = [row for row in map(_primitive, rows) if row]
+    # every row waits under its leftmost column, which never lies left of the
+    # column being eliminated, so each row is touched only when it must be
+    waiting: dict[int, list[IntRow]] = {}
+    for row in map(_primitive, rows):
+        if row:
+            waiting.setdefault(min(row), []).append(row)
     pivots: list[tuple[int, IntRow]] = []
     for c in range(ncols):
-        if not work:
+        if not waiting:
             break
-        candidates = [
-            (len(row), abs(row[c]).bit_length(), idx) for idx, row in enumerate(work) if c in row
-        ]
-        if not candidates:
+        candidates = waiting.pop(c, None)
+        if candidates is None:
             continue
-        prow = work.pop(min(candidates)[2])
+        prow = min(candidates, key=lambda row: (len(row), abs(row[c]).bit_length()))
         a = prow[c]
-        remaining = []
-        for row in work:
-            v = row.get(c)
-            if v:
-                g = math.gcd(a, v)
-                ma, mv = a // g, v // g
-                if ma != 1:
-                    row = {j: ma * x for j, x in row.items()}
-                for j, x in prow.items():
-                    s = row.get(j, 0) - mv * x
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
-                if not row:
-                    continue
-                content = math.gcd(*row.values())
-                if content > 1:
-                    row = {j: x // content for j, x in row.items()}
-            remaining.append(row)
-        work = remaining
+        for row in candidates:
+            if row is prow:
+                continue
+            g = math.gcd(a, row[c])
+            ma, mv = a // g, row[c] // g
+            if ma != 1:
+                row = {j: ma * x for j, x in row.items()}
+            for j, x in prow.items():
+                s = row.get(j, 0) - mv * x
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            if not row:
+                continue
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {j: x // content for j, x in row.items()}
+            waiting.setdefault(min(row), []).append(row)
         pivots.append((c, prow))
     return pivots
 

@@ -5,6 +5,9 @@ coefficients. Coefficients are exact rationals (`fractions.Fraction`);
 screening evaluates polynomials at points of a prime field instead of storing
 residues. The canonical term order everywhere is graded lexicographic with
 variable 0 ranking highest, iterated leading term first.
+
+The engine's level path (enumerate, trim, certify) packs each domain monomial
+into one integer instead (`MonomialPacking`), where a product is one addition.
 """
 
 from __future__ import annotations
@@ -19,32 +22,30 @@ class BadPrimeError(ArithmeticError):
     """A denominator (or pivot inverse) vanishes modulo the chosen prime."""
 
 
-class Monomial:
+class Monomial(tuple):
     """A sparse monomial: tuple of (variable index, exponent) pairs.
 
     Indices are strictly increasing, exponents strictly positive; the empty
-    tuple is the constant monomial 1.
+    tuple is the constant monomial 1. Hashing and equality are the tuple's.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[tuple[int, int]] = ()):
+    def __new__(cls, exps: Iterable[tuple[int, int]] = ()):
         merged: dict[int, int] = {}
         for i, e in exps:
             if e < 0 or i < 0:
                 raise ValueError(f"bad exponent pair ({i}, {e})")
             if e:
                 merged[i] = merged.get(i, 0) + e
-        self.exps = tuple(sorted(merged.items()))
-        self._hash = hash(self.exps)
+        return tuple.__new__(cls, sorted(merged.items()))
 
-    @classmethod
-    def _make(cls, pairs: tuple[tuple[int, int], ...]) -> "Monomial":
-        # Fast path: pairs already sorted, indices distinct, exponents > 0.
-        m = object.__new__(cls)
-        m.exps = pairs
-        m._hash = hash(pairs)
-        return m
+    # Fast path: pairs already sorted, indices distinct, exponents > 0.
+    _make = classmethod(tuple.__new__)
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        return self
 
     @classmethod
     def variable(cls, i: int) -> "Monomial":
@@ -57,34 +58,12 @@ class Monomial:
         return sum(weights[i] * e for i, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not a:
-            return other
-        if not b:
+        if not other:
             return self
-        out = []
-        ia = ib = 0
-        while ia < len(a) and ib < len(b):
-            va, vb = a[ia], b[ib]
-            if va[0] == vb[0]:
-                out.append((va[0], va[1] + vb[1]))
-                ia += 1
-                ib += 1
-            elif va[0] < vb[0]:
-                out.append(va)
-                ia += 1
-            else:
-                out.append(vb)
-                ib += 1
-        out.extend(a[ia:])
-        out.extend(b[ib:])
-        return Monomial._make(tuple(out))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
+        merged = dict(self)
+        for i, e in other:
+            merged[i] = merged.get(i, 0) + e
+        return Monomial._make(sorted(merged.items()))
 
     def __repr__(self):
         if not self.exps:
@@ -94,6 +73,42 @@ class Monomial:
 
 
 MONOMIAL_ONE = Monomial._make(())
+
+
+class MonomialPacking:
+    """Domain monomials of total degree <= `bound`, one int each (Kronecker substitution).
+
+    The top field holds the total degree, the fields below it the exponents of
+    variables 0 .. n-1, variable 0 most significant, each `width` bits wide.
+    No exponent exceeds the total degree, so within the bound no field
+    overflows: adding keys multiplies monomials, and key order is graded-lex.
+    """
+
+    __slots__ = ("n", "bound", "width", "mask", "shifts", "units")
+
+    def __init__(self, n: int, bound: int):
+        self.n, self.bound, self.width = n, bound, max(bound, 1).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.shifts = [(n - 1 - i) * self.width for i in range(n)]
+        self.units = [(1 << n * self.width) | 1 << s for s in self.shifts]  # key of x_i
+
+    def pack(self, mono: Monomial) -> int:
+        if mono.degree() > self.bound:
+            raise OverflowError(f"{mono!r} exceeds the packing's degree bound {self.bound}")
+        return sum(e * self.units[i] for i, e in mono.exps)
+
+    def pairs(self, key: int) -> tuple[tuple[int, int], ...]:
+        """The (variable, exponent) pairs of a key, visiting only nonzero fields."""
+        out = []
+        rest = key & ((1 << self.n * self.width) - 1)
+        while rest:
+            field = (rest.bit_length() - 1) // self.width
+            out.append((self.n - 1 - field, rest >> field * self.width))
+            rest &= (1 << field * self.width) - 1
+        return tuple(out)
+
+    def monomial(self, key: int) -> Monomial:
+        return Monomial._make(self.pairs(key))
 
 
 def grlex_key(m: Monomial):

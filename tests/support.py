@@ -22,9 +22,11 @@ from implicitize import (
     GradingMatrix,
     HomogeneityBasis,
     Monomial,
+    MonomialPacking,
     Polynomial,
     RingMap,
     domain_grading,
+    enumerate_level,
 )
 
 # Homogeneity basis of the Pluecker Gr(2,4) map, columns ordered like
@@ -72,6 +74,17 @@ def component_from_dense(rows) -> ComponentMatrix:
 def reference_beta(mono: Monomial) -> tuple[int, ...]:
     """Multidegree of a Gr(2,4) domain monomial in the golden basis above."""
     return tuple(sum(row[i] * e for i, e in mono.exps) for row in GR24_DOMAIN_PART)
+
+
+def unpacked(level, keys) -> list[Monomial]:
+    """The monomials of packed keys of an enumerated level."""
+    return [level.packing.monomial(key) for key in keys]
+
+
+def shared_levels(grading: GradingMatrix, top: int) -> dict:
+    """Levels 1..top enumerated with one packing, as the engine shares them."""
+    packing = MonomialPacking(grading.n, top)
+    return {d: enumerate_level(grading, d, packing) for d in range(1, top + 1)}
 
 
 def mono_by_names(phi: RingMap, exps: dict[str, int]) -> Monomial:
@@ -556,7 +569,7 @@ def enumeration_suite(cases: int) -> int:
         betas = list(level.components)
         assert betas == sorted(betas)
         for beta, basis in level.components.items():
-            for mono in basis.monomials:
+            for mono in unpacked(level, basis):
                 assert multidegree_of(grading, mono).beta == beta
         checked += 1
     return checked

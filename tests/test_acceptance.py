@@ -18,7 +18,7 @@ from implicitize import (
     enumerate_level,
     grading_for_map,
 )
-from implicitize.engine import assemble_component, trim_basis
+from implicitize.engine import assemble_component, push_index, trim_basis
 from implicitize.linalg import exact_kernel
 from implicitize.mapfile import emit_map_json
 
@@ -34,8 +34,10 @@ from support import (
     reference_beta,
     ring_laws_suite,
     run_cli,
+    shared_levels,
     sympy_oracle_check,
     sympy_rank,
+    unpacked,
 )
 
 
@@ -58,7 +60,7 @@ def sunlet_run(sunlet):
 
 def _component_by_reference(level, reference):
     for beta, basis in level.components.items():
-        if reference_beta(basis.monomials[0]) == reference:
+        if reference_beta(level.packing.monomial(basis[0])) == reference:
             return beta, basis
     raise AssertionError(f"no component with reference multidegree {reference}")
 
@@ -104,11 +106,11 @@ def test_criterion_3_component_golden(gr24):
         level = enumerate_level(grading, 2)
         assert level.monomial_count == 21
         assert len(level.components) == 19
-        big = [b for b in level.components.values() if len(b.monomials) > 1]
-        assert len(big) == 1 and len(big[0].monomials) == 3
-        for mono in big[0].monomials:
+        big = [unpacked(level, b) for b in level.components.values() if len(b) > 1]
+        assert len(big) == 1 and len(big[0]) == 3
+        for mono in big[0]:
             assert reference_beta(mono) == (2, 1, 1, 1, -1)
-        matrix = assemble_component(gr24, list(big[0].monomials))
+        matrix = assemble_component(gr24, big[0])
         assert matrix.shape[0] == 6
         assert exact_kernel(matrix).vectors == [[1, -1, 1]]
 
@@ -117,11 +119,12 @@ def test_criterion_4_trim_golden(gr24):
     with criterion(4, "Gr(2,4) trim at the lifted cubic component"):
         grading = grading_for_map(gr24)
         run = components_of_kernel(gr24, 2)
-        levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
+        levels = shared_levels(grading, 3)
         beta, basis = _component_by_reference(levels[3], (3, 1, 1, 2, -1))
-        columns, lift_rank = trim_basis(run.generators, beta, 3, basis, levels)
+        columns, lift_rank = trim_basis(basis, push_index(run.generators, levels[3], levels)[beta], {})
         assert lift_rank == 1
-        assert len(basis.monomials) - len(columns) == 1
+        assert len(basis) - len(columns) == 1
+        columns = unpacked(levels[3], columns)
         assert columns == [
             mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
             mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),

@@ -14,7 +14,7 @@ from implicitize import (
     enumerate_level,
     grading_for_map,
 )
-from implicitize.engine import assemble_component, trim_basis
+from implicitize.engine import assemble_component, push_index, trim_basis
 from implicitize.grading import NoPositiveWeightError
 from implicitize.linalg import exact_kernel
 
@@ -24,7 +24,9 @@ from support import (
     poly_by_names,
     random_monomial_map,
     reference_beta,
+    shared_levels,
     sympy_oracle_check,
+    unpacked,
 )
 
 
@@ -35,7 +37,7 @@ def pluecker_quadric(gr24):
 def find_component(level, reference):
     """Locate a component by its multidegree in the golden reference basis."""
     for beta, basis in level.components.items():
-        if reference_beta(basis.monomials[0]) == reference:
+        if reference_beta(level.packing.monomial(basis[0])) == reference:
             return beta, basis
     raise AssertionError(f"no component with reference multidegree {reference}")
 
@@ -44,7 +46,7 @@ def test_assemble_quadric_component(gr24):
     grading = grading_for_map(gr24)
     level = enumerate_level(grading, 2)
     _, basis = find_component(level, (2, 1, 1, 1, -1))
-    matrix = assemble_component(gr24, list(basis.monomials))
+    matrix = assemble_component(gr24, unpacked(level, basis))
     assert matrix.shape == (6, 3)
     dense = sorted(
         [int(row.get(c, 0)) for c in range(3)] for row in matrix.rows
@@ -57,8 +59,9 @@ def test_assemble_full_degree_two(gr24):
     # the untrimmed, ungraded degree-2 system is 72 x 21 with a 1-dim kernel
     grading = grading_for_map(gr24)
     monos = []
-    for basis in enumerate_level(grading, 2).components.values():
-        monos.extend(basis.monomials)
+    level = enumerate_level(grading, 2)
+    for basis in level.components.values():
+        monos.extend(unpacked(level, basis))
     assert len(monos) == 21
     matrix = assemble_component(gr24, monos)
     assert matrix.shape[0] == 72 and matrix.shape[1] == 21
@@ -76,15 +79,18 @@ def test_trim_cubic_component(gr24):
     grading = grading_for_map(gr24)
     run = components_of_kernel(gr24, 2)
     assert len(run.generators) == 1
-    levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
+    levels = shared_levels(grading, 3)
     beta, basis = find_component(levels[3], (3, 1, 1, 2, -1))
-    assert [m for m in basis.monomials] == [
+    assert unpacked(levels[3], basis) == [
         mono_by_names(gr24, {"p12": 1, "p34": 2}),
         mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
         mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
     ]
-    columns, lift_rank = trim_basis(run.generators, beta, 3, basis, levels)
+    lifts = push_index(run.generators, levels[3], levels)[beta]
+    assert [len(gammas) for _, _, gammas in lifts] == [1]  # p34 * quadric
+    columns, lift_rank = trim_basis(basis, lifts, {})
     assert lift_rank == 1
+    columns = unpacked(levels[3], columns)
     assert columns == [
         mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
         mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
@@ -97,23 +103,45 @@ def test_trim_cubic_component(gr24):
 def test_trim_with_no_generators(gr24):
     grading = grading_for_map(gr24)
     level = enumerate_level(grading, 2)
-    beta, basis = next(iter(level.components.items()))
-    columns, lift_rank = trim_basis([], beta, 2, basis, {1: enumerate_level(grading, 1)})
-    assert columns == list(basis.monomials) and lift_rank == 0
+    levels = shared_levels(grading, 2)
+    beta, basis = next(iter(levels[2].components.items()))
+    assert push_index([], levels[2], levels) == {}
+    columns, lift_rank = trim_basis(basis, [], {})
+    assert columns == list(basis) and lift_rank == 0
 
 
 def test_trim_without_compatible_degrees(cusp):
     grading = grading_for_map(cusp)
     run = components_of_kernel(cusp, 2)
-    levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
+    levels = shared_levels(grading, 3)
     # at level 3 the only generator has degree 2; shifting it by one variable
     # covers beta (6,), so a mismatched beta keeps the full basis
     level3 = levels[3]
     (beta3, basis3), = level3.components.items()
-    columns, lift_rank = trim_basis(run.generators, (999,), 3, basis3, levels)
-    assert lift_rank == 0 and columns == list(basis3.monomials)
-    columns, lift_rank = trim_basis(run.generators, beta3, 3, basis3, levels)
+    index = push_index(run.generators, level3, levels)
+    assert list(index) == [beta3]
+    columns, lift_rank = trim_basis(basis3, index.get((999,), []), {})
+    assert lift_rank == 0 and columns == list(basis3)
+    columns, lift_rank = trim_basis(basis3, index[beta3], {})
     assert lift_rank == 3  # x*f, y*f, z*f are independent shifts
+    # levels enumerated with different packings cannot be combined
+    mixed = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
+    with pytest.raises(ValueError):
+        push_index(run.generators, mixed[3], mixed)
+
+
+def test_trim_pivot_cache_matches_fresh_elimination(gr25):
+    # components of a symmetric map share lift rows; reusing their pivots changes nothing
+    grading = grading_for_map(gr25)
+    run = components_of_kernel(gr25, 2)
+    levels = shared_levels(grading, 4)
+    pivots: dict = {}
+    for degree in (3, 4):
+        index = push_index(run.generators, levels[degree], levels)
+        for beta, basis in levels[degree].components.items():
+            lifts = index.get(beta, [])
+            assert trim_basis(basis, lifts, pivots) == trim_basis(basis, lifts, {})
+    assert 0 < len(pivots) < sum(1 for lifts in index.values() if lifts)
 
 
 def test_grassmannian_run(gr24):
@@ -143,6 +171,20 @@ def test_zero_image_and_coincident_images_make_linear_generators():
     result2 = components_of_kernel(phi2, 2)
     expected = Polynomial.variable(2, 0) - Polynomial.variable(2, 1)
     assert [g.poly for g in result2.generators] == [expected]
+
+
+def test_zero_first_image_is_a_linear_generator():
+    # phi_0 = 0 sets variable 0's field, the most significant one, in every
+    # column it enters; such a lone column must still reach the exact solve
+    t = Polynomial.variable(1, 0)
+    phi = RingMap([Polynomial.zero(1), t, t], m=1, domain_names=["x", "y", "z"])
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    for options in (EngineOptions(), EngineOptions(prime=3), EngineOptions(use_prescreen=False)):
+        result = components_of_kernel(phi, 3, options)
+        assert [g.poly for g in result.generators] == [x, y - z]
+        assert result.generators[0].weighted_degree == 1
+        lone = [task for task in result.tasks if task.columns == (result.packing.pack(x.leading()[0]),)]
+        assert [task.status for task in lone] == ["solved"]
 
 
 def test_weighted_degree_bound_semantics():
@@ -176,8 +218,8 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
         grading = grading_for_map(phi)
         levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
         for task in components_of_kernel(phi, 3).tasks:
-            basis = levels[task.weighted_degree].components[task.beta]
-            full = exact_kernel(assemble_component(phi, list(basis.monomials)))
+            level = levels[task.weighted_degree]
+            full = exact_kernel(assemble_component(phi, unpacked(level, level.components[task.beta])))
             assert full.dimension == task.kernel_dim + task.lift_rank
 
 
@@ -222,9 +264,10 @@ def test_component_task_records(gr24):
     result = components_of_kernel(gr24, 3)
     levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
     for task in result.tasks:
-        basis = levels[task.weighted_degree].components[task.beta]
-        assert task.size == len(basis.monomials)
-        assert set(task.columns) <= set(basis.monomials)
+        level = levels[task.weighted_degree]
+        basis = unpacked(level, level.components[task.beta])
+        assert task.size == len(basis)
+        assert set(map(result.packing.monomial, task.columns)) <= set(basis)
         assert task.size - len(task.columns) == task.lift_rank
         assert task.status in ("certified", "solved")
         if task.status == "certified":

@@ -2,20 +2,31 @@ from __future__ import annotations
 
 import gc
 import math
+import random
 
 import pytest
 
 from implicitize import (
+    Monomial,
+    MonomialPacking,
+    Polynomial,
+    RingMap,
+    components_of_kernel,
     enumerate_level,
     grading_for_map,
-    lookup_basis,
     multidegree_of,
 )
-from implicitize.enumeration import EMPTY_BASIS
+from implicitize.engine import push_index
 from implicitize.grading import GradingMatrix, NoPositiveWeightError
 from implicitize.polyring import grlex_key
 
-from support import enumeration_suite, grading_from_rows, mono_by_names
+from support import (
+    enumeration_suite,
+    grading_from_rows,
+    mono_by_names,
+    shared_levels,
+    unpacked,
+)
 
 
 def test_grassmannian_level_two(gr24):
@@ -23,14 +34,14 @@ def test_grassmannian_level_two(gr24):
     level = enumerate_level(grading, 2)
     assert level.monomial_count == 21 == math.comb(6 + 2 - 1, 2)
     assert len(level.components) == 19
-    big = [b for b in level.components.values() if len(b.monomials) > 1]
-    assert len(big) == 1 and len(big[0].monomials) == 3
+    big = [b for b in level.components.values() if len(b) > 1]
+    assert len(big) == 1 and len(big[0]) == 3
     expected = [
         mono_by_names(gr24, {"p12": 1, "p34": 1}),
         mono_by_names(gr24, {"p13": 1, "p24": 1}),
         mono_by_names(gr24, {"p23": 1, "p14": 1}),
     ]
-    assert list(big[0].monomials) == expected
+    assert unpacked(level, big[0]) == expected
 
 
 def test_grassmannian_level_one_singletons(gr24):
@@ -39,13 +50,18 @@ def test_grassmannian_level_one_singletons(gr24):
     assert level.monomial_count == 6 and len(level.components) == 6
     p12 = mono_by_names(gr24, {"p12": 1})
     beta = multidegree_of(grading, p12).beta
-    assert lookup_basis(level, beta).monomials == (p12,)
+    assert level.components[beta] == (level.packing.pack(p12),)
 
 
 def test_lookup_unknown_beta(gr24):
+    # a shift that lands on no component of the level files no lift
     grading = grading_for_map(gr24)
-    level = enumerate_level(grading, 1)
-    assert lookup_basis(level, (99,) * grading.rank) is EMPTY_BASIS
+    levels = shared_levels(grading, 3)
+    run = components_of_kernel(gr24, 2)
+    index = push_index(run.generators, levels[3], levels)
+    assert (99,) * grading.rank not in levels[3].components
+    assert set(index) <= set(levels[3].components)
+    assert sum(len(gammas) for lifts in index.values() for _, _, gammas in lifts) == 6
 
 
 def test_single_variable_level():
@@ -53,7 +69,7 @@ def test_single_variable_level():
     level = enumerate_level(grading, 3)
     assert len(level.components) == 1
     (basis,) = level.components.values()
-    assert [m.exps for m in basis.monomials] == [((0, 3),)]
+    assert [level.packing.pairs(key) for key in basis] == [((0, 3),)]
 
 
 def test_component_order_and_member_order(cusp):
@@ -62,8 +78,9 @@ def test_component_order_and_member_order(cusp):
     betas = list(level.components)
     assert betas == sorted(betas)
     for basis in level.components.values():
-        keys = [grlex_key(m) for m in basis.monomials]
+        keys = [grlex_key(m) for m in unpacked(level, basis)]
         assert keys == sorted(keys)
+        assert list(basis) == sorted(basis, reverse=True)
 
 
 def test_cusp_levels_collapse_to_one_component(cusp):
@@ -107,3 +124,78 @@ def test_level_leaves_no_cyclic_garbage(gr25):
     finally:
         gc.enable()
     assert level.monomial_count == math.comb(10 + 3 - 1, 3)
+
+
+def _assert_packed_order_is_grlex(level):
+    everything = [key for basis in level.components.values() for key in basis]
+    assert len(set(everything)) == len(everything)
+    for basis in level.components.values():
+        monos = unpacked(level, basis)
+        assert monos == sorted(monos, key=grlex_key)
+        assert all(a > b for a, b in zip(basis, basis[1:]))
+    # across components too: numeric order of keys is graded-lex order
+    monos = unpacked(level, sorted(everything, reverse=True))
+    assert monos == sorted(monos, key=grlex_key)
+
+
+def test_packed_order_mixes_total_degrees():
+    # x -> t, y -> t^2, z -> t^3: weight (1, 2, 3), so one level mixes total degrees
+    t = Polynomial.variable(1, 0)
+    grading = grading_for_map(RingMap([t, t**2, t**3], m=1))
+    assert grading.positive_weight == [1, 2, 3]
+    packing = MonomialPacking(3, 12)
+    for degree in range(1, 13):
+        level = enumerate_level(grading, degree, packing)
+        degrees = {m.degree() for basis in level.components.values() for m in unpacked(level, basis)}
+        assert degree < 3 or len(degrees) > 1
+        _assert_packed_order_is_grlex(level)
+    # past 255 the fields are wider than a byte
+    level = enumerate_level(grading, 300)
+    assert level.packing.width == 9
+    assert level.monomial_count == 7651
+    _assert_packed_order_is_grlex(level)
+
+
+def test_pack_unpack_round_trip():
+    rng = random.Random(8128)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        bound = rng.choice([1, 2, 3, 7, 8, 255, 256, 1000])
+        packing = MonomialPacking(n, bound)
+        monos = []
+        for _ in range(4):
+            exps = {}
+            for _ in range(rng.randint(0, 4)):
+                i = rng.randrange(n)
+                exps[i] = exps.get(i, 0) + rng.randint(1, bound)
+            mono = Monomial(exps.items())
+            if mono.degree() <= bound:
+                monos.append(mono)
+        for a in monos:
+            key = packing.pack(a)
+            assert packing.pairs(key) == a.exps
+            assert packing.monomial(key) == a
+            for b in monos:
+                other = packing.pack(b)
+                assert (key > other) == (grlex_key(a) < grlex_key(b))
+                if a.degree() + b.degree() <= bound:
+                    assert packing.pack(a * b) == key + other
+
+
+def test_packing_bound_widens_or_refuses():
+    assert MonomialPacking(4, 255).width == 8
+    assert MonomialPacking(4, 256).width == 9
+    packing = MonomialPacking(3, 255)
+    # an exponent at the bound fills its field without touching its neighbours
+    top = Monomial([(1, 255)])
+    assert packing.pairs(packing.pack(top)) == ((1, 255),)
+    with pytest.raises(OverflowError):
+        packing.pack(Monomial([(0, 200), (2, 56)]))
+    grading = grading_from_rows([[1, 1, 1]], 3, weight=[1, 1, 1])
+    with pytest.raises(ValueError):
+        enumerate_level(grading, 4, MonomialPacking(3, 3))
+    with pytest.raises(ValueError):
+        enumerate_level(grading, 2, MonomialPacking(4, 3))
+    level = enumerate_level(grading, 300)
+    assert level.packing.bound == 300
+    assert level.monomial_count == math.comb(302, 2)

@@ -147,8 +147,8 @@ def test_weighted_degree_well_defined(gr24, cusp):
         for degree in (2, 3, 4, 5):
             level = enumerate_level(grading, degree)
             for basis in level.components.values():
-                if len(basis.monomials) >= 2:
-                    pools.append((weight, basis.monomials))
+                if len(basis) >= 2:
+                    pools.append((weight, [level.packing.monomial(key) for key in basis]))
     assert pools
     for _ in range(1000):
         weight, monos = rng.choice(pools)

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from implicitize import BadPrimeError, ComponentMatrix, Monomial, Polynomial, RingMap
+from implicitize import (
+    BadPrimeError,
+    ComponentMatrix,
+    Monomial,
+    MonomialPacking,
+    Polynomial,
+    RingMap,
+)
 from implicitize.engine import EvaluationPoints
 from implicitize.linalg import (
     echelon,
@@ -59,24 +66,40 @@ def test_rank_mod_p_examples():
 
 
 def test_prescreen_examples(gr24):
-    points = EvaluationPoints(gr24, 101, seed=0)
+    packing = MonomialPacking(gr24.n, 3)
+    points = EvaluationPoints(gr24, 101, seed=0, packing=packing)
     # the quadric component p12*p34, p13*p24, p23*p14 holds the Pluecker relation
     quadric = [
-        mono_by_names(gr24, {"p12": 1, "p34": 1}),
-        mono_by_names(gr24, {"p13": 1, "p24": 1}),
-        mono_by_names(gr24, {"p23": 1, "p14": 1}),
+        packing.pack(mono_by_names(gr24, {"p12": 1, "p34": 1})),
+        packing.pack(mono_by_names(gr24, {"p13": 1, "p24": 1})),
+        packing.pack(mono_by_names(gr24, {"p23": 1, "p14": 1})),
     ]
     assert points.certify_no_generators(quadric) is False
     # the cubic component after trimming p12*p34^2 has a trivial kernel
     trimmed = [
-        mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
-        mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
+        packing.pack(mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1})),
+        packing.pack(mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1})),
     ]
     assert points.certify_no_generators(trimmed) is True
     assert points.certify_no_generators(quadric[:2]) is True
-    assert len(points.values) == 3  # one point per column, drawn as needed
-    zero = RingMap([Polynomial.zero(1)], m=1)
-    assert not EvaluationPoints(zero, 101, seed=0).certify_no_generators([Monomial.variable(0)])
+    assert points.drawn == 3  # one point per column, drawn as needed
+    # one column with a nonzero image needs no point at all
+    fresh = EvaluationPoints(gr24, 101, seed=0, packing=packing)
+    assert fresh.certify_no_generators(quadric[:1]) is True
+    assert fresh.drawn == 0
+
+
+def test_prescreen_zero_image_column():
+    # x0 -> 0, x1 -> t: a lone column is certified only if it avoids x0
+    t = Polynomial.variable(1, 0)
+    phi = RingMap([Polynomial.zero(1), t], m=1)
+    packing = MonomialPacking(2, 3)
+    points = EvaluationPoints(phi, 101, seed=0, packing=packing)
+    x0, x1 = Monomial.variable(0), Monomial.variable(1)
+    assert points.certify_no_generators([packing.pack(x1 * x1)]) is True
+    for mono in (x0, x0 * x1, x0 * x1 * x1):
+        assert points.certify_no_generators([packing.pack(mono)]) is False
+    assert points.certify_no_generators([packing.pack(x0), packing.pack(x1)]) is False
 
 
 def test_prescreen_bad_prime():
@@ -84,9 +107,11 @@ def test_prescreen_bad_prime():
     f = Polynomial(1, [(Monomial.variable(0), Fraction(1, 5))])
     with pytest.raises(BadPrimeError):
         f.eval_mod_p([1], 5)
+    packing = MonomialPacking(1, 2)
+    columns = [packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))]
     with pytest.raises(BadPrimeError):
-        EvaluationPoints(RingMap([f], m=1), 5, seed=0).certify_no_generators(
-            [Monomial.variable(0)]
+        EvaluationPoints(RingMap([f], m=1), 5, seed=0, packing=packing).certify_no_generators(
+            columns
         )
 
 

@@ -232,6 +232,23 @@ def test_fat_coefficient_outputs_pinned():
         assert found == counts
 
 
+# stdout of `run` on the built-in examples, recorded before monomials were packed
+EXAMPLE_SHA256 = {
+    ("cusp", "4"): "c8e207315e560bc207601cdce52a4eb8ba47f91899f36fb8c218faaa5b3e491d",
+    ("grassmannian 6", "3"): "6a7aba561ab5a8e5f64d9f850c4f3d236564a254e9b877b685e445a406d2a8a3",
+    ("sunlet-k3p", "2"): "5ce5a421ee3fbe88e7834c52a00d088d265ee013ca95cc018413662fc20eeef3",
+}
+
+
+def test_example_outputs_pinned():
+    for (example, degree), digest in EXAMPLE_SHA256.items():
+        code, map_json, _ = run_cli(["examples", *example.split()])
+        assert code == 0
+        code, out, _ = run_cli(["run", "-d", degree], stdin_text=map_json)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, example
+
+
 def test_cli_exit_codes(tmp_path):
     # flag errors: 2
     code, _, _ = run_cli(["run"])

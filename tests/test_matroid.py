@@ -18,6 +18,7 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp):
         random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3))
         for _ in range(3)
     ]
+    lone = 0
     for prime in (3, 5, 101, EngineOptions().prime):
         certified = 0
         for phi in maps:
@@ -26,9 +27,12 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp):
                 if task.status != "certified":
                     continue
                 certified += 1
-                matrix = assemble_component(phi, list(task.columns))
+                matrix = assemble_component(phi, list(map(result.packing.monomial, task.columns)))
                 assert exact_kernel(matrix).dimension == 0
+                lone += len(task.columns) == 1
         assert certified, prime
+    # one-column components are certified without evaluation, and re-solved above
+    assert lone
 
 
 def test_sunlet_skip_counts_pinned(sunlet):
