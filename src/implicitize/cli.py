@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .engine import (
     EngineInvariantError,
@@ -195,6 +196,19 @@ def _report_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-to-decimal digit limit (3.10.7 on) for the block."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _cmd_run(args) -> int:
     if args.max_degree < 1:
         print("error: --max-degree must be >= 1", file=sys.stderr)
@@ -211,23 +225,27 @@ def _cmd_run(args) -> int:
         prime=args.prime,
         use_prescreen=not args.no_prescreen,
     )
-    started = time.perf_counter()
-    result = components_of_kernel(phi, args.max_degree, options)
-    wall = time.perf_counter() - started
+    # Exact coefficients may pass CPython's int-to-decimal limit (4300 digits)
+    # when sorted and printed; the limit stays in force while parsing, where it
+    # bounds the quadratic cost of reading huge literals.
+    with _unlimited_int_digits():
+        started = time.perf_counter()
+        result = components_of_kernel(phi, args.max_degree, options)
+        wall = time.perf_counter() - started
 
-    if args.output == "json":
-        sys.stdout.write(_generators_json(result, phi, args.max_degree))
-    else:
-        sys.stdout.write(_generators_text(result, phi))
-    if args.grading_out:
-        with open(args.grading_out, "w", encoding="utf-8") as handle:
-            handle.write(_grading_text(result))
-    payload = _report_payload(result, args, wall)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
-    sys.stderr.write(_report_table(payload))
-    return 0
+        if args.output == "json":
+            sys.stdout.write(_generators_json(result, phi, args.max_degree))
+        else:
+            sys.stdout.write(_generators_text(result, phi))
+        if args.grading_out:
+            with open(args.grading_out, "w", encoding="utf-8") as handle:
+                handle.write(_grading_text(result))
+        payload = _report_payload(result, args, wall)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload, indent=2) + "\n")
+        sys.stderr.write(_report_table(payload))
+        return 0
 
 
 def _cmd_examples(args) -> int:

@@ -19,7 +19,8 @@ the component has no new generators, and no rational matrix is built for it.
 A failed certificate only costs the exact solve, so no seed or prime changes
 the output.
 Every emitted generator is re-verified to map to zero and to be homogeneous
-under every grading row.
+under every grading row. A component leaves behind only its generators and
+one count in its level's `LevelStats`.
 """
 
 from __future__ import annotations
@@ -60,26 +61,11 @@ class EngineOptions:
 
 @dataclass
 class Generator:
-    """One minimal generator with its provenance."""
+    """One minimal generator, with the multidegree and weighted degree it has."""
 
     poly: Polynomial
     beta: tuple[int, ...]
     weighted_degree: int
-    component_size: int
-    lift_rank: int
-
-
-@dataclass
-class ComponentTask:
-    """Per-component record: one multidegree of one level."""
-
-    beta: tuple[int, ...]
-    weighted_degree: int
-    size: int
-    status: str = "pending"  # certified | solved
-    lift_rank: int = 0
-    kernel_dim: int = 0
-    columns: tuple[int, ...] = ()  # the trimmed basis, packed by the run's packing
 
 
 @dataclass
@@ -104,11 +90,8 @@ class GeneratorSet:
 
     generators: list[Generator] = field(default_factory=list)
     level_stats: list[LevelStats] = field(default_factory=list)
-    tasks: list[ComponentTask] = field(default_factory=list)
     grading: GradingMatrix | None = None
-    packing: MonomialPacking | None = None
     prime: int = DEFAULT_PRIME
-    seed: int = 0
 
     def counts_by_degree(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -234,60 +217,14 @@ class EvaluationPoints:
         return rank_mod_p(matrix, p) == c
 
 
-@dataclass
-class _LevelContext:
-    phi: RingMap
-    grading: GradingMatrix
-    levels: dict[int, DegreeLevel]
-    generators: list[Generator]
-    points: EvaluationPoints | None  # None when screening is off
-    pivots: dict = field(default_factory=dict)  # trim_basis's, for the current level
-    stages: dict[str, float] = field(default_factory=dict)  # the current level's
-
-
-def _process_component(
-    ctx: _LevelContext, degree: int, beta: tuple[int, ...], basis: tuple[int, ...], lifts: list
-) -> tuple[ComponentTask, list[Generator]]:
-    task = ComponentTask(beta, degree, len(basis))
-    started = time.perf_counter()
-    columns, task.lift_rank = trim_basis(basis, lifts, ctx.pivots)
-    task.columns = tuple(columns)
-    trimmed = time.perf_counter()
-    ctx.stages["trim"] += trimmed - started
-    if not columns:
-        task.status = "solved"
-        return task, []
-    if ctx.points is not None:
-        certified = ctx.points.certify_no_generators(columns)
-        ctx.stages["certify"] += time.perf_counter() - trimmed
-        if certified:
-            task.status = "certified"
-            return task, []
-
-    started = time.perf_counter()
-    columns = [ctx.levels[degree].packing.monomial(c) for c in columns]
-    matrix = assemble_component(ctx.phi, columns)
-    assembled = time.perf_counter()
-    kernel = exact_kernel(matrix)
-    ctx.stages["assemble"] += assembled - started
-    ctx.stages["kernel"] += time.perf_counter() - assembled
-    task.status = "solved"
-    task.kernel_dim = kernel.dimension
-    found = []
-    for vec in kernel.vectors:
-        poly = Polynomial(ctx.phi.n, {columns[c]: v for c, v in enumerate(vec) if v})
-        found.append(Generator(poly, beta, degree, len(basis), task.lift_rank))
-    return task, found
-
-
-def _verify_generator(ctx: _LevelContext, gen: Generator):
-    if not ctx.phi.apply(gen.poly).is_zero():
+def _verify_generator(phi: RingMap, grading: GradingMatrix, gen: Generator):
+    if not phi.apply(gen.poly).is_zero():
         raise EngineInvariantError(f"generator does not map to zero: {gen.poly!r}")
-    for row in ctx.grading.A:
+    for row in grading.A:
         if not gen.poly.is_homogeneous(row):
             raise EngineInvariantError(f"generator not homogeneous: {gen.poly!r}")
     lead, _ = gen.poly.leading()
-    if multidegree_of(ctx.grading, lead).beta != gen.beta:
+    if multidegree_of(grading, lead).beta != gen.beta:
         raise EngineInvariantError(f"multidegree mismatch for {gen.poly!r}")
 
 
@@ -330,35 +267,44 @@ def components_of_kernel(
     prime = _safe_prime(phi, options.prime)
     # a monomial's total degree is at most its weighted degree
     packing = MonomialPacking(phi.n, max_degree)
-    result = GeneratorSet(grading=grading, packing=packing, prime=prime, seed=options.seed)
-    ctx = _LevelContext(
-        phi=phi,
-        grading=grading,
-        levels={},
-        generators=result.generators,
-        points=EvaluationPoints(phi, prime, options.seed, packing) if options.use_prescreen else None,
-    )
+    result = GeneratorSet(grading=grading, prime=prime)
+    points = EvaluationPoints(phi, prime, options.seed, packing) if options.use_prescreen else None
+    levels: dict[int, DegreeLevel] = {}
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
-        ctx.stages = stages = dict.fromkeys(STAGES, 0.0)
-        ctx.pivots = {}
-        level = enumerate_level(grading, degree, packing)
-        ctx.levels[degree] = level
+        stages = dict.fromkeys(STAGES, 0.0)
+        level = levels[degree] = enumerate_level(grading, degree, packing)
         stages["enumerate"] = time.perf_counter() - started
-        index = push_index(ctx.generators, level, ctx.levels)
+        index = push_index(result.generators, level, levels)
         stages["trim"] = time.perf_counter() - started - stages["enumerate"]
+        pivots: dict = {}  # trim_basis's, for this level
         new_generators: list[Generator] = []
         skipped_m = skipped_p = solved = 0
         for beta, basis in level.components.items():
-            task, gens = _process_component(ctx, degree, beta, basis, index.get(beta, []))
-            result.tasks.append(task)
-            if task.status == "certified" and not task.lift_rank:
-                skipped_m += 1
-            elif task.status == "certified":
-                skipped_p += 1
-            else:
-                solved += 1
-            new_generators.extend(gens)
+            ticked = time.perf_counter()
+            columns, lift_rank = trim_basis(basis, index.get(beta, []), pivots)
+            trimmed = time.perf_counter()
+            stages["trim"] += trimmed - ticked
+            if columns and points is not None:
+                certified = points.certify_no_generators(columns)
+                stages["certify"] += time.perf_counter() - trimmed
+                if certified:
+                    skipped_p += bool(lift_rank)
+                    skipped_m += not lift_rank
+                    continue
+            solved += 1
+            if not columns:
+                continue
+            ticked = time.perf_counter()
+            monomials = [packing.monomial(c) for c in columns]
+            matrix = assemble_component(phi, monomials)
+            assembled = time.perf_counter()
+            kernel = exact_kernel(matrix)
+            stages["assemble"] += assembled - ticked
+            stages["kernel"] += time.perf_counter() - assembled
+            for vec in kernel.vectors:
+                poly = Polynomial(phi.n, {monomials[c]: v for c, v in enumerate(vec) if v})
+                new_generators.append(Generator(poly, beta, degree))
         if skipped_m + skipped_p + solved != len(level.components):
             raise EngineInvariantError("component statuses do not reconcile")
         new_generators.sort(
@@ -370,7 +316,7 @@ def components_of_kernel(
         )
         verifying = time.perf_counter()
         for gen in new_generators:
-            _verify_generator(ctx, gen)
+            _verify_generator(phi, grading, gen)
         stages["verify"] = time.perf_counter() - verifying
         result.generators.extend(new_generators)
         result.level_stats.append(

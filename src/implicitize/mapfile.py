@@ -11,10 +11,10 @@ Two interchangeable formats:
   parentheses, and integer or `p/q` rational literals. `#` starts a comment.
   Without headers, the domain is the left-hand sides in order and the
   codomain is every right-hand-side name in order of first appearance.
-  Expansion is capped: a product or power that could exceed MAX_TERMS terms,
-  an expression whose products together multiply more than MAX_PRODUCTS
-  pairs of terms, or nesting deeper than the interpreter's recursion limit, is
-  a parse error.
+  Expansion is capped: a product or power that could exceed MAX_TERMS terms
+  or grow a coefficient past MAX_COEFFICIENT_BITS, an expression whose
+  products together multiply more than MAX_PRODUCTS pairs of terms, or
+  nesting deeper than the interpreter's recursion limit, is a parse error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,20 @@ MAX_TERMS = 1000
 # before expanding (the squarings and multiplications of `^` included):
 # MAX_TERMS bounds a result's size, this bounds the work to compute it.
 MAX_PRODUCTS = 60_000
+# Most bits a text-map product or power may grow a numerator or denominator to,
+# bounded before expanding: a power of a one-term base like `3^10000000` costs
+# no term products, only big-integer work.
+MAX_COEFFICIENT_BITS = 1 << 16
+
+
+def _height(poly: Polynomial) -> int:
+    """b with every numerator and denominator of `poly` at most 2^b in size,
+    plus the carry of summing its terms; heights add under `*`."""
+    bits = max(
+        ((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in poly.terms.values()),
+        default=0,
+    )
+    return bits + (len(poly.terms) - 1).bit_length()
 
 
 def _power_products(t: int, k: int) -> int:
@@ -226,10 +240,12 @@ class _ExprParser:
         column = token[2] + 1 if token else None
         raise MapParseError(message, self.line, column)
 
-    def charge(self, products: int, token):
+    def charge(self, products: int, height: int, token):
         self.products += products
         if self.products > MAX_PRODUCTS:
             self.fail(f"expansion may need more than {MAX_PRODUCTS} term products", token)
+        if height > MAX_COEFFICIENT_BITS:
+            self.fail(f"a coefficient may exceed {MAX_COEFFICIENT_BITS} bits", token)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
@@ -257,7 +273,7 @@ class _ExprParser:
                 other = self.factor()
                 if len(poly.terms) * len(other.terms) > MAX_TERMS:
                     self.fail(f"product may exceed {MAX_TERMS} terms", token)
-                self.charge(len(poly.terms) * len(other.terms), token)
+                self.charge(len(poly.terms) * len(other.terms), _height(poly) + _height(other), token)
                 poly = poly * other
             else:
                 return poly
@@ -271,10 +287,9 @@ class _ExprParser:
             if exp[0] != "int":
                 self.fail("exponent must be a nonnegative integer", exp)
             t = len(base.terms)
-            if t > 1:
-                if comb(exp[1] + t - 1, t - 1) > MAX_TERMS:
-                    self.fail(f"power may exceed {MAX_TERMS} terms", token)
-                self.charge(_power_products(t, exp[1]), token)
+            if t > 1 and comb(exp[1] + t - 1, t - 1) > MAX_TERMS:
+                self.fail(f"power may exceed {MAX_TERMS} terms", token)
+            self.charge(_power_products(t, exp[1]) if t > 1 else 0, exp[1] * _height(base), token)
             return base ** exp[1]
         return base
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -28,6 +29,7 @@ from implicitize import (
     domain_grading,
     enumerate_level,
 )
+from implicitize.engine import EvaluationPoints
 
 # Homogeneity basis of the Pluecker Gr(2,4) map, columns ordered like
 # gen_grassmannian(4): p12 p13 p23 p14 p24 p34 | x11 x12 x13 x14 x21 x22 x23 x24.
@@ -85,6 +87,24 @@ def shared_levels(grading: GradingMatrix, top: int) -> dict:
     """Levels 1..top enumerated with one packing, as the engine shares them."""
     packing = MonomialPacking(grading.n, top)
     return {d: enumerate_level(grading, d, packing) for d in range(1, top + 1)}
+
+
+def spy_certificates(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """Record (packed columns, result) for every call of the engine's mod-p certificate.
+
+    A run packs its columns with `MonomialPacking(phi.n, max_degree)`, the
+    packing `shared_levels(grading, max_degree)` uses.
+    """
+    calls = []
+    certify = EvaluationPoints.certify_no_generators
+
+    def spy(points, columns):
+        certified = certify(points, columns)
+        calls.append((tuple(columns), certified))
+        return certified
+
+    monkeypatch.setattr(EvaluationPoints, "certify_no_generators", spy)
+    return calls
 
 
 def mono_by_names(phi: RingMap, exps: dict[str, int]) -> Monomial:
@@ -157,20 +177,32 @@ def _qq_rank(rows: list[dict], ncols: int) -> int:
 
 
 def sympy_oracle_check(phi: RingMap, result, max_degree: int) -> dict[int, int]:
-    """Check a total-degree run against sympy, degree by degree.
+    """Check a run against sympy, weighted degree by weighted degree.
 
-    Shares no code with the engine: images are expanded with `sympy.Poly`
-    over QQ and ranks come from `DomainMatrix.rank()`. For every degree d it
-    asserts that each reported generator of degree d is homogeneous of that
-    degree and maps to zero, that their count is dim K_d - dim (I_{<d})_d,
-    where I_{<d} is spanned by the monomial shifts of the reported
-    lower-degree generators, and that the shifts plus the degree-d
-    generators span K_d. Returns the oracle's per-degree counts.
+    Degrees are taken against the run's positive weight w. Shares no code
+    with the engine: sympy first solves for a rational codomain weight under
+    which every image phi_i is homogeneous of degree w_i, so the kernel is
+    w-graded; images are expanded with `sympy.Poly` over QQ and ranks come
+    from `DomainMatrix.rank()`. For every degree d it asserts that each
+    reported generator of degree d is homogeneous of that degree and maps to
+    zero, that their count is dim K_d - dim (I_{<d})_d, where I_{<d} is
+    spanned by the monomial shifts of the reported lower-degree generators,
+    and that the shifts plus the degree-d generators span K_d. Returns the
+    oracle's per-degree counts.
     """
-    from sympy import QQ, Poly, symbols
+    from sympy import QQ, Matrix, Poly, symbols
 
     n = phi.n
-    assert result.grading.positive_weight == [1] * n, "oracle needs total degree"
+    weight = result.grading.positive_weight
+    assert len(weight) == n and all(w >= 1 for w in weight)
+    equations = [
+        (_dense_exponents(mono, phi.m), w)
+        for w, img in zip(weight, phi.images)
+        for mono in img.terms
+    ]
+    if equations:
+        lhs, rhs = Matrix([e for e, _ in equations]), Matrix([w for _, w in equations])
+        lhs.gauss_jordan_solve(rhs)  # ValueError: no codomain weight makes the images w-homogeneous
     ts = symbols(f"t0:{phi.m}")
 
     def qq(coeff):
@@ -193,20 +225,23 @@ def sympy_oracle_check(phi: RingMap, result, max_degree: int) -> dict[int, int]:
             image_of[exps] = image(parent) * images[i]
         return image_of[exps]
 
-    def monomials(d):
-        out = []
-        for combo in itertools.combinations_with_replacement(range(n), d):
-            exps = [0] * n
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-        return out
+    def monomials(d, i=0):
+        """Exponent vectors of variables i.. with weighted degree d."""
+        if i == n:
+            return [()] if d == 0 else []
+        return [
+            (e, *rest)
+            for e in range(d // weight[i] + 1)
+            for rest in monomials(d - e * weight[i], i + 1)
+        ]
 
     gens_by_degree: dict[int, list[dict]] = {}
     for gen in result.generators:
         assert 1 <= gen.weighted_degree <= max_degree
         terms = {_dense_exponents(m, n): c for m, c in gen.poly.terms.items()}
-        assert terms and all(sum(e) == gen.weighted_degree for e in terms)
+        assert terms and all(
+            sum(map(operator.mul, weight, e)) == gen.weighted_degree for e in terms
+        )
         gens_by_degree.setdefault(gen.weighted_degree, []).append(terms)
 
     counts: dict[int, int] = {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,18 @@ import pytest
 from implicitize import (
     EngineOptions,
     Monomial,
+    MonomialPacking,
     Polynomial,
     RingMap,
     components_of_kernel,
     enumerate_level,
     grading_for_map,
 )
-from implicitize.engine import assemble_component, push_index, trim_basis
+from implicitize import cli, engine
+from implicitize.engine import EngineInvariantError, assemble_component, push_index, trim_basis
 from implicitize.grading import NoPositiveWeightError
-from implicitize.linalg import exact_kernel
+from implicitize.linalg import ComponentMatrix, exact_kernel
+from implicitize.mapfile import emit_map_text
 
 from support import (
     GR24_QUADRIC_COMPONENT,
@@ -25,6 +29,7 @@ from support import (
     random_monomial_map,
     reference_beta,
     shared_levels,
+    spy_certificates,
     sympy_oracle_check,
     unpacked,
 )
@@ -149,7 +154,6 @@ def test_grassmannian_run(gr24):
     assert result.counts_by_degree() == {2: 1}
     gen = result.generators[0]
     assert gen.poly == pluecker_quadric(gr24)
-    assert gen.component_size == 3 and gen.lift_rank == 0
     # report reconciliation
     for stats in result.level_stats:
         assert stats.skipped_matroid + stats.skipped_prescreen + stats.solved == stats.components
@@ -173,18 +177,21 @@ def test_zero_image_and_coincident_images_make_linear_generators():
     assert [g.poly for g in result2.generators] == [expected]
 
 
-def test_zero_first_image_is_a_linear_generator():
+def test_zero_first_image_is_a_linear_generator(monkeypatch):
     # phi_0 = 0 sets variable 0's field, the most significant one, in every
     # column it enters; such a lone column must still reach the exact solve
+    calls = spy_certificates(monkeypatch)
     t = Polynomial.variable(1, 0)
     phi = RingMap([Polynomial.zero(1), t, t], m=1, domain_names=["x", "y", "z"])
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    lone = (MonomialPacking(3, 3).pack(x.leading()[0]),)
     for options in (EngineOptions(), EngineOptions(prime=3), EngineOptions(use_prescreen=False)):
+        calls.clear()
         result = components_of_kernel(phi, 3, options)
         assert [g.poly for g in result.generators] == [x, y - z]
         assert result.generators[0].weighted_degree == 1
-        lone = [task for task in result.tasks if task.columns == (result.packing.pack(x.leading()[0]),)]
-        assert [task.status for task in lone] == ["solved"]
+        expected = [False] if options.use_prescreen else []
+        assert [certified for columns, certified in calls if columns == lone] == expected
 
 
 def test_weighted_degree_bound_semantics():
@@ -212,26 +219,49 @@ def test_oracle_equivalence_random_monomial_maps():
         assert result.counts_by_degree() == sympy_oracle_check(phi, result, 3)
 
 
+def test_oracle_equivalence_weighted():
+    # positive weights other than all-ones, found by the Fourier-Motzkin search
+    s, t = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    half = Polynomial.constant(2, Fraction(1, 2))
+    cases = [
+        ([s, s**2, s**3], [1, 2, 3], {2: 1, 3: 1}),  # the twisted cubic, rank-1 grading
+        ([s**2, t**2, s * t, s**3 * t], [1, 1, 1, 2], {2: 2}),  # rank-2 grading
+        ([s, s**2 + Polynomial.constant(2, 3) * t, s * t - half * s**3], [1, 2, 3], {3: 1}),
+    ]
+    for images, weight, counts in cases:
+        phi = RingMap(images, m=2)
+        result = components_of_kernel(phi, 6)
+        assert result.grading.positive_weight == weight
+        assert result.counts_by_degree() == counts
+        assert sympy_oracle_check(phi, result, 6) == counts
+
+
 def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
     # the untrimmed component kernel is the new generators plus the lifts
     for phi in (gr24, gr25, cusp):
-        grading = grading_for_map(phi)
-        levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
-        for task in components_of_kernel(phi, 3).tasks:
-            level = levels[task.weighted_degree]
-            full = exact_kernel(assemble_component(phi, unpacked(level, level.components[task.beta])))
-            assert full.dimension == task.kernel_dim + task.lift_rank
+        run = components_of_kernel(phi, 3)
+        found = Counter((g.weighted_degree, g.beta) for g in run.generators)
+        levels = shared_levels(grading_for_map(phi), 3)
+        for degree, level in levels.items():
+            index = push_index(run.generators, level, levels)
+            for beta, basis in level.components.items():
+                _, lift_rank = trim_basis(basis, index.get(beta, []), {})
+                full = exact_kernel(assemble_component(phi, unpacked(level, basis)))
+                assert full.dimension == found[degree, beta] + lift_rank
 
 
-def test_prescreen_off_same_output(gr24, gr25):
+def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
+    calls = spy_certificates(monkeypatch)
     for phi, options in ((gr24, EngineOptions()), (gr25, EngineOptions(seed=7, prime=101))):
         base = components_of_kernel(phi, 3, options)
         options.use_prescreen = False
+        calls.clear()
         off = components_of_kernel(phi, 3, options)
         assert [(g.poly, g.beta) for g in base.generators] == [
             (g.poly, g.beta) for g in off.generators
         ]
-        assert all(task.status == "solved" for task in off.tasks)
+        assert all(stats.solved == stats.components for stats in off.level_stats)
+        assert calls == []
 
 
 def test_small_prime_still_exact(gr24):
@@ -259,21 +289,36 @@ def test_error_paths():
         components_of_kernel(RingMap([t], m=1), 2, EngineOptions(prime=10))
 
 
-def test_component_task_records(gr24):
-    grading = grading_for_map(gr24)
+def test_component_task_records(gr24, monkeypatch):
+    # each component is certified or solved; the certificate sees exactly the
+    # trimmed columns, and a certified component has no new generators
+    calls = spy_certificates(monkeypatch)
     result = components_of_kernel(gr24, 3)
-    levels = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
-    for task in result.tasks:
-        level = levels[task.weighted_degree]
-        basis = unpacked(level, level.components[task.beta])
-        assert task.size == len(basis)
-        assert set(map(result.packing.monomial, task.columns)) <= set(basis)
-        assert task.size - len(task.columns) == task.lift_rank
-        assert task.status in ("certified", "solved")
-        if task.status == "certified":
-            assert task.columns and task.kernel_dim == 0
-    statuses = {task.status for task in result.tasks}
-    assert statuses == {"certified", "solved"}
+    levels = shared_levels(grading_for_map(gr24), 3)
+    component_of = {
+        key: (degree, beta)
+        for degree, level in levels.items()
+        for beta, basis in level.components.items()
+        for key in basis
+    }
+    indexes = {d: push_index(result.generators, level, levels) for d, level in levels.items()}
+    found = Counter((g.weighted_degree, g.beta) for g in result.generators)
+    certified: Counter = Counter()
+    for columns, ok in calls:
+        (degree, beta), = {component_of[key] for key in columns}
+        level = levels[degree]
+        trimmed, lift_rank = trim_basis(level.components[beta], indexes[degree].get(beta, []), {})
+        assert columns and tuple(trimmed) == columns
+        if ok:
+            certified[bool(lift_rank)] += 1
+            assert exact_kernel(assemble_component(gr24, unpacked(level, columns))).dimension == 0
+            assert not found[degree, beta]
+    assert len({component_of[columns[0]] for columns, _ in calls}) == len(calls)
+    stats = result.level_stats
+    assert certified[False] == sum(st.skipped_matroid for st in stats)
+    assert certified[True] == sum(st.skipped_prescreen for st in stats)
+    assert all(st.skipped_matroid + st.skipped_prescreen + st.solved == st.components for st in stats)
+    assert sum(certified.values()) and sum(st.solved for st in stats)
 
 
 def test_generator_order_is_canonical(gr25):
@@ -283,3 +328,34 @@ def test_generator_order_is_canonical(gr25):
     for gen in result.generators:
         lead_mono, lead_coeff = gen.poly.leading()
         assert lead_coeff > 0
+
+
+def test_corrupted_kernel_entry_is_caught(cusp, tmp_path, monkeypatch, capsys):
+    # verification re-expands every generator, so one wrong kernel entry stops the run
+    def corrupted(matrix):
+        kernel = exact_kernel(matrix)
+        for vec in kernel.vectors[:1]:
+            j = next(j for j, v in enumerate(vec) if v)
+            vec[j] *= 2  # no column of the cusp maps to zero
+        return kernel
+
+    monkeypatch.setattr(engine, "exact_kernel", corrupted)
+    with pytest.raises(EngineInvariantError, match="does not map to zero"):
+        components_of_kernel(cusp, 2)
+    path = tmp_path / "cusp.map"
+    path.write_text(emit_map_text(cusp), encoding="utf-8")
+    assert cli.main(["run", "--map", str(path), "-d", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")
+
+
+def test_dropped_assembly_rows_are_caught(cusp, monkeypatch):
+    # a component system missing rows has too large a kernel; its extra vectors fail verification
+    def dropped(phi, columns):
+        matrix = assemble_component(phi, columns)
+        return ComponentMatrix(matrix.columns, matrix.rows[: len(matrix.rows) // 2])
+
+    monkeypatch.setattr(engine, "assemble_component", dropped)
+    for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
+        with pytest.raises(EngineInvariantError):
+            components_of_kernel(cusp, 2, options)

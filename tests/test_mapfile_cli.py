@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 
 import pytest
 
 from implicitize import parse_map, parse_map_file
 from implicitize.mapfile import (
+    MAX_COEFFICIENT_BITS,
     MAX_PRODUCTS,
     MAX_TERMS,
     MapParseError,
@@ -126,6 +128,24 @@ def test_expansion_cap():
     assert len(parse_map_text("x = (a+b)^100").images[0].terms) == 101  # 4,072 products
 
 
+def test_coefficient_growth_cap():
+    # a power of a one-term base multiplies no term pairs, but its coefficient
+    # grows without bound; the growth is bounded before expanding
+    assert MAX_COEFFICIENT_BITS == 1 << 16
+    started = time.perf_counter()
+    with pytest.raises(MapParseError, match="bits"):
+        parse_map_text("x = 3^10000000*a")
+    assert time.perf_counter() - started < 0.1
+    for text in ("x = 3*a\ny = 3^40000*a", "x = (3^30000*a)*(3^30000*b)"):
+        with pytest.raises(MapParseError, match="bits"):
+            parse_map_text(text)
+    code, _, err = run_cli(["run", "-d", "2"], stdin_text="x = 3^10000000*a")
+    assert code == 2 and f"{MAX_COEFFICIENT_BITS} bits" in err
+    # unit coefficients do not grow, and a 2,808-bit coefficient is well inside
+    assert parse_map_text("x = a^100000000").images[0].terms
+    assert list(parse_map_text("x = 7^1000*a").images[0].terms.values()) == [7**1000]
+
+
 def test_parse_error_location():
     try:
         parse_map_text("x = t\ny = t +")
@@ -230,6 +250,30 @@ def test_fat_coefficient_outputs_pinned():
             elif not line.startswith("#"):
                 found[degree] += 1
         assert found == counts
+
+
+def _decimal(digits: str) -> int:
+    """`int(digits)` in chunks below CPython's int-to-decimal limit."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_exact_answers_past_the_digit_limit_print():
+    # x^6 - 7^6000*y: a 5,072-digit coefficient, past CPython's default
+    # 4,300-digit limit on converting ints to decimal
+    text_map = "x = 7^1000*a\ny = a^6\n"
+    code, out, _ = run_cli(["run", "-d", "6"], stdin_text=text_map)
+    assert code == 0
+    line = out.splitlines()[-1]
+    assert line.startswith("x^6 - ") and line.endswith("*y")
+    assert _decimal(line[len("x^6 - ") : -len("*y")]) == 7**6000
+    code, out, _ = run_cli(["run", "-d", "6", "--output", "json"], stdin_text=text_map)
+    assert code == 0
+    long_numbers = re.findall(r"\d{4300,}", out)  # the `text` field, then the term
+    assert len(long_numbers) == 2 and all(_decimal(n) == 7**6000 for n in long_numbers)
 
 
 # stdout of `run` on the built-in examples, recorded before monomials were packed

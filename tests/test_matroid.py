@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import random
 
-from implicitize import EngineOptions, components_of_kernel
+from implicitize import EngineOptions, MonomialPacking, components_of_kernel
 from implicitize.engine import assemble_component
 from implicitize.linalg import exact_kernel
 
-from support import random_monomial_map
+from support import random_monomial_map, spy_certificates
 
 
-def test_skipped_components_truly_trivial(gr24, gr25, cusp):
+def test_skipped_components_truly_trivial(gr24, gr25, cusp, monkeypatch):
     # certified soundness: re-solve every certified component exactly
+    calls = spy_certificates(monkeypatch)
     rng = random.Random(424242)
     maps = [gr24, gr25, cusp] + [
         random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3))
@@ -22,14 +23,18 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp):
     for prime in (3, 5, 101, EngineOptions().prime):
         certified = 0
         for phi in maps:
+            calls.clear()
             result = components_of_kernel(phi, 3, EngineOptions(prime=prime))
-            for task in result.tasks:
-                if task.status != "certified":
-                    continue
+            packing = MonomialPacking(phi.n, 3)
+            passed = [columns for columns, ok in calls if ok]
+            assert len(passed) == sum(
+                stats.skipped_matroid + stats.skipped_prescreen for stats in result.level_stats
+            )
+            for columns in passed:
                 certified += 1
-                matrix = assemble_component(phi, list(map(result.packing.monomial, task.columns)))
+                matrix = assemble_component(phi, list(map(packing.monomial, columns)))
                 assert exact_kernel(matrix).dimension == 0
-                lone += len(task.columns) == 1
+                lone += len(columns) == 1
         assert certified, prime
     # one-column components are certified without evaluation, and re-solved above
     assert lone
@@ -48,7 +53,7 @@ def test_skip_neutral_on_outputs(gr24):
     # certifying a component only skips its exact solve; generators are unchanged
     with_skip = components_of_kernel(gr24, 3)
     without = components_of_kernel(gr24, 3, EngineOptions(use_prescreen=False))
-    assert any(task.status == "certified" for task in with_skip.tasks)
+    assert any(stats.skipped_matroid + stats.skipped_prescreen for stats in with_skip.level_stats)
     assert [(g.poly, g.beta) for g in with_skip.generators] == [
         (g.poly, g.beta) for g in without.generators
     ]
