@@ -4,9 +4,11 @@ For each weighted degree i up to the bound, the engine enumerates the level,
 then handles its components one at a time, in canonical beta order:
 
     trim against lower-degree generators -> certify mod p -> assemble the
-    component system -> exact rational kernel
+    component system -> exact integer kernel -> verify
 
-Until assembly, monomials are ints of one run-wide `MonomialPacking`.
+Until assembly, monomials are ints of one run-wide `MonomialPacking`. The
+exact solve reads each column x^alpha as the integer image L * phi(x^alpha),
+one L for the component (`IntegerImages`), so it does no rational arithmetic.
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
 multidegree. Trimming runs whenever lower-degree generators exist: without it
@@ -15,16 +17,18 @@ at level i reads only generators from levels < i, through a push index that
 files their shifts under the components they land on, so components within a
 level never interact. The certificate evaluates the images of the trimmed
 columns at seeded random points of GF(p)^m; when those values have full rank
-the component has no new generators, and no rational matrix is built for it.
+the component has no new generators, and no matrix is built for it.
 A failed certificate only costs the exact solve, so no seed or prime changes
 the output.
-Every emitted generator is re-verified to map to zero and to be homogeneous
-under every grading row. A component leaves behind only its generators and
-one count in its level's `LevelStats`.
+Every emitted generator g is re-verified to map to zero, by an exact expansion
+of L * phi(g) from those images, and to be homogeneous under every grading
+row. A component leaves behind only its generators and one count in its
+level's `LevelStats`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -45,7 +49,8 @@ from .linalg import (
     next_prime,
     rank_mod_p,
 )
-from .polyring import DEFAULT_PRIME, Monomial, MonomialPacking, Polynomial, RingMap, grlex_key
+from .polyring import DEFAULT_PRIME, IntegerImages, Monomial, MonomialPacking, Polynomial
+from .polyring import RingMap, grlex_key
 
 
 class EngineInvariantError(RuntimeError):
@@ -152,18 +157,23 @@ def trim_basis(basis: tuple[int, ...], lifts: list, pivots: dict) -> tuple[list[
     return [m for idx, m in enumerate(basis) if idx not in taken], len(taken)
 
 
-def assemble_component(phi: RingMap, columns: list[Monomial]) -> ComponentMatrix:
-    """Coefficient matrix of the images of the column monomials.
+def assemble_component(
+    phi: RingMap, columns: list[Monomial], images: list[dict[int, int]] | None = None
+) -> ComponentMatrix:
+    """Integer coefficient matrix of L * phi over the column monomials.
 
-    Rows are indexed by the codomain monomials the images touch, graded-lex
-    descending; columns with zero image simply contribute no rows.
+    `images` are the columns' `IntegerImages.scaled` images, computed here if
+    not given. One L > 0 scales every column, so rows have the primitive forms
+    of phi's rows. Rows are indexed by the packed codomain monomials the images
+    touch, graded-lex descending; columns with zero image contribute no rows.
     """
-    images = [phi.apply_monomial(mono) for mono in columns]
-    row_monomials = sorted({g for img in images for g in img.terms}, key=grlex_key)
-    row_index = {g: i for i, g in enumerate(row_monomials)}
-    rows: list[dict] = [{} for _ in row_monomials]
-    for c, img in enumerate(images):
-        for gamma, coeff in img.terms.items():
+    if images is None:
+        images = IntegerImages(phi, max(map(Monomial.degree, columns), default=0)).scaled(columns)
+    row_keys = sorted({g for image in images for g in image}, reverse=True)
+    row_index = {g: i for i, g in enumerate(row_keys)}
+    rows: list[dict] = [{} for _ in row_keys]
+    for c, image in enumerate(images):
+        for gamma, coeff in image.items():
             rows[row_index[gamma]][c] = coeff
     return ComponentMatrix(list(columns), rows)
 
@@ -217,8 +227,14 @@ class EvaluationPoints:
         return rank_mod_p(matrix, p) == c
 
 
-def _verify_generator(phi: RingMap, grading: GradingMatrix, gen: Generator):
-    if not phi.apply(gen.poly).is_zero():
+def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix, gen: Generator):
+    """Expand L * phi(gen) = sum_j vec_j images[j] exactly; images, not rows, catch bad matrices."""
+    total: dict[int, int] = {}
+    for c, image in zip(vec, images):
+        if c:
+            for gamma, v in image.items():
+                total[gamma] = total.get(gamma, 0) + c * v
+    if any(total.values()):
         raise EngineInvariantError(f"generator does not map to zero: {gen.poly!r}")
     for row in grading.A:
         if not gen.poly.is_homogeneous(row):
@@ -233,18 +249,14 @@ def _safe_prime(phi: RingMap, prime: int) -> int:
 
     Image values at a point of GF(p)^m are sums of products of image
     coefficients, so this one upfront check lets `eval_mod_p` reduce every
-    image without a BadPrimeError.
+    image without a BadPrimeError. A prime divides some denominator iff it divides their lcm.
     """
     if prime < 2 or not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    while True:
-        if all(
-            coeff.denominator % prime
-            for image in phi.images
-            for coeff in image.terms.values()
-        ):
-            return prime
+    lcm = math.lcm(*(c.denominator for image in phi.images for c in image.terms.values()))
+    while lcm % prime == 0:
         prime = next_prime(prime)
+    return prime
 
 
 def components_of_kernel(
@@ -269,6 +281,7 @@ def components_of_kernel(
     packing = MonomialPacking(phi.n, max_degree)
     result = GeneratorSet(grading=grading, prime=prime)
     points = EvaluationPoints(phi, prime, options.seed, packing) if options.use_prescreen else None
+    images = None  # IntegerImages, built at the first exact solve
     levels: dict[int, DegreeLevel] = {}
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
@@ -296,15 +309,20 @@ def components_of_kernel(
             if not columns:
                 continue
             ticked = time.perf_counter()
+            images = images or IntegerImages(phi, max_degree)
             monomials = [packing.monomial(c) for c in columns]
-            matrix = assemble_component(phi, monomials)
+            column_images = images.scaled(monomials)
+            matrix = assemble_component(phi, monomials, column_images)
             assembled = time.perf_counter()
             kernel = exact_kernel(matrix)
-            stages["assemble"] += assembled - ticked
-            stages["kernel"] += time.perf_counter() - assembled
+            solved_at = time.perf_counter()
             for vec in kernel.vectors:
                 poly = Polynomial(phi.n, {monomials[c]: v for c, v in enumerate(vec) if v})
                 new_generators.append(Generator(poly, beta, degree))
+                _verify_generator(column_images, vec, grading, new_generators[-1])
+            stages["assemble"] += assembled - ticked
+            stages["kernel"] += solved_at - assembled
+            stages["verify"] += time.perf_counter() - solved_at
         if skipped_m + skipped_p + solved != len(level.components):
             raise EngineInvariantError("component statuses do not reconcile")
         new_generators.sort(
@@ -314,10 +332,6 @@ def components_of_kernel(
                 tuple(sorted((m.exps, str(c)) for m, c in g.poly.terms.items())),
             )
         )
-        verifying = time.perf_counter()
-        for gen in new_generators:
-            _verify_generator(phi, grading, gen)
-        stages["verify"] = time.perf_counter() - verifying
         result.generators.extend(new_generators)
         result.level_stats.append(
             LevelStats(

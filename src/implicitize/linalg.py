@@ -10,7 +10,7 @@ right, so they are the leftmost independent columns whatever pivot row is
 chosen; rows are picked sparsest first, then by the smallest pivot, to limit
 fill-in and growth. Kernels come from integer back-substitution through the
 echelon form, one primitive vector per free column, so they equal the
-normalized kernel of the unique reduced row echelon form. Dense Gaussian
+normalized kernel of the unique reduced row echelon form. Dense fraction-free
 elimination over GF(p) (`rank_mod_p`) backs the engine's mod-p certificate.
 """
 
@@ -120,31 +120,22 @@ def normalize_primitive(vec: Sequence) -> list[int]:
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Exact rank over GF(p) by dense Gaussian elimination."""
+    """Exact rank over GF(p); row := a * row - v * pivot row scales by the unit a, no inverse."""
     mat = [[v % p for v in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     rank = 0
     for c in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if mat[r][c]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, nrows) if mat[r][c]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
         prow = mat[rank]
+        a = prow[c]
         for r in range(rank + 1, nrows):
             v = mat[r][c]
-            if not v:
-                continue
-            factor = v * inv % p
-            row = mat[r]
-            for j in range(c, ncols):
-                if prow[j]:
-                    row[j] = (row[j] - factor * prow[j]) % p
+            if v:
+                mat[r] = [(a * x - v * y) % p for x, y in zip(mat[r], prow)]
         rank += 1
         if rank == min(nrows, ncols):
             break
@@ -195,7 +186,7 @@ class ComponentMatrix:
     """
 
     columns: list[Monomial]
-    rows: list[dict]  # column index -> nonzero rational coefficient
+    rows: list[dict]  # column index -> nonzero integer (or rational) coefficient
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -7,11 +7,13 @@ residues. The canonical term order everywhere is graded lexicographic with
 variable 0 ranking highest, iterated leading term first.
 
 The engine's level path (enumerate, trim, certify) packs each domain monomial
-into one integer instead (`MonomialPacking`), where a product is one addition.
+into one integer instead (`MonomialPacking`), where a product is one addition,
+and its exact solve expands images as integer polynomials (`IntegerImages`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -318,10 +320,10 @@ class RingMap:
     """A homomorphism K[x_0..x_{n-1}] -> K[t_0..t_{m-1}], x_i -> images[i].
 
     Images may be zero (then x_i itself is a degree-1 kernel generator).
-    Monomial images are expanded through a per-power cache.
+    The engine expands monomial images through `IntegerImages` instead.
     """
 
-    __slots__ = ("n", "m", "images", "domain_names", "codomain_names", "_powers")
+    __slots__ = ("n", "m", "images", "domain_names", "codomain_names")
 
     def __init__(
         self,
@@ -350,46 +352,18 @@ class RingMap:
         )
         if len(self.domain_names) != self.n or len(self.codomain_names) != m:
             raise ValueError("variable name count mismatch")
-        self._powers: dict[tuple[int, int], Polynomial] = {}
-
-    def _power(self, i: int, k: int) -> Polynomial:
-        key = (i, k)
-        cached = self._powers.get(key)
-        if cached is None:
-            cached = self.images[i] ** k
-            self._powers[key] = cached
-        return cached
-
-    def apply_monomial(self, mono: Monomial) -> Polynomial:
-        parts = [self._power(i, e) for i, e in mono.exps]
-        if not parts:
-            return Polynomial.constant(self.m, 1)
-        parts.sort(key=lambda p: len(p.terms))
-        result = parts[0]
-        for part in parts[1:]:
-            result = result * part
-        return result
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Substitute each x_i by its image and expand."""
+        """Substitute each x_i by its image and expand (uncached)."""
         if f.num_vars != self.n:
-            raise ValueError(
-                f"polynomial in {f.num_vars} variables, map expects {self.n}"
-            )
-        out: dict[Monomial, object] = {}
+            raise ValueError(f"polynomial in {f.num_vars} variables, map expects {self.n}")
+        out = Polynomial.zero(self.m)
         for mono, coeff in f.terms.items():
-            image = self.apply_monomial(mono)
-            for gamma, c in image.terms.items():
-                v = coeff * c
-                if gamma in out:
-                    s = out[gamma] + v
-                    if s:
-                        out[gamma] = s
-                    else:
-                        del out[gamma]
-                elif v:
-                    out[gamma] = v
-        return Polynomial._make(self.m, out)
+            term = Polynomial.constant(self.m, coeff)
+            for i, e in mono.exps:
+                term = term * self.images[i] ** e
+            out = out + term
+        return out
 
     def __eq__(self, other):
         return (
@@ -404,3 +378,60 @@ class RingMap:
     def __repr__(self):
         return f"RingMap(n={self.n}, m={self.m})"
 
+
+def _times(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    """Product of two integer polynomials over packed monomial keys."""
+    out: dict[int, int] = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+class IntegerImages:
+    """A map's images with denominators cleared once: phi_i = psi_i / d_i, d_i the lcm.
+
+    psi_i is an integer polynomial over keys of `packing` (the m codomain
+    variables to `bound` times the largest image degree, so images of domain
+    monomials of total degree <= `bound` never overflow). `powers[i][k]`
+    caches psi_i^k for the run.
+    """
+
+    __slots__ = ("packing", "denominators", "powers")
+
+    def __init__(self, phi: RingMap, bound: int):
+        degree = max((mono.degree() for f in phi.images for mono in f.terms), default=0)
+        self.packing = MonomialPacking(phi.m, max(bound, 1) * degree)
+        self.denominators = [math.lcm(*(c.denominator for c in f.terms.values())) for f in phi.images]
+        pack = self.packing.pack
+        self.powers = [
+            [{0: 1}, {pack(mono): c.numerator * (d // c.denominator) for mono, c in f.terms.items()}]
+            for f, d in zip(phi.images, self.denominators)
+        ]
+
+    def power(self, i: int, k: int) -> dict[int, int]:
+        table = self.powers[i]
+        while len(table) <= k:
+            table.append(_times(table[-1], table[1]))
+        return table[k]
+
+    def scaled(self, columns: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
+        """L * phi(x^alpha) for each column's (variable, exponent) pairs alpha.
+
+        With L = prod_i d_i^(max_j alpha_ij), column alpha is the integer
+        polynomial (L / d^alpha) psi^alpha. It may be a cached power: do not mutate.
+        """
+        top: dict[int, int] = {}
+        for alpha in columns:
+            for i, e in alpha:
+                top[i] = max(top.get(i, 0), e)
+        lcm = math.prod(self.denominators[i] ** e for i, e in top.items())
+        out = []
+        for alpha in columns:
+            parts = sorted((self.power(i, e) for i, e in alpha), key=len)
+            image = parts[0] if parts else self.powers[0][0]
+            for part in parts[1:]:
+                image = _times(image, part)
+            scale = lcm // math.prod(self.denominators[i] ** e for i, e in alpha)
+            out.append({m: scale * c for m, c in image.items()} if scale > 1 else image)
+        return out

@@ -351,11 +351,34 @@ def test_corrupted_kernel_entry_is_caught(cusp, tmp_path, monkeypatch, capsys):
 
 def test_dropped_assembly_rows_are_caught(cusp, monkeypatch):
     # a component system missing rows has too large a kernel; its extra vectors fail verification
-    def dropped(phi, columns):
-        matrix = assemble_component(phi, columns)
+    def dropped(phi, columns, images=None):
+        matrix = assemble_component(phi, columns, images)
         return ComponentMatrix(matrix.columns, matrix.rows[: len(matrix.rows) // 2])
 
     monkeypatch.setattr(engine, "assemble_component", dropped)
     for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
         with pytest.raises(EngineInvariantError):
             components_of_kernel(cusp, 2, options)
+
+
+def test_corrupted_assembly_column_is_caught(gr24, tmp_path, monkeypatch, capsys):
+    # column 1 overwritten by column 0 gives the false kernel vector e_0 - e_1;
+    # verification expands the column images, not the assembled rows
+    def copied(phi, columns, images=None):
+        matrix = assemble_component(phi, columns, images)
+        if len(columns) > 1:
+            for row in matrix.rows:
+                row.pop(1, None)
+                if 0 in row:
+                    row[1] = row[0]
+        return matrix
+
+    monkeypatch.setattr(engine, "assemble_component", copied)
+    for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
+        with pytest.raises(EngineInvariantError, match="does not map to zero"):
+            components_of_kernel(gr24, 2, options)
+    path = tmp_path / "gr24.map"
+    path.write_text(emit_map_text(gr24), encoding="utf-8")
+    assert cli.main(["run", "--map", str(path), "-d", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from implicitize import Monomial, Polynomial, RingMap
-from implicitize.polyring import format_polynomial, grlex_key
+from implicitize import Monomial, Polynomial, RingMap, enumerate_level, grading_for_map
+from implicitize.polyring import IntegerImages, format_polynomial, grlex_key
 
-from support import mono_by_names, poly_by_names, ring_laws_suite
+from support import mono_by_names, poly_by_names, random_polynomial, ring_laws_suite
 
 
 def P(num_vars, *terms):
@@ -125,11 +129,81 @@ def test_eval_mod_p():
 
 
 def test_power_cache_reuse(gr24):
+    images = IntegerImages(gr24, 3)
     mono = mono_by_names(gr24, {"p12": 2, "p34": 1})
-    first = gr24.apply_monomial(mono)
-    second = gr24.apply_monomial(mono)
+    first = images.scaled([mono])
+    second = images.scaled([mono])
     assert first == second
-    assert (0, 2) in gr24._powers
+    assert len(images.powers[0]) == 3  # psi_0^0, psi_0^1 and the cached psi_0^2
+    assert images.powers[0][2] is images.power(0, 2)
+
+
+def _sympy_scaled_images(phi, columns):
+    """L * phi(x^alpha) per column, expanded by sympy, keyed by exponent vector."""
+    ts = sympy.symbols(f"t0:{phi.m}")
+    images = [
+        sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(ts[j] ** e for j, e in mono))
+             for mono, c in f.terms.items()),
+            sympy.Integer(0),
+        )
+        for f in phi.images
+    ]
+    lcms = [math.lcm(*(c.denominator for c in f.terms.values())) for f in phi.images]
+    scale = math.prod(
+        lcms[i] ** max(dict(alpha).get(i, 0) for alpha in columns) for i in range(phi.n)
+    )
+    expected = []
+    for alpha in columns:
+        expr = sympy.expand(scale * sympy.Mul(*(images[i] ** e for i, e in alpha)))
+        poly = sympy.Poly(expr, *ts)
+        expected.append({exps: int(c) for exps, c in poly.as_dict().items() if c})
+    return expected
+
+
+def _decoded(images, scaled):
+    packing = images.packing
+    return [
+        {tuple((key >> shift) & packing.mask for shift in packing.shifts): c for key, c in image.items()}
+        for image in scaled
+    ]
+
+
+def test_integer_images_match_sympy():
+    # each scaled column image equals L * phi(x^alpha) with L = prod_i d_i^(max_j alpha_ij)
+    rng = random.Random(2718)
+    t = Polynomial.variable(1, 0)
+    weighted = RingMap(
+        [t * Polynomial.constant(1, Fraction(1, 2)), t**2 * Polynomial.constant(1, Fraction(-2, 3)), t**3],
+        m=1,
+    )
+    level_components = [
+        list(map(level.packing.monomial, basis))
+        for degree in (1, 2, 3, 4, 5, 6)
+        for level in [enumerate_level(grading_for_map(weighted), degree)]
+        for basis in level.components.values()
+    ]
+    images = IntegerImages(weighted, 6)
+    for columns in level_components:
+        assert _decoded(images, images.scaled(columns)) == _sympy_scaled_images(weighted, columns)
+    assert images.denominators == [2, 3, 1]
+
+    checked = 0
+    for _ in range(4):
+        n, m = rng.randint(2, 4), rng.randint(1, 3)
+        polys = [random_polynomial(rng, m, max_degree=2, max_terms=3) for _ in range(n)]
+        polys[rng.randrange(n)] = Polynomial.zero(m)
+        phi = RingMap(polys, m=m)
+        images = IntegerImages(phi, 3)
+        for degree in (1, 2, 3):
+            monos = [
+                Monomial((i, 1) for i in combo)
+                for combo in itertools.combinations_with_replacement(range(n), degree)
+            ]
+            for columns in (monos, rng.sample(monos, min(3, len(monos)))):
+                assert _decoded(images, images.scaled(columns)) == _sympy_scaled_images(phi, columns)
+                checked += 1
+    assert checked == 24
 
 
 def test_ring_and_homomorphism_laws_randomized():
