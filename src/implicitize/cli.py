@@ -9,13 +9,14 @@
 to the degree bound, prints them to stdout (text or JSON), and prints a
 per-level summary table to stderr. With a non-standard positive weight the
 bound applies to the weighted degree; the `--report` JSON says whether the
-all-ones weight was used. Before any rational work, each component is
-screened by evaluating its images at random points mod the prime (`--seed`
-picks the points); a full-rank evaluation certifies that it has no new
-generators. `--no-prescreen` turns that screen off and solves every component
-exactly; it changes where the time goes, never the output. The `--report`
-JSON also gives each level's seconds per stage (enumerate, trim, certify,
-assemble, kernel, verify); timings never reach stdout.
+all-ones weight was used. Before any exact solve, each component is screened
+by evaluating its images at random points mod `--prime` (`--seed` picks the
+points); a full-rank evaluation certifies that it has no new generators, and
+every prime is valid. `--no-prescreen` turns that screen off and solves every
+component exactly; it changes where the time goes, never the output. The
+`--report` JSON echoes the options as given, and gives each level's seconds
+per stage (enumerate, trim, certify, assemble, kernel, verify); timings never
+reach stdout.
 
 Exit codes: 0 success, 2 bad flags or unreadable input, 3 no positive
 grading exists for the map, 4 internal invariant violation.
@@ -143,7 +144,7 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
         "options": {
             "max_degree": args.max_degree,
             "seed": args.seed,
-            "prime": result.prime,
+            "prime": args.prime,
             "prescreen": not args.no_prescreen,
         },
         "grading_rank": result.grading.rank,
@@ -213,7 +214,7 @@ def _cmd_run(args) -> int:
     if args.max_degree < 1:
         print("error: --max-degree must be >= 1", file=sys.stderr)
         return 2
-    if args.prime < 2 or not is_prime(args.prime):
+    if not is_prime(args.prime):
         print(f"error: {args.prime} is not prime", file=sys.stderr)
         return 2
     if args.map_path:

@@ -6,20 +6,22 @@ then handles its components one at a time, in canonical beta order:
     trim against lower-degree generators -> certify mod p -> assemble the
     component system -> exact integer kernel -> verify
 
-Until assembly, monomials are ints of one run-wide `MonomialPacking`. The
-exact solve reads each column x^alpha as the integer image L * phi(x^alpha),
-one L for the component (`IntegerImages`), so it does no rational arithmetic.
+Until assembly, monomials are ints of one run-wide `MonomialPacking`. Image
+denominators are cleared once per run, phi_i = psi_i / d_i (`IntegerImages`):
+the exact solve reads each column x^alpha as the integer image L * phi(x^alpha),
+one L for the component, and the certificate reads psi^alpha.
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
 multidegree. Trimming runs whenever lower-degree generators exist: without it
 the kernel would also hold their multiples, which are not minimal. Trimming
 at level i reads only generators from levels < i, through a push index that
 files their shifts under the components they land on, so components within a
-level never interact. The certificate evaluates the images of the trimmed
-columns at seeded random points of GF(p)^m; when those values have full rank
-the component has no new generators, and no matrix is built for it.
-A failed certificate only costs the exact solve, so no seed or prime changes
-the output.
+level never interact. The certificate evaluates the images psi^alpha of the
+trimmed columns at seeded random points of GF(p)^m; when those values have
+full rank the component has no new generators, and no matrix is built for
+it. Each psi^alpha is phi(x^alpha) times a nonzero rational, so every prime
+is valid. A failed certificate only costs the exact solve, so no seed or
+prime changes the output.
 Every emitted generator g is re-verified to map to zero, by an exact expansion
 of L * phi(g) from those images, and to be homogeneous under every grading
 row. A component leaves behind only its generators and one count in its
@@ -28,7 +30,6 @@ level's `LevelStats`.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -41,14 +42,7 @@ from .grading import (
     grading_for_map,
     multidegree_of,
 )
-from .linalg import (
-    ComponentMatrix,
-    echelon,
-    exact_kernel,
-    is_prime,
-    next_prime,
-    rank_mod_p,
-)
+from .linalg import ComponentMatrix, echelon, exact_kernel, is_prime, rank_mod_p
 from .polyring import DEFAULT_PRIME, IntegerImages, Monomial, MonomialPacking, Polynomial
 from .polyring import RingMap, grlex_key
 
@@ -96,7 +90,6 @@ class GeneratorSet:
     generators: list[Generator] = field(default_factory=list)
     level_stats: list[LevelStats] = field(default_factory=list)
     grading: GradingMatrix | None = None
-    prime: int = DEFAULT_PRIME
 
     def counts_by_degree(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -181,39 +174,43 @@ def assemble_component(
 class EvaluationPoints:
     """Seeded random points t_k of GF(p)^m, drawn as needed and shared by a run.
 
-    `powers[i][e][k]` is image i evaluated at t_k, raised to the power e <=
-    the bound of the packing that the certified columns use.
+    `powers[i][e][k]` is the integer image psi_i of `images` evaluated at t_k,
+    raised to the power e <= the bound of the packing that the certified
+    columns use.
     """
 
-    def __init__(self, phi: RingMap, prime: int, seed: int, packing: MonomialPacking):
-        self.phi = phi
+    def __init__(self, images: IntegerImages, prime: int, seed: int, packing: MonomialPacking):
+        self.images = images
         self.prime = prime
         self.packing = packing
         self.rng = random.Random(seed)
         self.drawn = 0
-        self.powers = [[[] for _ in range(packing.bound + 1)] for _ in phi.images]
-        self.zero_fields = sum(packing.mask << s for s, f in zip(packing.shifts, phi.images) if not f)
+        self.powers = [[[] for _ in range(packing.bound + 1)] for _ in range(packing.n)]
+        zero = [i for i in range(packing.n) if not images.power(i, 1)]
+        self.zero_fields = sum(packing.mask << packing.shifts[i] for i in zero)
 
     def certify_no_generators(self, columns: list[int]) -> bool:
         """True certifies that the images of the packed `columns` are independent.
 
         A lone column needs no points: its image, a product of images, is
         nonzero unless the column sets a field of a variable with zero image.
-        Otherwise E[k][j] = prod_i phi_i(t_k)^e_ij over the first c = len(columns)
-        points (built here as its transpose) equals V C, where C is the
-        component's coefficient matrix mod p and V holds the codomain monomials
-        evaluated at the points; C exists because `_safe_prime` keeps every
-        image denominator a unit mod p. Rank can only drop from Q to GF(p) and
-        under the product, so rank E = c forces a trivial rational kernel; a
-        smaller rank certifies nothing.
+        Otherwise E[k][j] = prod_i psi_i(t_k)^e_ij over the first c = len(columns)
+        points (built here as its transpose) equals V C' mod p, where V holds
+        the codomain monomials evaluated at the points and C' the integer
+        coefficients of the images psi^alpha_j. C' is the component's
+        coefficient matrix Phi scaled column by column by the nonzero
+        rationals d^alpha_j, so it has Phi's rank. Rank can only drop from Q to
+        GF(p) and under the product, so rank E = c proves a trivial rational
+        kernel for every prime p, dividing a denominator or not; a smaller rank
+        certifies nothing.
         """
         c, p = len(columns), self.prime
         if c == 1 and not columns[0] & self.zero_fields:
             return True
         for _ in range(self.drawn, c):
-            point = [self.rng.randrange(p) for _ in range(self.phi.m)]
-            for image, table in zip(self.phi.images, self.powers):
-                value, power = image.eval_mod_p(point, p), 1
+            point = [self.rng.randrange(p) for _ in range(self.images.packing.n)]
+            for value, table in zip(self.images.values_mod_p(point, p), self.powers):
+                power = 1
                 for column in table:
                     column.append(power)
                     power = power * value % p
@@ -244,21 +241,6 @@ def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix
         raise EngineInvariantError(f"multidegree mismatch for {gen.poly!r}")
 
 
-def _safe_prime(phi: RingMap, prime: int) -> int:
-    """First prime >= the requested one dividing no image denominator.
-
-    Image values at a point of GF(p)^m are sums of products of image
-    coefficients, so this one upfront check lets `eval_mod_p` reduce every
-    image without a BadPrimeError. A prime divides some denominator iff it divides their lcm.
-    """
-    if prime < 2 or not is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    lcm = math.lcm(*(c.denominator for image in phi.images for c in image.terms.values()))
-    while lcm % prime == 0:
-        prime = next_prime(prime)
-    return prime
-
-
 def components_of_kernel(
     phi: RingMap, max_degree: int, options: EngineOptions | None = None
 ) -> GeneratorSet:
@@ -276,12 +258,14 @@ def components_of_kernel(
         raise NoPositiveWeightError(
             "the grading admits no strictly positive weight vector"
         )
-    prime = _safe_prime(phi, options.prime)
+    # rank mod a composite can over-count: a product of nonzero pivots can vanish
+    if not is_prime(options.prime):
+        raise ValueError(f"{options.prime} is not prime")
     # a monomial's total degree is at most its weighted degree
     packing = MonomialPacking(phi.n, max_degree)
-    result = GeneratorSet(grading=grading, prime=prime)
-    points = EvaluationPoints(phi, prime, options.seed, packing) if options.use_prescreen else None
-    images = None  # IntegerImages, built at the first exact solve
+    images = IntegerImages(phi, max_degree)
+    result = GeneratorSet(grading=grading)
+    points = EvaluationPoints(images, options.prime, options.seed, packing)
     levels: dict[int, DegreeLevel] = {}
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
@@ -298,7 +282,7 @@ def components_of_kernel(
             columns, lift_rank = trim_basis(basis, index.get(beta, []), pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
-            if columns and points is not None:
+            if columns and options.use_prescreen:
                 certified = points.certify_no_generators(columns)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
@@ -309,7 +293,6 @@ def components_of_kernel(
             if not columns:
                 continue
             ticked = time.perf_counter()
-            images = images or IntegerImages(phi, max_degree)
             monomials = [packing.monomial(c) for c in columns]
             column_images = images.scaled(monomials)
             matrix = assemble_component(phi, monomials, column_images)

@@ -19,14 +19,12 @@ def gen_cusp() -> RingMap:
     )
 
 
-def gen_grassmannian(n: int, k: int = 2) -> RingMap:
+def gen_grassmannian(n: int) -> RingMap:
     """The Pluecker embedding of Gr(2, n): p_ij -> 2x2 minor on columns i, j.
 
     Domain variables are the pairs 1 <= i < j <= n in colexicographic order
     (sorted by j, then i); the codomain is the 2 x n matrix of entries x_rc.
     """
-    if k != 2:
-        raise ValueError("only 2-row Grassmannians are generated")
     if n < 3:
         raise ValueError("need at least 3 matrix columns")
     pairs = sorted(combinations(range(1, n + 1), 2), key=lambda ij: (ij[1], ij[0]))

@@ -169,13 +169,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 @dataclass
 class ComponentMatrix:
     """The linear system of one graded component.

@@ -1,14 +1,14 @@
 """Sparse multivariate polynomial arithmetic over exact coefficient fields.
 
 Monomials are sparse exponent vectors; polynomials map monomials to nonzero
-coefficients. Coefficients are exact rationals (`fractions.Fraction`);
-screening evaluates polynomials at points of a prime field instead of storing
-residues. The canonical term order everywhere is graded lexicographic with
-variable 0 ranking highest, iterated leading term first.
+coefficients. Coefficients are exact rationals (`fractions.Fraction`). The
+canonical term order everywhere is graded lexicographic with variable 0
+ranking highest, iterated leading term first.
 
 The engine's level path (enumerate, trim, certify) packs each domain monomial
-into one integer instead (`MonomialPacking`), where a product is one addition,
-and its exact solve expands images as integer polynomials (`IntegerImages`).
+into one integer instead (`MonomialPacking`), where a product is one addition.
+Both its certificate and its exact solve read the images as integer
+polynomials (`IntegerImages`), the one place their denominators are cleared.
 """
 
 from __future__ import annotations
@@ -178,9 +178,6 @@ class Polynomial:
         if not 0 <= i < num_vars:
             raise IndexError(f"variable index {i} out of range")
         return cls(num_vars, [(Monomial.variable(i), coeff)])
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -394,10 +391,11 @@ class IntegerImages:
     psi_i is an integer polynomial over keys of `packing` (the m codomain
     variables to `bound` times the largest image degree, so images of domain
     monomials of total degree <= `bound` never overflow). `powers[i][k]`
-    caches psi_i^k for the run.
+    caches psi_i^k for the run; `terms[i]` lists psi_i's (coefficient,
+    exponent pairs), unpacked once for evaluation at points.
     """
 
-    __slots__ = ("packing", "denominators", "powers")
+    __slots__ = ("packing", "denominators", "powers", "terms")
 
     def __init__(self, phi: RingMap, bound: int):
         degree = max((mono.degree() for f in phi.images for mono in f.terms), default=0)
@@ -407,6 +405,14 @@ class IntegerImages:
         self.powers = [
             [{0: 1}, {pack(mono): c.numerator * (d // c.denominator) for mono, c in f.terms.items()}]
             for f, d in zip(phi.images, self.denominators)
+        ]
+        self.terms = [[(c, self.packing.pairs(key)) for key, c in psi.items()] for _, psi in self.powers]
+
+    def values_mod_p(self, point: Sequence[int], p: int) -> list[int]:
+        """Each psi_i at a point of GF(p)^m; integer coefficients need no inverse, so any p works."""
+        return [
+            sum(c * math.prod(pow(point[j], e, p) for j, e in pairs) for c, pairs in terms) % p
+            for terms in self.terms
         ]
 
     def power(self, i: int, k: int) -> dict[int, int]:

@@ -320,7 +320,7 @@ def weighted_count_oracle(weights, target: int) -> int:
 
 def initial_form(f: Polynomial, weights) -> Polynomial:
     """The terms of f whose monomials attain the least weight over its support."""
-    if f.is_zero():
+    if not f:
         return f
     least = min(mono.weighted_degree(weights) for mono in f.terms)
     return Polynomial(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,7 @@ from support import (
     mono_by_names,
     poly_by_names,
     random_monomial_map,
+    rational_quadrics_map,
     reference_beta,
     shared_levels,
     spy_certificates,
@@ -267,15 +269,40 @@ def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
 def test_small_prime_still_exact(gr24):
     result = components_of_kernel(gr24, 3, EngineOptions(prime=101))
     assert result.counts_by_degree() == {2: 1}
-    assert result.prime == 101
 
 
-def test_prime_bumped_when_unsafe():
-    # image coefficient 1/5 makes 5 unusable; the engine moves to the next prime
-    f = Polynomial(1, [(Monomial([(0, 1)]), Fraction(1, 5))])
-    phi = RingMap([f], m=1)
-    result = components_of_kernel(phi, 2, EngineOptions(prime=5))
-    assert result.prime == 7
+def test_prime_bumped_when_unsafe(tmp_path, capsys):
+    # 5 divides the denominators of t/5 and t^2/5, yet the run keeps 5: the
+    # certificate reads the integer images t and t^2, valid mod every prime
+    phi = RingMap(
+        [Polynomial(1, [(Monomial([(0, e)]), Fraction(1, 5))]) for e in (1, 2)], m=1
+    )
+    expected = [(g.poly, g.beta) for g in components_of_kernel(phi, 3).generators]
+    assert len(expected) == 1  # x1 - 5*x0^2
+    result = components_of_kernel(phi, 3, EngineOptions(prime=5))
+    assert [(g.poly, g.beta) for g in result.generators] == expected
+    path, report = tmp_path / "fifth.map", tmp_path / "report.json"
+    path.write_text(emit_map_text(phi), encoding="utf-8")
+    args = ["run", "--map", str(path), "-d", "3", "--prime", "5", "--report", str(report)]
+    assert cli.main(args) == 0
+    assert json.loads(report.read_text())["options"]["prime"] == 5
+    assert " prime=5 " in capsys.readouterr().err
+
+
+def test_run_path_does_no_rational_image_work(monkeypatch):
+    # images are cleared of denominators once; nothing on the run path
+    # evaluates or expands them as Fraction polynomials again
+    phi = rational_quadrics_map()
+    expected = [(g.poly, g.beta) for g in components_of_kernel(phi, 3).generators]
+
+    def refuse(*args):
+        raise AssertionError("rational image arithmetic on the run path")
+
+    monkeypatch.setattr(Polynomial, "eval_mod_p", refuse)
+    monkeypatch.setattr(RingMap, "apply", refuse)
+    for options in (EngineOptions(prime=5), EngineOptions(use_prescreen=False)):
+        result = components_of_kernel(phi, 3, options)
+        assert [(g.poly, g.beta) for g in result.generators] == expected
 
 
 def test_error_paths():

@@ -19,8 +19,6 @@ def test_grassmannian_sizes():
     assert g5.n == 10 and g5.m == 10
     with pytest.raises(ValueError):
         gen_grassmannian(2)
-    with pytest.raises(ValueError):
-        gen_grassmannian(4, k=3)
 
 
 def test_grassmannian_minor_structure():

@@ -98,7 +98,7 @@ def test_images_homogeneous_under_codomain_grading(gr24, cusp, sunlet):
             codomain_part = full[phi.n :]
             for i, image in enumerate(phi.images):
                 assert image.is_homogeneous(codomain_part)
-                if not image.is_zero():
+                if image:
                     mono = next(iter(image.terms))
                     assert mono.weighted_degree(codomain_part) == grading.A[k][i]
 

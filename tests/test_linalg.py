@@ -19,11 +19,11 @@ from implicitize.linalg import (
     echelon,
     exact_kernel,
     is_prime,
-    next_prime,
     normalize_primitive,
     nullspace_primitive,
     rank_mod_p,
 )
+from implicitize.polyring import IntegerImages
 
 from support import (
     GR24_CUBIC_COMPONENT,
@@ -67,7 +67,7 @@ def test_rank_mod_p_examples():
 
 def test_prescreen_examples(gr24):
     packing = MonomialPacking(gr24.n, 3)
-    points = EvaluationPoints(gr24, 101, seed=0, packing=packing)
+    points = EvaluationPoints(IntegerImages(gr24, 3), 101, seed=0, packing=packing)
     # the quadric component p12*p34, p13*p24, p23*p14 holds the Pluecker relation
     quadric = [
         packing.pack(mono_by_names(gr24, {"p12": 1, "p34": 1})),
@@ -84,7 +84,7 @@ def test_prescreen_examples(gr24):
     assert points.certify_no_generators(quadric[:2]) is True
     assert points.drawn == 3  # one point per column, drawn as needed
     # one column with a nonzero image needs no point at all
-    fresh = EvaluationPoints(gr24, 101, seed=0, packing=packing)
+    fresh = EvaluationPoints(IntegerImages(gr24, 3), 101, seed=0, packing=packing)
     assert fresh.certify_no_generators(quadric[:1]) is True
     assert fresh.drawn == 0
 
@@ -94,7 +94,7 @@ def test_prescreen_zero_image_column():
     t = Polynomial.variable(1, 0)
     phi = RingMap([Polynomial.zero(1), t], m=1)
     packing = MonomialPacking(2, 3)
-    points = EvaluationPoints(phi, 101, seed=0, packing=packing)
+    points = EvaluationPoints(IntegerImages(phi, 3), 101, seed=0, packing=packing)
     x0, x1 = Monomial.variable(0), Monomial.variable(1)
     assert points.certify_no_generators([packing.pack(x1 * x1)]) is True
     for mono in (x0, x0 * x1, x0 * x1 * x1):
@@ -103,16 +103,15 @@ def test_prescreen_zero_image_column():
 
 
 def test_prescreen_bad_prime():
-    # image evaluation is the prescreen's one place to meet a bad prime
+    # 5 cannot evaluate t/5, but the certificate reads the integer image t
     f = Polynomial(1, [(Monomial.variable(0), Fraction(1, 5))])
     with pytest.raises(BadPrimeError):
         f.eval_mod_p([1], 5)
     packing = MonomialPacking(1, 2)
     columns = [packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))]
-    with pytest.raises(BadPrimeError):
-        EvaluationPoints(RingMap([f], m=1), 5, seed=0, packing=packing).certify_no_generators(
-            columns
-        )
+    images = IntegerImages(RingMap([f], m=1), 2)
+    # seed 1 draws the points 1 and 4 (seed 0 draws 3 twice, which certifies nothing)
+    assert EvaluationPoints(images, 5, seed=1, packing=packing).certify_no_generators(columns)
 
 
 def test_kernel_of_empty_and_zero_matrices():
@@ -182,7 +181,6 @@ def test_echelon_and_kernel_match_sympy_rref():
 def test_primes():
     assert is_prime(2) and is_prime(101) and is_prime(2**61 - 1)
     assert not is_prime(1) and not is_prime(2**61 + 1)
-    assert next_prime(101) == 103
 
 
 def test_rank_nullity_and_prescreen_soundness_randomized():

@@ -234,14 +234,16 @@ RATIONAL_QUADRICS_SHA256 = "bb6839887e7c308c969caf225ea142733a419b633d21bb77124c
 
 
 def test_fat_coefficient_outputs_pinned():
-    # stdout of `run -d 3`, recorded from the Fraction elimination the integer one replaced
+    # stdout of `run -d 3`, recorded from the Fraction elimination the integer one replaced;
+    # 3 divides image denominators of both maps and 5 those of the quadrics: no prime is bumped
     for phi, digest, counts in (
         (generic_cubics_map(2), GENERIC_CUBICS_SHA256, {2: 8, 3: 4}),
         (rational_quadrics_map(), RATIONAL_QUADRICS_SHA256, {3: 7}),
     ):
-        code, out, _ = run_cli(["run", "-d", "3"], stdin_text=emit_map_json(phi))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        for prime in ([], ["--prime", "3"], ["--prime", "5"]):
+            code, out, _ = run_cli(["run", "-d", "3", *prime], stdin_text=emit_map_json(phi))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
         found: dict[int, int] = {}
         for line in out.splitlines():
             if line.startswith("# degree "):

@@ -4,40 +4,58 @@ from __future__ import annotations
 
 import random
 
-from implicitize import EngineOptions, MonomialPacking, components_of_kernel
+from implicitize import EngineOptions, MonomialPacking, components_of_kernel, engine
 from implicitize.engine import assemble_component
 from implicitize.linalg import exact_kernel
+from implicitize.polyring import IntegerImages
 
-from support import random_monomial_map, spy_certificates
+from support import random_monomial_map, rational_quadrics_map, spy_certificates
 
 
 def test_skipped_components_truly_trivial(gr24, gr25, cusp, monkeypatch):
     # certified soundness: re-solve every certified component exactly
     calls = spy_certificates(monkeypatch)
+    moduli = set()
+    rank_mod_p = engine.rank_mod_p
+
+    def spy_rank(rows, p):
+        moduli.add(p)
+        return rank_mod_p(rows, p)
+
+    monkeypatch.setattr(engine, "rank_mod_p", spy_rank)
     rng = random.Random(424242)
-    maps = [gr24, gr25, cusp] + [
+    maps = [gr24, gr25, cusp, rational_quadrics_map()] + [
         random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3))
         for _ in range(3)
     ]
-    lone = 0
-    for prime in (3, 5, 101, EngineOptions().prime):
+    lone = unit_free = 0
+    for prime in (3, 5, 7, 101, EngineOptions().prime):
         certified = 0
         for phi in maps:
             calls.clear()
+            moduli.clear()
             result = components_of_kernel(phi, 3, EngineOptions(prime=prime))
+            assert moduli <= {prime}  # the requested prime, never a substitute
             packing = MonomialPacking(phi.n, 3)
+            denominators = IntegerImages(phi, 3).denominators
             passed = [columns for columns, ok in calls if ok]
             assert len(passed) == sum(
                 stats.skipped_matroid + stats.skipped_prescreen for stats in result.level_stats
             )
             for columns in passed:
                 certified += 1
-                matrix = assemble_component(phi, list(map(packing.monomial, columns)))
+                monomials = list(map(packing.monomial, columns))
+                matrix = assemble_component(phi, monomials)
                 assert exact_kernel(matrix).dimension == 0
                 lone += len(columns) == 1
+                unit_free += len(columns) > 1 and any(
+                    denominators[i] % prime == 0 for mono in monomials for i, _ in mono.exps
+                )
         assert certified, prime
     # one-column components are certified without evaluation, and re-solved above
     assert lone
+    # evaluated components are certified at primes that divide their denominators too
+    assert unit_free
 
 
 def test_sunlet_skip_counts_pinned(sunlet):
