@@ -13,7 +13,13 @@ from .engine import (
     components_of_kernel,
 )
 from .enumeration import DegreeLevel, enumerate_level
-from .fixtures import gen_cusp, gen_grassmannian, gen_sunlet_k3p
+from .fixtures import (
+    gen_cusp,
+    gen_grassmannian,
+    gen_sunlet_k3p,
+    grassmannian_symmetries,
+    sunlet_k3p_symmetries,
+)
 from .grading import (
     GradingMatrix,
     HomogeneityBasis,
@@ -30,11 +36,11 @@ from .linalg import ComponentMatrix, KernelBasis, exact_kernel, rank_mod_p
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
 from .polyring import (
     DEFAULT_PRIME,
-    BadPrimeError,
     Monomial,
     MonomialPacking,
     Polynomial,
     RingMap,
+    Symmetry,
     format_polynomial,
     grlex_key,
 )

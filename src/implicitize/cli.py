@@ -12,11 +12,16 @@ bound applies to the weighted degree; the `--report` JSON says whether the
 all-ones weight was used. Before any exact solve, each component is screened
 by evaluating its images at random points mod `--prime` (`--seed` picks the
 points); a full-rank evaluation certifies that it has no new generators, and
-every prime is valid. `--no-prescreen` turns that screen off and solves every
-component exactly; it changes where the time goes, never the output. The
-`--report` JSON echoes the options as given, and gives each level's seconds
-per stage (enumerate, trim, certify, assemble, kernel, verify); timings never
-reach stdout.
+every prime is valid. Components that a symmetry declared in the map carries
+onto each other form an orbit, and only its first member, in canonical order,
+is screened: when it has no new generators, neither has any other member, and
+they are settled without trimming or screening (`certified_by_symmetry` in
+the report); otherwise every member is solved exactly. `--no-prescreen` turns
+the screen off and solves every orbit representative, and every member that
+has generators, exactly; it changes where the time goes, never the output.
+The `--report` JSON echoes the options as given, and gives each level's
+seconds per stage (enumerate, orbits, trim, certify, assemble, kernel,
+verify); timings never reach stdout.
 
 Exit codes: 0 success, 2 bad flags or unreadable input, 3 no positive
 grading exists for the map, 4 internal invariant violation.
@@ -36,7 +41,13 @@ from .engine import (
     GeneratorSet,
     components_of_kernel,
 )
-from .fixtures import gen_cusp, gen_grassmannian, gen_sunlet_k3p
+from .fixtures import (
+    gen_cusp,
+    gen_grassmannian,
+    gen_sunlet_k3p,
+    grassmannian_symmetries,
+    sunlet_k3p_symmetries,
+)
 from .grading import NoPositiveWeightError
 from .linalg import is_prime
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
@@ -121,8 +132,8 @@ def _generators_json(result: GeneratorSet, phi: RingMap, max_degree: int) -> str
 def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
     levels = []
     for st in result.level_stats:
-        skipped = st.skipped_matroid + st.skipped_prescreen
-        if skipped + st.solved != st.components:
+        settled = st.skipped_matroid + st.skipped_prescreen + st.certified_by_symmetry
+        if settled + st.solved != st.components:
             raise EngineInvariantError("report counts do not reconcile")
         levels.append(
             {
@@ -131,6 +142,7 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
                 "multidegrees": st.components,
                 "skipped_matroid": st.skipped_matroid,
                 "skipped_prescreen": st.skipped_prescreen,
+                "certified_by_symmetry": st.certified_by_symmetry,
                 "solved": st.solved,
                 "generators": st.generators,
                 "seconds": round(st.seconds, 3),
@@ -163,6 +175,7 @@ def _report_table(payload: dict) -> str:
         "multidegrees",
         "certified",
         "certified(trim)",
+        "certified(sym)",
         "solved",
         "gens",
         "seconds",
@@ -174,6 +187,7 @@ def _report_table(payload: dict) -> str:
             str(lv["multidegrees"]),
             str(lv["skipped_matroid"]),
             str(lv["skipped_prescreen"]),
+            str(lv["certified_by_symmetry"]),
             str(lv["solved"]),
             str(lv["generators"]),
             f"{lv['seconds']:.3f}",
@@ -254,11 +268,11 @@ def _cmd_examples(args) -> int:
         if args.size is None:
             print("error: grassmannian needs a size argument", file=sys.stderr)
             return 2
-        phi = gen_grassmannian(args.size)
+        phi = gen_grassmannian(args.size).with_symmetries(grassmannian_symmetries(args.size))
     elif args.name == "cusp":
         phi = gen_cusp()
     else:
-        phi = gen_sunlet_k3p()
+        phi = gen_sunlet_k3p().with_symmetries(sunlet_k3p_symmetries())
     text = emit_map_json(phi) if args.format == "json" else emit_map_text(phi)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -1,10 +1,19 @@
 """Degree-by-degree computation of minimal kernel generators.
 
 For each weighted degree i up to the bound, the engine enumerates the level,
-then handles its components one at a time, in canonical beta order:
+groups its components into orbits under the map's declared symmetries, then
+handles its components one at a time, in canonical beta order:
 
     trim against lower-degree generators -> certify mod p -> assemble the
     component system -> exact integer kernel -> verify
+
+A symmetry x_i -> +-x_sigma(i) with phi o sigma = tau o phi maps ker phi onto
+itself and, when it fixes the positive weight, the ideal of the lower-degree
+generators too, so it carries each component onto one with as many new
+minimal generators. Only the first member of an orbit is certified; when it
+has no new generators, the others are settled without trim or certificate.
+When it has some, every member skips the certificate and is solved exactly,
+for its own canonical generators, and must find as many.
 
 Until assembly, monomials are ints of one run-wide `MonomialPacking`. Image
 denominators are cleared once per run, phi_i = psi_i / d_i (`IntegerImages`):
@@ -32,6 +41,8 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import add, mul
 
@@ -44,7 +55,7 @@ from .grading import (
 )
 from .linalg import ComponentMatrix, echelon, exact_kernel, is_prime, rank_mod_p
 from .polyring import DEFAULT_PRIME, IntegerImages, Monomial, MonomialPacking, Polynomial
-from .polyring import RingMap, grlex_key
+from .polyring import RingMap, Symmetry, grlex_key
 
 
 class EngineInvariantError(RuntimeError):
@@ -74,13 +85,14 @@ class LevelStats:
     components: int
     skipped_matroid: int  # certified, with nothing trimmed
     skipped_prescreen: int  # certified after a non-empty trim
+    certified_by_symmetry: int  # settled by its orbit's representative
     solved: int
     generators: int
     seconds: float
     stage_seconds: dict[str, float]  # keyed by STAGES, summed over components
 
 
-STAGES = ("enumerate", "trim", "certify", "assemble", "kernel", "verify")
+STAGES = ("enumerate", "orbits", "trim", "certify", "assemble", "kernel", "verify")
 
 
 @dataclass
@@ -118,6 +130,66 @@ def push_index(generators: list[Generator], level: DegreeLevel, levels: dict) ->
         for gamma_beta, gammas in shifts.components.items():
             index.setdefault(tuple(map(add, g.beta, gamma_beta)), []).append((monos, coeffs, gammas))
     return index
+
+
+def symmetry_moves(grading: GradingMatrix, symmetries: list[Symmetry]) -> list[list[int]]:
+    """The variable permutations of the symmetries that fix the positive weight.
+
+    A symmetry x_i -> +-x_sigma(i) sends the component of x^alpha to the one
+    of x^sigma(alpha), with beta sum_i alpha_i A[:, sigma(i)]. That is a map
+    of betas, beta -> M beta, exactly when the row space of A is sigma-invariant,
+    which holds for the grading of any map that the symmetry preserves; it is
+    checked here once per run, with `echelon`. Identities are dropped.
+    """
+    weight = grading.positive_weight
+    moves = []
+    for sym in symmetries:
+        sigma = [target for target, _ in sym.domain]
+        if sigma == list(range(grading.n)) or any(weight[t] != weight[i] for i, t in enumerate(sigma)):
+            continue
+        moved = [[row[t] for t in sigma] for row in grading.A]
+        if len(echelon(grading.A + moved, grading.n)) != grading.rank:
+            raise EngineInvariantError("the grading's row space is not invariant under a symmetry")
+        moves.append(sigma)
+    return moves
+
+
+def orbits(level: DegreeLevel, moves: list[list[int]]) -> array:
+    """The number of the first component of each component's orbit.
+
+    Components are numbered in canonical beta order. Member x^alpha of a
+    component is carried by sigma to x^sigma(alpha), whose packed beta is
+    `beta_bias` + sum_i alpha_i `beta_units[sigma(i)]`, so transporting a
+    component costs a few multiply-adds and one search of the sorted
+    `beta_keys`. Transports preserve component size, so a lone component is
+    left as its own orbit. A transported beta that is not a component of the
+    same size is an EngineInvariantError.
+    """
+    members = list(level.components.values())
+    keys, count = level.beta_keys, len(members)
+    units = [[level.beta_units[t] for t in sigma] for sigma in moves]
+    bias, decode = level.beta_bias, level.packing.pairs
+    first = array("q", [-1]) * count
+    for start, basis in enumerate(members):
+        if first[start] >= 0:
+            continue
+        first[start] = start
+        stack = [start] if len(basis) > 1 else []
+        while stack:
+            c = stack.pop()
+            pairs = decode(members[c][0])
+            size = len(members[c])
+            for moved in units:
+                key = bias
+                for i, e in pairs:
+                    key += e * moved[i]
+                target = bisect_left(keys, key)
+                if target == count or keys[target] != key or len(members[target]) != size:
+                    raise EngineInvariantError("a symmetry carries a component out of its level")
+                if first[target] < 0:
+                    first[target] = start
+                    stack.append(target)
+    return first
 
 
 def trim_basis(basis: tuple[int, ...], lifts: list, pivots: dict) -> tuple[list[int], int]:
@@ -176,7 +248,8 @@ class EvaluationPoints:
 
     `powers[i][e][k]` is the integer image psi_i of `images` evaluated at t_k,
     raised to the power e <= the bound of the packing that the certified
-    columns use.
+    columns use. A repeated point adds no rank, so one is redrawn until all
+    p^m points are drawn; at a large prime no redraw ever happens.
     """
 
     def __init__(self, images: IntegerImages, prime: int, seed: int, packing: MonomialPacking):
@@ -185,6 +258,8 @@ class EvaluationPoints:
         self.packing = packing
         self.rng = random.Random(seed)
         self.drawn = 0
+        self.seen: set[tuple[int, ...]] = set()
+        self.room = prime ** min(images.packing.n, 64)  # points of GF(p)^m, capped past any c
         self.powers = [[[] for _ in range(packing.bound + 1)] for _ in range(packing.n)]
         zero = [i for i in range(packing.n) if not images.power(i, 1)]
         self.zero_fields = sum(packing.mask << packing.shifts[i] for i in zero)
@@ -208,7 +283,10 @@ class EvaluationPoints:
         if c == 1 and not columns[0] & self.zero_fields:
             return True
         for _ in range(self.drawn, c):
-            point = [self.rng.randrange(p) for _ in range(self.images.packing.n)]
+            point = tuple(self.rng.randrange(p) for _ in range(self.images.packing.n))
+            while point in self.seen and len(self.seen) < self.room:
+                point = tuple(self.rng.randrange(p) for _ in range(self.images.packing.n))
+            self.seen.add(point)
             for value, table in zip(self.images.values_mod_p(point, p), self.powers):
                 power = 1
                 for column in table:
@@ -266,23 +344,35 @@ def components_of_kernel(
     images = IntegerImages(phi, max_degree)
     result = GeneratorSet(grading=grading)
     points = EvaluationPoints(images, options.prime, options.seed, packing)
+    moves = symmetry_moves(grading, phi.symmetries)
     levels: dict[int, DegreeLevel] = {}
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
         stages = dict.fromkeys(STAGES, 0.0)
         level = levels[degree] = enumerate_level(grading, degree, packing)
         stages["enumerate"] = time.perf_counter() - started
+        first = orbits(level, moves) if moves else range(len(level.components))
+        stages["orbits"] = time.perf_counter() - started - stages["enumerate"]
+        ticked = time.perf_counter()
         index = push_index(result.generators, level, levels)
-        stages["trim"] = time.perf_counter() - started - stages["enumerate"]
+        stages["trim"] = time.perf_counter() - ticked
         pivots: dict = {}  # trim_basis's, for this level
         new_generators: list[Generator] = []
-        skipped_m = skipped_p = solved = 0
-        for beta, basis in level.components.items():
+        # an orbit's first member settles it when it has no new generators;
+        # otherwise every member goes straight to its own exact solve, which
+        # must find as many generators
+        unsettled: dict[int, int] = {}
+        skipped_m = skipped_p = by_symmetry = solved = 0
+        for k, (beta, basis) in enumerate(level.components.items()):
+            rep = first[k]
+            if rep != k and rep not in unsettled:
+                by_symmetry += 1
+                continue
             ticked = time.perf_counter()
             columns, lift_rank = trim_basis(basis, index.get(beta, []), pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
-            if columns and options.use_prescreen:
+            if columns and options.use_prescreen and rep == k:
                 certified = points.certify_no_generators(columns)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
@@ -290,8 +380,8 @@ def components_of_kernel(
                     skipped_m += not lift_rank
                     continue
             solved += 1
-            if not columns:
-                continue
+            if not columns and rep == k:
+                continue  # an orbit member is still solved, so that its count is checked
             ticked = time.perf_counter()
             monomials = [packing.monomial(c) for c in columns]
             column_images = images.scaled(monomials)
@@ -299,6 +389,9 @@ def components_of_kernel(
             assembled = time.perf_counter()
             kernel = exact_kernel(matrix)
             solved_at = time.perf_counter()
+            found = kernel.dimension
+            if (found or rep != k) and unsettled.setdefault(rep, found) != found:
+                raise EngineInvariantError(f"orbit members of {beta} differ in new generators")
             for vec in kernel.vectors:
                 poly = Polynomial(phi.n, {monomials[c]: v for c, v in enumerate(vec) if v})
                 new_generators.append(Generator(poly, beta, degree))
@@ -306,7 +399,8 @@ def components_of_kernel(
             stages["assemble"] += assembled - ticked
             stages["kernel"] += solved_at - assembled
             stages["verify"] += time.perf_counter() - solved_at
-        if skipped_m + skipped_p + solved != len(level.components):
+        del first, unsettled
+        if skipped_m + skipped_p + by_symmetry + solved != len(level.components):
             raise EngineInvariantError("component statuses do not reconcile")
         new_generators.sort(
             key=lambda g: (
@@ -323,6 +417,7 @@ def components_of_kernel(
                 components=len(level.components),
                 skipped_matroid=skipped_m,
                 skipped_prescreen=skipped_p,
+                certified_by_symmetry=by_symmetry,
                 solved=solved,
                 generators=len(new_generators),
                 seconds=time.perf_counter() - started,

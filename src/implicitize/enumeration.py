@@ -6,10 +6,11 @@ beta = A alpha. Enumeration is a depth-first knapsack over the variables.
 Each step adds one precomputed integer for the monomial, its packed key
 (`MonomialPacking`), and one for beta, packed the same way into fixed-width
 fields that hold beta_k + 2^(w-1) (so they never borrow) and wide enough for
-any beta of the level; a component's beta is unpacked once, as two's
-complement after flipping each field's top bit. Both keys stay exact integer
-arithmetic throughout, and a component sorts its keys numerically, which is
-graded-lex order.
+any beta of the level, beta_0 most significant; a component's beta is
+unpacked once, as two's complement after flipping each field's top bit. Both
+keys stay exact integer arithmetic throughout: a component sorts its keys
+numerically, which is graded-lex order, and the level sorts its packed betas
+numerically, which is lexicographic beta order.
 """
 
 from __future__ import annotations
@@ -27,11 +28,16 @@ class DegreeLevel:
     """All monomials of one weighted degree, grouped into components.
 
     A component is a tuple of packed keys, graded-lex descending.
+    `beta_keys` holds each component's packed beta, in component order: the
+    packed beta of x^alpha is `beta_bias` + sum_i alpha_i `beta_units[i]`.
     """
 
     weighted_degree: int
     components: dict[tuple[int, ...], tuple[int, ...]]
     packing: MonomialPacking
+    beta_keys: list[int]
+    beta_units: list[int]
+    beta_bias: int
 
     @property
     def monomial_count(self) -> int:
@@ -64,9 +70,12 @@ def enumerate_level(
             break
     else:
         raise ValueError(f"multidegrees up to {span} do not fit 64-bit fields")
-    fmt = f"<{grading.rank}{code}"
-    flip = sum(1 << 8 * size * (k + 1) - 1 for k in range(grading.rank))
-    bunits = [sum(c << 8 * size * k for k, c in enumerate(col)) for col in grading.columns()]
+    r = grading.rank
+    fmt = f">{r}{code}"
+    flip = sum(1 << 8 * size * (k + 1) - 1 for k in range(r))
+    bunits = [
+        sum(c << 8 * size * (r - 1 - k) for k, c in enumerate(col)) for col in grading.columns()
+    ]
 
     # suffix_gcd[v] divides every weight reachable using variables >= v
     suffix_gcd = [0] * (n + 1)
@@ -92,9 +101,11 @@ def enumerate_level(
     descend(0, degree, 0, flip)  # every field starts at its bias 2^(w-1)
     del descend  # it refers to itself: free the level's buckets now, not at the next gc
 
-    components = {
-        struct.unpack(fmt, (bkey ^ flip).to_bytes(size * grading.rank, "little")): members
-        for bkey, members in buckets.items()
-    }
-    ordered = {beta: tuple(sorted(components[beta], reverse=True)) for beta in sorted(components)}
-    return DegreeLevel(degree, ordered, packing)
+    # each bucket is freed as its sorted tuple is built, so a level is held once
+    keys = sorted(buckets)
+    components = {}
+    for bkey in keys:
+        members = buckets.pop(bkey)
+        members.sort(reverse=True)
+        components[struct.unpack(fmt, (bkey ^ flip).to_bytes(size * r, "big"))] = tuple(members)
+    return DegreeLevel(degree, components, packing, keys, bunits, flip)

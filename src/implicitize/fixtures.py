@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .polyring import Monomial, Polynomial, RingMap
+from .polyring import Monomial, Polynomial, RingMap, Symmetry
 
 
 def gen_cusp() -> RingMap:
@@ -48,6 +48,27 @@ def gen_grassmannian(n: int) -> RingMap:
     domain_names = [f"p{i}{sep}{j}" for i, j in pairs]
     codomain_names = [f"x{r}{sep}{c}" for r in (1, 2) for c in range(1, n + 1)]
     return RingMap(images, m=m, domain_names=domain_names, codomain_names=codomain_names)
+
+
+def grassmannian_symmetries(n: int) -> list[Symmetry]:
+    """Generators of S_n acting on the matrix columns of `gen_grassmannian(n)`.
+
+    The transposition (1 2) and the n-cycle c -> c+1 (n -> 1) relabel the
+    entries x_rc; the minor on columns i, j becomes the one on their images,
+    with sign -1 when they swap order.
+    """
+    pairs = sorted(combinations(range(1, n + 1), 2), key=lambda ij: (ij[1], ij[0]))
+    index = {ij: k for k, ij in enumerate(pairs)}
+    out = []
+    for move in ({1: 2, 2: 1}, {c: c % n + 1 for c in range(1, n + 1)}):
+        col = [move.get(c, c) for c in range(n + 1)]
+        domain = [
+            (index[min(col[i], col[j]), max(col[i], col[j])], 1 if col[i] < col[j] else -1)
+            for i, j in pairs
+        ]
+        codomain = [((r - 1) * n + col[c] - 1, 1) for r in (1, 2) for c in range(1, n + 1)]
+        out.append(Symmetry(tuple(domain), tuple(codomain)))
+    return out
 
 
 # The 4-sunlet: a 4-cycle with a leaf at each vertex, leaf i attached by edge
@@ -99,3 +120,25 @@ def gen_sunlet_k3p() -> RingMap:
     domain_names = [f"q{g1}{g2}{g3}{g4}" for g1, g2, g3, g4 in tuples]
     codomain_names = [f"a{e}_{g}" for e in range(1, 9) for g in group]
     return RingMap(images, m=m, domain_names=domain_names, codomain_names=codomain_names)
+
+
+def sunlet_k3p_symmetries() -> list[Symmetry]:
+    """Generators of an order-12 symmetry group of `gen_sunlet_k3p()`.
+
+    A relabelling of the nonzero elements of Z2 x Z2 is a group automorphism,
+    applied to every q and a subscript alike: the transposition 1 <-> 2 and
+    the 3-cycle 1 -> 2 -> 3 -> 1. The reflection swaps leaves 2 <-> 4 in the
+    q subscripts and edges e2 <-> e4, e5 <-> e8, e6 <-> e7 in the a's.
+    """
+    tuples = [g for g in product(range(4), repeat=4) if g[0] ^ g[1] ^ g[2] ^ g[3] == 0]
+    index = {g: k for k, g in enumerate(tuples)}
+    out = []
+    for label in ((0, 2, 1, 3), (0, 2, 3, 1)):
+        domain = [(index[tuple(label[h] for h in g)], 1) for g in tuples]
+        codomain = [(4 * e + label[g], 1) for e in range(8) for g in range(4)]
+        out.append(Symmetry(tuple(domain), tuple(codomain)))
+    edge = (0, 3, 2, 1, 7, 6, 5, 4)  # e1..e8, zero-based
+    domain = [(index[g[0], g[3], g[2], g[1]], 1) for g in tuples]
+    codomain = [(4 * edge[e] + g, 1) for e in range(8) for g in range(4)]
+    out.append(Symmetry(tuple(domain), tuple(codomain)))
+    return out

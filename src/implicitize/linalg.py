@@ -1,8 +1,8 @@
 """Exact nullspace and rank computation.
 
 Every exact elimination goes through `echelon`: forward elimination on sparse
-primitive integer rows (dicts keyed by column index). Denominators are
-cleared once per input row, and each update row := (a/g)*row - (v/g)*pivot
+primitive integer rows (dicts keyed by column index). Every caller passes
+integer rows; each update row := (a/g)*row - (v/g)*pivot
 is followed by dividing out the row's content, so no common factor carries
 from one update into the next (fraction-free elimination keeps them, and
 rational elimination pays for them in gcds). Pivot columns advance left to
@@ -26,17 +26,16 @@ IntRow = dict[int, int]
 
 
 def _primitive(row: Mapping | Sequence) -> IntRow:
-    """Scale a sparse or dense rational row to sparse integers with content 1."""
+    """Divide a sparse or dense integer row by its content, as a sparse row."""
     if not isinstance(row, Mapping):
         row = dict(enumerate(row))
-    den = math.lcm(*(v.denominator for v in row.values()))
-    ints = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+    ints = {j: v for j, v in row.items() if v}
     content = math.gcd(*ints.values())
     return {j: v // content for j, v in ints.items()} if content > 1 else ints
 
 
 def echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tuple[int, IntRow]]:
-    """Row echelon form of rational rows (sparse or dense), over primitive integer rows.
+    """Row echelon form of integer rows (sparse or dense), over primitive integer rows.
 
     Returns (pivot column, pivot row) pairs in increasing column order; each
     pivot row is a primitive integer row whose entries all lie at or right of
@@ -81,7 +80,7 @@ def echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tuple[int, I
 
 
 def nullspace_primitive(rows: Iterable[Mapping | Sequence], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the right kernel, one vector per free column.
+    """Primitive integer basis of the right kernel of integer rows, one vector per free column.
 
     Vector k has 1 in its free column and 0 in the other free columns before
     normalization; its pivot entries come from back-substitution, scaling the
@@ -114,7 +113,8 @@ def nullspace_primitive(rows: Iterable[Mapping | Sequence], ncols: int) -> list[
 
 def normalize_primitive(vec: Sequence) -> list[int]:
     """Scale a rational vector to integers with content 1, first nonzero > 0."""
-    ints = _primitive(vec)
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = _primitive([v.numerator * (den // v.denominator) for v in vec])
     sign = -1 if ints and ints[min(ints)] < 0 else 1
     return [sign * ints.get(j, 0) for j in range(len(vec))]
 
@@ -179,7 +179,7 @@ class ComponentMatrix:
     """
 
     columns: list[Monomial]
-    rows: list[dict]  # column index -> nonzero integer (or rational) coefficient
+    rows: list[dict]  # column index -> nonzero integer coefficient
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -4,17 +4,26 @@ Two interchangeable formats:
 
 * JSON, for programs: an object with fields `domain_vars`, `codomain_vars`,
   and `images`, where each image is a list of terms and each term is
-  `[numerator, denominator, {variable_name: exponent, ...}]`.
+  `[numerator, denominator, {variable_name: exponent, ...}]`. An optional
+  `symmetries` field lists objects `{"domain": [...], "codomain": [...]}`,
+  each naming the signed image of every variable in order (`"-p12"` for
+  -p12).
 
 * Text, for humans: optional `domain:` / `codomain:` header lines followed by
   one `name = expression` line per image, standard infix with `+ - * ^`,
   parentheses, and integer or `p/q` rational literals. `#` starts a comment.
+  Each optional `symmetry:` header line declares one symmetry the same way,
+  the domain images, a `;`, then the codomain images.
   Without headers, the domain is the left-hand sides in order and the
   codomain is every right-hand-side name in order of first appearance.
   Expansion is capped: a product or power that could exceed MAX_TERMS terms
   or grow a coefficient past MAX_COEFFICIENT_BITS, an expression whose
   products together multiply more than MAX_PRODUCTS pairs of terms, or
   nesting deeper than the interpreter's recursion limit, is a parse error.
+
+A declared symmetry is checked exactly by `RingMap`; one that is not a signed
+permutation of the variables, or does not commute with the map, is a parse
+error.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .polyring import Monomial, Polynomial, RingMap, format_polynomial
+from .polyring import Monomial, Polynomial, RingMap, Symmetry, format_polynomial
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -110,6 +119,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _signed(names, variables: list[str], line: int | None = None) -> tuple[tuple[int, int], ...]:
+    """(index, sign) of each signed name of a symmetry, such as `-p12`."""
+    index = {name: k for k, name in enumerate(variables)}
+    out = []
+    for name in names:
+        negated = isinstance(name, str) and name.startswith("-")
+        target = index.get(name[1:] if negated else name) if isinstance(name, str) else None
+        if target is None:
+            raise MapParseError(f"unknown variable {name!r} in a symmetry", line)
+        out.append((target, -1 if negated else 1))
+    return tuple(out)
+
+
+def _ring_map(images, domain, codomain, symmetries) -> RingMap:
+    try:
+        return RingMap(images, len(codomain), domain, codomain, symmetries)
+    except ValueError as exc:
+        raise MapParseError(str(exc)) from None
+
+
+def _signed_names(part, variables: list[str]) -> list[str]:
+    return [("-" if sign < 0 else "") + variables[k] for k, sign in part]
+
+
 def parse_map_json(text: str) -> RingMap:
     try:
         data = json.loads(text)
@@ -157,7 +190,16 @@ def parse_map_json(text: str) -> RingMap:
                 pairs.append((index[name], exp))
             poly_terms.append((Monomial(pairs), Fraction(num, den)))
         images.append(Polynomial(len(codomain), poly_terms))
-    return RingMap(images, m=len(codomain), domain_names=domain, codomain_names=codomain)
+    declared = data.get("symmetries", [])
+    if not isinstance(declared, list):
+        raise MapParseError("field 'symmetries' must be a list")
+    symmetries = []
+    for k, sym in enumerate(declared):
+        parts = [sym.get("domain"), sym.get("codomain")] if isinstance(sym, dict) else []
+        if len(parts) != 2 or not all(isinstance(part, list) for part in parts):
+            raise MapParseError(f"symmetry {k} must be an object with lists 'domain' and 'codomain'")
+        symmetries.append(Symmetry(_signed(parts[0], domain), _signed(parts[1], codomain)))
+    return _ring_map(images, domain, codomain, symmetries)
 
 
 def emit_map_json(phi: RingMap) -> str:
@@ -173,6 +215,14 @@ def emit_map_json(phi: RingMap) -> str:
         "codomain_vars": phi.codomain_names,
         "images": images,
     }
+    if phi.symmetries:
+        payload["symmetries"] = [
+            {
+                "domain": _signed_names(sym.domain, phi.domain_names),
+                "codomain": _signed_names(sym.codomain, phi.codomain_names),
+            }
+            for sym in phi.symmetries
+        ]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -181,6 +231,10 @@ def emit_map_text(phi: RingMap) -> str:
         "domain: " + " ".join(phi.domain_names),
         "codomain: " + " ".join(phi.codomain_names),
     ]
+    for sym in phi.symmetries:
+        domain = " ".join(_signed_names(sym.domain, phi.domain_names))
+        codomain = " ".join(_signed_names(sym.codomain, phi.codomain_names))
+        lines.append(f"symmetry: {domain} ; {codomain}")
     for name, image in zip(phi.domain_names, phi.images):
         lines.append(f"{name} = {format_polynomial(image, phi.codomain_names)}")
     return "\n".join(lines) + "\n"
@@ -327,6 +381,7 @@ class _ExprParser:
 def parse_map_text(text: str) -> RingMap:
     domain_decl: list[str] | None = None
     codomain_decl: list[str] | None = None
+    symmetry_decls: list[tuple[list[str], list[str], int]] = []
     assignments: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -337,6 +392,12 @@ def parse_map_text(text: str) -> RingMap:
             continue
         if line.startswith("codomain:"):
             codomain_decl = _check_names(line[len("codomain:") :].split(), "codomain")
+            continue
+        if line.startswith("symmetry:"):
+            parts = line[len("symmetry:") :].split(";")
+            if len(parts) != 2:
+                raise MapParseError("expected 'symmetry: domain images ; codomain images'", lineno)
+            symmetry_decls.append((parts[0].split(), parts[1].split(), lineno))
             continue
         if "=" not in line:
             raise MapParseError("expected 'name = expression'", lineno)
@@ -384,4 +445,8 @@ def parse_map_text(text: str) -> RingMap:
             images.append(parser.parse())
         except RecursionError:
             raise MapParseError("expression nested too deeply", lineno) from None
-    return RingMap(images, m=len(codomain), domain_names=domain, codomain_names=codomain)
+    symmetries = [
+        Symmetry(_signed(names, domain, lineno), _signed(targets, codomain, lineno))
+        for names, targets, lineno in symmetry_decls
+    ]
+    return _ring_map(images, domain, codomain, symmetries)

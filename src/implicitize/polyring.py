@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_PRIME = 2**61 - 1
-
-
-class BadPrimeError(ArithmeticError):
-    """A denominator (or pivot inverse) vanishes modulo the chosen prime."""
 
 
 class Monomial(tuple):
@@ -264,20 +260,6 @@ class Polynomial:
         values = {m.weighted_degree(weights) for m in self.terms}
         return len(values) <= 1
 
-    def eval_mod_p(self, point: Sequence[int], p: int) -> int:
-        """Evaluate at a point of GF(p)^num_vars."""
-        if len(point) != self.num_vars:
-            raise ValueError("point length mismatch")
-        total = 0
-        for mono, coeff in self.terms.items():
-            if coeff.denominator % p == 0:
-                raise BadPrimeError(f"denominator divisible by {p}")
-            v = coeff.numerator * pow(coeff.denominator, -1, p)
-            for i, e in mono.exps:
-                v = v * pow(point[i], e, p) % p
-            total = (total + v) % p
-        return total
-
     def format(self, names: Sequence[str] | None = None) -> str:
         return format_polynomial(self, names)
 
@@ -313,14 +295,40 @@ def format_polynomial(poly: Polynomial, names: Sequence[str] | None = None) -> s
     return out
 
 
+class Symmetry(NamedTuple):
+    """A signed relabelling of both variable sets: x_i -> s_i x_sigma(i), t_j -> r_j t_tau(j).
+
+    `domain[i]` is (sigma(i), s_i) and `codomain[j]` is (tau(j), r_j), each
+    sign 1 or -1. It is a symmetry of phi when phi(sigma(x_i)) = tau(phi(x_i))
+    for every i, i.e. s_i phi_sigma(i) is phi_i with each t_j replaced by
+    r_j t_tau(j).
+    """
+
+    domain: tuple[tuple[int, int], ...]
+    codomain: tuple[tuple[int, int], ...]
+
+
+def _relabelled(image: Polynomial, sign: int, codomain: Sequence[tuple[int, int]]) -> dict:
+    """The terms of sign * image with every t_j replaced by r_j t_tau(j), tau a permutation."""
+    out = {}
+    for mono, coeff in image.terms.items():
+        flips = sum(e for j, e in mono.exps if codomain[j][1] < 0) + (sign < 0)
+        relabelled = Monomial._make(sorted([(codomain[j][0], e) for j, e in mono.exps]))
+        out[relabelled] = -coeff if flips & 1 else coeff
+    return out
+
+
 class RingMap:
     """A homomorphism K[x_0..x_{n-1}] -> K[t_0..t_{m-1}], x_i -> images[i].
 
     Images may be zero (then x_i itself is a degree-1 kernel generator).
     The engine expands monomial images through `IntegerImages` instead.
+    `symmetries` are declared `Symmetry`s of the map, each checked exactly here;
+    a declaration that is not a signed permutation or not a symmetry raises
+    ValueError.
     """
 
-    __slots__ = ("n", "m", "images", "domain_names", "codomain_names")
+    __slots__ = ("n", "m", "images", "domain_names", "codomain_names", "symmetries")
 
     def __init__(
         self,
@@ -328,6 +336,7 @@ class RingMap:
         m: int | None = None,
         domain_names: Sequence[str] | None = None,
         codomain_names: Sequence[str] | None = None,
+        symmetries: Sequence[Symmetry] = (),
     ):
         if not images:
             raise ValueError("a ring map needs at least one image")
@@ -349,6 +358,25 @@ class RingMap:
         )
         if len(self.domain_names) != self.n or len(self.codomain_names) != m:
             raise ValueError("variable name count mismatch")
+        self.symmetries = [
+            Symmetry(tuple(map(tuple, s.domain)), tuple(map(tuple, s.codomain))) for s in symmetries
+        ]
+        for k, sym in enumerate(self.symmetries):
+            self._check_symmetry(sym, k)
+
+    def _check_symmetry(self, sym: Symmetry, k: int):
+        for part, size in ((sym.domain, self.n), (sym.codomain, self.m)):
+            targets, signs = zip(*part) if part else ((), ())
+            if sorted(targets) != list(range(size)) or not set(signs) <= {1, -1}:
+                raise ValueError(f"symmetry {k} is not a signed permutation of the variables")
+        for i, ((target, sign), image) in enumerate(zip(sym.domain, self.images)):
+            if _relabelled(image, sign, sym.codomain) != self.images[target].terms:
+                name = self.domain_names[i]
+                raise ValueError(f"symmetry {k} does not commute with the map at {name}")
+
+    def with_symmetries(self, symmetries: Sequence[Symmetry]) -> "RingMap":
+        """This map with `symmetries` declared, each checked exactly."""
+        return RingMap(self.images, self.m, self.domain_names, self.codomain_names, symmetries)
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Substitute each x_i by its image and expand (uncached)."""
@@ -370,6 +398,7 @@ class RingMap:
             and self.images == other.images
             and self.domain_names == other.domain_names
             and self.codomain_names == other.codomain_names
+            and self.symmetries == other.symmetries
         )
 
     def __repr__(self):

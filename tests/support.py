@@ -64,12 +64,18 @@ _GR24_CUBIC_COMPONENT_T = [
 GR24_CUBIC_COMPONENT = [list(row) for row in zip(*_GR24_CUBIC_COMPONENT_T)]
 
 
+def cleared(row: list) -> list[int]:
+    """A dense rational row times the lcm of its denominators: the same row space, in integers."""
+    den = math.lcm(*(Fraction(v).denominator for v in row))
+    return [int(v * den) for v in row]
+
+
 def component_from_dense(rows) -> ComponentMatrix:
     """A component system with placeholder monomials indexing the columns."""
     ncols = len(rows[0]) if rows else 0
     return ComponentMatrix(
         [Monomial.variable(j) for j in range(ncols)],
-        [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows],
+        [{j: v for j, v in enumerate(cleared(row)) if v} for row in rows],
     )
 
 
@@ -504,8 +510,6 @@ def run_cli(args, stdin_text=None, hashseed="0"):
 
 def ring_laws_suite(cases: int) -> int:
     rng = random.Random(90210)
-    # evaluation points come from their own stream, so the cases stay fixed
-    point_rng = random.Random(90211)
     checked = 0
     for _ in range(cases):
         n = rng.randint(1, 3)
@@ -529,15 +533,6 @@ def ring_laws_suite(cases: int) -> int:
 
         w = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
         assert (initial_form(f, w) == f) == f.is_homogeneous(w)
-
-        p = 101
-        point = [point_rng.randrange(p) for _ in range(n)]
-        fv, gv = f.eval_mod_p(point, p), g.eval_mod_p(point, p)
-        assert (f + g).eval_mod_p(point, p) == (fv + gv) % p
-        assert (f * g).eval_mod_p(point, p) == fv * gv % p
-        t_point = [point_rng.randrange(p) for _ in range(m)]
-        images_at = [img.eval_mod_p(t_point, p) for img in phi.images]
-        assert phi.apply(f).eval_mod_p(t_point, p) == f.eval_mod_p(images_at, p)
         checked += 1
     return checked
 

@@ -298,7 +298,9 @@ def test_run_path_does_no_rational_image_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("rational image arithmetic on the run path")
 
-    monkeypatch.setattr(Polynomial, "eval_mod_p", refuse)
+    # expanding or evaluating an image takes Polynomial products, sums or powers
+    for name in ("__mul__", "__add__", "__pow__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
     monkeypatch.setattr(RingMap, "apply", refuse)
     for options in (EngineOptions(prime=5), EngineOptions(use_prescreen=False)):
         result = components_of_kernel(phi, 3, options)

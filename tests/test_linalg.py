@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from implicitize import (
-    BadPrimeError,
     ComponentMatrix,
     Monomial,
     MonomialPacking,
@@ -28,6 +27,7 @@ from implicitize.polyring import IntegerImages
 from support import (
     GR24_CUBIC_COMPONENT,
     GR24_QUADRIC_COMPONENT,
+    cleared,
     component_from_dense,
     dense_rank_oracle,
     linalg_suite,
@@ -105,13 +105,29 @@ def test_prescreen_zero_image_column():
 def test_prescreen_bad_prime():
     # 5 cannot evaluate t/5, but the certificate reads the integer image t
     f = Polynomial(1, [(Monomial.variable(0), Fraction(1, 5))])
-    with pytest.raises(BadPrimeError):
-        f.eval_mod_p([1], 5)
     packing = MonomialPacking(1, 2)
     columns = [packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))]
     images = IntegerImages(RingMap([f], m=1), 2)
-    # seed 1 draws the points 1 and 4 (seed 0 draws 3 twice, which certifies nothing)
     assert EvaluationPoints(images, 5, seed=1, packing=packing).certify_no_generators(columns)
+
+
+def test_evaluation_points_distinct():
+    # mod 5, seed 0 draws t = 3 twice; the repeat is redrawn, as t = 0
+    rng = random.Random(0)
+    assert [rng.randrange(5) for _ in range(3)] == [3, 3, 0]
+    one, t = Polynomial.constant(1, 1), Polynomial.variable(1, 0)
+    phi = RingMap([(t + one) * Polynomial.constant(1, Fraction(1, 5))], m=1)
+    packing = MonomialPacking(1, 6)
+    points = EvaluationPoints(IntegerImages(phi, 6), 5, seed=0, packing=packing)
+    # psi = t + 1 is 4 and 1 at the two points, so [x^2, x] has rank 2;
+    # at the repeated point 3 it would have had rank 1
+    square, line = packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))
+    assert points.certify_no_generators([square, line])
+    assert sorted(points.seen) == [(0,), (3,)]
+    # once all 5 points of GF(5) are drawn, a repeat cannot be avoided
+    columns = [packing.pack(Monomial([(0, e)])) for e in range(6, 0, -1)]
+    assert points.certify_no_generators(columns) is False
+    assert len(points.seen) == 5 and len(points.powers[0][1]) == 6
 
 
 def test_kernel_of_empty_and_zero_matrices():
@@ -132,15 +148,15 @@ def test_normalize_primitive():
 
 def test_rank_rational_and_solve():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    sparse = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     pivots = echelon(sparse, 3)
     assert [c for c, _ in pivots] == [0, 1] and dense_rank_oracle(rows) == 2
     # pivot rows are primitive integer rows, zero left of their pivot column
     for c, row in pivots:
         assert min(row) == c and all(type(v) is int for v in row.values())
         assert math.gcd(*row.values()) == 1
-    halves = [{0: Fraction(1, 2), 2: Fraction(-3, 4)}]
-    assert echelon(halves, 3) == [(0, {0: 2, 2: -3})]
+    # input rows are divided by their content
+    assert echelon([{0: 4, 2: -6}], 3) == [(0, {0: 2, 2: -3})]
 
 
 def test_nullspace_primitive_matches_oracle():
@@ -166,10 +182,11 @@ def test_echelon_and_kernel_match_sympy_rref():
         ncols = len(rows[0]) if rows else rng.randint(1, 4)
         pivots, kernel = sympy_pivots_and_nullspace(rows, ncols)
         deficient += len(pivots) < min(len(rows), ncols)
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        integer = [cleared(row) for row in rows]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in integer]
         assert [c for c, _ in echelon(sparse, ncols)] == pivots
         expected = [normalize_primitive(v) for v in kernel]
-        assert nullspace_primitive(rows, ncols) == expected
+        assert nullspace_primitive(integer, ncols) == expected
         matrix = ComponentMatrix([Monomial.variable(j) for j in range(ncols)], sparse)
         assert exact_kernel(matrix).vectors == expected
     assert deficient >= 20

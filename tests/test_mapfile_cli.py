@@ -211,8 +211,8 @@ def test_cli_json_output_and_reports(tmp_path):
 
     report = json.loads(report_path.read_text())
     for level in report["levels"]:
-        skipped = level["skipped_matroid"] + level["skipped_prescreen"]
-        assert skipped + level["solved"] == level["multidegrees"]
+        statuses = ("skipped_matroid", "skipped_prescreen", "certified_by_symmetry", "solved")
+        assert sum(level[key] for key in statuses) == level["multidegrees"]
     assert report["options"]["seed"] == 0
 
 
@@ -220,9 +220,12 @@ def test_cli_report_stage_seconds(tmp_path):
     report_path = tmp_path / "report.json"
     code, map_json, _ = run_cli(["examples", "grassmannian", "5"])
     code, _, err = run_cli(["run", "-d", "3", "--report", str(report_path)], stdin_text=map_json)
-    assert code == 0 and "stage" not in err  # the stderr table keeps its columns
-    stages = ("enumerate", "trim", "certify", "assemble", "kernel", "verify")
-    for level in json.loads(report_path.read_text())["levels"]:
+    assert code == 0 and "stage" not in err  # the stderr table has no per-stage columns
+    assert err.splitlines()[0].split()[5] == "certified(sym)"
+    stages = ("enumerate", "orbits", "trim", "certify", "assemble", "kernel", "verify")
+    levels = json.loads(report_path.read_text())["levels"]
+    assert levels[2]["certified_by_symmetry"]  # the example declares its symmetries
+    for level in levels:
         seconds = level["stage_seconds"]
         assert tuple(seconds) == stages
         assert all(v >= 0 for v in seconds.values())

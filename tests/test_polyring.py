@@ -122,12 +122,6 @@ def test_format_polynomial(cusp):
     assert format_polynomial(Polynomial.zero(1)) == "0"
 
 
-def test_eval_mod_p():
-    f = P(2, ({0: 2}, 1), ({1: 1}, Fraction(1, 2)))
-    # at (3, 4) mod 7: 9 + 4/2 = 11 = 4
-    assert f.eval_mod_p([3, 4], 7) == 4
-
-
 def test_power_cache_reuse(gr24):
     images = IntegerImages(gr24, 3)
     mono = mono_by_names(gr24, {"p12": 2, "p34": 1})

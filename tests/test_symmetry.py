@@ -1,0 +1,215 @@
+"""Declared map symmetries: format, exact check, orbit walk and unchanged output."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from implicitize import (
+    EngineOptions,
+    RingMap,
+    Symmetry,
+    cli,
+    components_of_kernel,
+    engine,
+    gen_cusp,
+    gen_grassmannian,
+    gen_sunlet_k3p,
+    grading_for_map,
+    grassmannian_symmetries,
+    multidegree_of,
+    sunlet_k3p_symmetries,
+)
+from implicitize.engine import orbits, symmetry_moves
+from implicitize.linalg import KernelBasis, exact_kernel
+from implicitize.mapfile import MapParseError, emit_map_json, emit_map_text, parse_map
+
+from support import shared_levels, spy_certificates, sympy_oracle_check, unpacked
+
+
+def _symmetric(n: int | None = None) -> RingMap:
+    if n is None:
+        return gen_sunlet_k3p().with_symmetries(sunlet_k3p_symmetries())
+    return gen_grassmannian(n).with_symmetries(grassmannian_symmetries(n))
+
+
+def test_symmetries_round_trip():
+    for phi in (_symmetric(4), _symmetric(9), _symmetric(12), _symmetric()):
+        for emit in (emit_map_json, emit_map_text):
+            parsed = parse_map(emit(phi))
+            assert parsed == phi and parsed.symmetries == phi.symmetries
+    # maps without symmetries emit as before
+    assert "symmetries" not in emit_map_json(gen_cusp())
+    assert "symmetry:" not in emit_map_text(gen_cusp())
+    # the signs of the transposition (1 2) on Gr(2,4)
+    assert emit_map_text(_symmetric(4)).splitlines()[2] == (
+        "symmetry: -p12 p23 p13 p24 p14 p34 ; x12 x11 x13 x14 x22 x21 x23 x24"
+    )
+
+
+def test_declared_non_symmetry_exits_2(tmp_path):
+    good = json.loads(emit_map_json(_symmetric(4)))
+    unsigned = json.loads(json.dumps(good))
+    unsigned["symmetries"][0]["domain"][0] = "p12"  # (1 2) negates p12
+    repeated = json.loads(json.dumps(good))
+    repeated["symmetries"][1]["codomain"][0] = "x11"  # x11 taken twice
+    short = json.loads(json.dumps(good))
+    short["symmetries"][0]["codomain"].pop()
+    unknown = json.loads(json.dumps(good))
+    unknown["symmetries"][0]["domain"][1] = "-q"
+    text = emit_map_text(_symmetric(4))
+    malformed = dict(good, symmetries=[["p12"]])
+    cases = [json.dumps(bad) for bad in (unsigned, repeated, short, unknown, malformed)]
+    cases += [
+        text.replace("symmetry: -p12", "symmetry: p12", 1),
+        text.replace(" ; x12 x11", " x12 x11", 1),
+        "symmetry: y x ; t\nx = t\ny = t^2\n",
+    ]
+    for k, bad in enumerate(cases):
+        with pytest.raises(MapParseError):
+            parse_map(bad)
+        path = tmp_path / f"bad{k}.map"
+        path.write_text(bad, encoding="utf-8")
+        assert cli.main(["run", "--map", str(path), "-d", "2"]) == 2
+    with pytest.raises(ValueError):
+        gen_grassmannian(4).with_symmetries([Symmetry(((0, 2),) * 6, ())])
+
+
+def test_invariant_failures_exit_4(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "gr24.map"
+    path.write_text(emit_map_json(_symmetric(4)), encoding="utf-8")
+    args = ["run", "--map", str(path), "-d", "3"]
+    assert cli.main(args) == 0
+    # swapping p12 and p13 alone preserves no grading: an unchecked transport
+    # carries a component out of its level
+    swap = [1, 0, 2, 3, 4, 5]
+    monkeypatch.setattr(engine, "symmetry_moves", lambda grading, symmetries: [swap])
+    assert cli.main(args) == 4
+    assert "carries a component out of its level" in capsys.readouterr().err
+    monkeypatch.undo()
+    # and, declared as a symmetry past the parse-time check, it fails the
+    # grading's invariance check
+    monkeypatch.setattr(RingMap, "_check_symmetry", lambda self, sym, k: None)
+    identity = tuple((j, 1) for j in range(8))
+    fake = _symmetric(4).with_symmetries([Symmetry(tuple((t, 1) for t in swap), identity)])
+    path.write_text(emit_map_json(fake), encoding="utf-8")
+    assert cli.main(args) == 4
+    assert "row space is not invariant" in capsys.readouterr().err
+    monkeypatch.undo()
+    # an orbit member whose solve finds fewer generators than its representative
+    path.write_text(emit_map_json(_symmetric(5)), encoding="utf-8")
+    solves = []
+
+    def fewer(matrix):
+        solves.append(matrix)
+        return KernelBasis([]) if len(solves) == 2 else exact_kernel(matrix)
+
+    monkeypatch.setattr(engine, "exact_kernel", fewer)
+    assert cli.main(["run", "--map", str(path), "-d", "2"]) == 4
+    assert len(solves) == 2 and "differ in new generators" in capsys.readouterr().err
+
+
+def test_orbits_match_brute_force():
+    # orbits from transporting every member monomial, its exponents relabelled
+    # and its beta recomputed from the grading: each component must land
+    # exactly on one component, and orbits are the connected classes
+    for phi, top in ((_symmetric(6), 4), (_symmetric(), 2)):
+        grading = grading_for_map(phi)
+        moves = symmetry_moves(grading, phi.symmetries)
+        assert len(moves) == len(phi.symmetries)
+        for level in shared_levels(grading, top).values():
+            position = {beta: k for k, beta in enumerate(level.components)}
+            parent = list(range(len(position)))
+
+            def root(k):
+                while parent[k] != k:
+                    k = parent[k]
+                return k
+
+            for k, (beta, basis) in enumerate(level.components.items()):
+                for sigma in moves:
+                    images = set()
+                    for mono in unpacked(level, basis):
+                        exps = [(sigma[i], e) for i, e in mono.exps]
+                        images.add(type(mono)(exps))
+                    (target,) = {multidegree_of(grading, mono).beta for mono in images}
+                    assert images == set(unpacked(level, level.components[target]))
+                    a, b = sorted((root(k), root(position[target])))
+                    parent[b] = a
+            first = orbits(level, moves)
+            for k, basis in enumerate(level.components.values()):
+                assert first[k] == (root(k) if len(basis) > 1 else k)
+
+
+def test_sympy_oracle_with_symmetries():
+    phi = _symmetric(5)
+    result = components_of_kernel(phi, 3)
+    assert sympy_oracle_check(phi, result, 3) == result.counts_by_degree() == {2: 5}
+    assert sum(st.certified_by_symmetry for st in result.level_stats) > 0
+    for st in result.level_stats:
+        settled = st.skipped_matroid + st.skipped_prescreen + st.certified_by_symmetry
+        assert settled + st.solved == st.components
+
+
+def _stdout(capsys, path, degree: int, *flags: str) -> str:
+    assert cli.main(["run", "--map", str(path), "-d", str(degree), *flags]) == 0
+    return capsys.readouterr().out
+
+
+SUNLET_D3_SHA256 = "36ebbe60cf4b6736a199b162a4e1530b9fd6f1ece66d1cd58effc8e5a5d6d100"
+
+
+def test_stdout_identical_with_and_without_symmetries(tmp_path, capsys):
+    for phi, degree in ((_symmetric(), 3), (_symmetric(6), 4)):
+        plain, declared = tmp_path / "plain.json", tmp_path / "declared.json"
+        payload = json.loads(emit_map_json(phi))
+        declared.write_text(json.dumps(payload), encoding="utf-8")
+        del payload["symmetries"]
+        plain.write_text(json.dumps(payload), encoding="utf-8")
+        reference = _stdout(capsys, plain, degree)
+        if phi.n == 64:
+            assert hashlib.sha256(reference.encode()).hexdigest() == SUNLET_D3_SHA256
+        seeds, primes = (["--seed", "1"], []), (["--prime", "5"], [])
+        for flags in [s + p for s in seeds for p in primes] + [["--no-prescreen"]]:
+            assert _stdout(capsys, declared, degree, *flags) == reference, flags
+        assert _stdout(capsys, plain, degree, "--prime", "5") == reference
+
+
+def test_orbit_statuses(monkeypatch):
+    # only orbit representatives and lone components meet the certificate; a
+    # member is settled by symmetry exactly when its orbit has no generators,
+    # and members of orbits with generators are solved
+    calls = spy_certificates(monkeypatch)
+    phi = _symmetric(6)
+    plain = components_of_kernel(gen_grassmannian(6), 4)
+    grading = grading_for_map(phi)
+    levels = shared_levels(grading, 4)
+    moves = symmetry_moves(grading, phi.symmetries)
+    first = {degree: orbits(level, moves) for degree, level in levels.items()}
+    component_of = {
+        key: (degree, k)
+        for degree, level in levels.items()
+        for k, basis in enumerate(level.components.values())
+        for key in basis
+    }
+    for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
+        calls.clear()
+        result = components_of_kernel(phi, 4, options)
+        assert [(g.poly, g.beta) for g in result.generators] == [
+            (g.poly, g.beta) for g in plain.generators
+        ]
+        for columns, _ in calls:
+            degree, k = component_of[columns[0]]
+            assert first[degree][k] == k
+        found = {(g.weighted_degree, g.beta) for g in result.generators}
+        for stats, (degree, level) in zip(result.level_stats, levels.items()):
+            betas = list(level.components)
+            members = [k for k, rep in enumerate(first[degree]) if rep != k]
+            open_members = [k for k in members if (degree, betas[first[degree][k]]) in found]
+            assert stats.certified_by_symmetry == len(members) - len(open_members)
+            assert all((degree, betas[k]) in found for k in open_members)
+        # the 15 quadrics lie in one orbit of 15 components
+        assert len(found) == 15 and result.level_stats[1].solved >= 15
+        assert result.level_stats[1].solved == 15 or not options.use_prescreen
