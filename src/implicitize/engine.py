@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import random
 import time
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import add, mul
+from itertools import islice, repeat
+from operator import mul
 
 from .enumeration import DegreeLevel, enumerate_level
 from .grading import (
@@ -111,14 +110,15 @@ class GeneratorSet:
 
 
 def push_index(generators: list[Generator], level: DegreeLevel, levels: dict) -> dict:
-    """The lift sources of each component of `level`, keyed by its beta.
+    """The lift sources of each component of `level`, keyed by its packed beta.
 
     Each lower-degree generator g is walked over the components of level
     deg(level) - deg(g); every shift lands on the component of `level` whose
-    beta is the sum, and is filed under it, in generator order, as (g's packed
-    monomials, their integer coefficients, the shift monomials).
+    packed beta is the shift's key plus g's offset, sum_i e_i `beta_units[i]`
+    over one monomial x^e of g, and is filed under it, in generator order, as
+    (g's packed monomials, their integer coefficients, the shift monomials).
     """
-    index: dict[tuple[int, ...], list] = {}
+    index: dict[int, list] = {}
     for g in generators:
         shifts = levels.get(level.weighted_degree - g.weighted_degree)
         if shifts is None:
@@ -127,8 +127,9 @@ def push_index(generators: list[Generator], level: DegreeLevel, levels: dict) ->
             raise ValueError("push_index needs levels that share one packing")
         monos = tuple(map(level.packing.pack, g.poly.terms))
         coeffs = tuple(c.numerator for c in g.poly.terms.values())
-        for gamma_beta, gammas in shifts.components.items():
-            index.setdefault(tuple(map(add, g.beta, gamma_beta)), []).append((monos, coeffs, gammas))
+        offset = sum(e * level.beta_units[i] for i, e in level.packing.pairs(monos[0]))
+        for gamma_key, gammas in shifts.components.items():
+            index.setdefault(gamma_key + offset, []).append((monos, coeffs, gammas))
     return index
 
 
@@ -154,41 +155,36 @@ def symmetry_moves(grading: GradingMatrix, symmetries: list[Symmetry]) -> list[l
     return moves
 
 
-def orbits(level: DegreeLevel, moves: list[list[int]]) -> array:
-    """The number of the first component of each component's orbit.
+def orbits(level: DegreeLevel, moves: list[list[int]]) -> dict[int, int]:
+    """The packed beta of the first member of each component's orbit.
 
-    Components are numbered in canonical beta order. Member x^alpha of a
+    Only components with more than one monomial are keyed: transports preserve
+    component size, so a lone component is its own orbit. Member x^alpha of a
     component is carried by sigma to x^sigma(alpha), whose packed beta is
     `beta_bias` + sum_i alpha_i `beta_units[sigma(i)]`, so transporting a
-    component costs a few multiply-adds and one search of the sorted
-    `beta_keys`. Transports preserve component size, so a lone component is
-    left as its own orbit. A transported beta that is not a component of the
-    same size is an EngineInvariantError.
+    component costs a few multiply-adds and one dict lookup. A transported
+    beta that is not a component of the same size is an EngineInvariantError.
     """
-    members = list(level.components.values())
-    keys, count = level.beta_keys, len(members)
+    components = level.components
     units = [[level.beta_units[t] for t in sigma] for sigma in moves]
     bias, decode = level.beta_bias, level.packing.pairs
-    first = array("q", [-1]) * count
-    for start, basis in enumerate(members):
-        if first[start] >= 0:
+    first: dict[int, int] = {}
+    for start, basis in components.items():
+        if len(basis) == 1 or start in first:
             continue
         first[start] = start
-        stack = [start] if len(basis) > 1 else []
+        stack = [start]
         while stack:
-            c = stack.pop()
-            pairs = decode(members[c][0])
-            size = len(members[c])
+            pairs = decode(components[stack.pop()][0])
             for moved in units:
                 key = bias
                 for i, e in pairs:
                     key += e * moved[i]
-                target = bisect_left(keys, key)
-                if target == count or keys[target] != key or len(members[target]) != size:
+                if len(components.get(key, ())) != len(basis):
                     raise EngineInvariantError("a symmetry carries a component out of its level")
-                if first[target] < 0:
-                    first[target] = start
-                    stack.append(target)
+                if key not in first:
+                    first[key] = start
+                    stack.append(key)
     return first
 
 
@@ -244,22 +240,24 @@ def assemble_component(
 
 
 class EvaluationPoints:
-    """Seeded random points t_k of GF(p)^m, drawn as needed and shared by a run.
+    """Seeded random points t_k of (GF(p)^*)^m, drawn as needed and shared by a run.
 
     `powers[i][e][k]` is the integer image psi_i of `images` evaluated at t_k,
     raised to the power e <= the bound of the packing that the certified
-    columns use. A repeated point adds no rank, so one is redrawn until all
-    p^m points are drawn; at a large prime no redraw ever happens.
+    columns use. A zero coordinate is redrawn on its own: there every column
+    whose image is divisible by that codomain variable would vanish. A repeated
+    point adds no rank, so one is redrawn until all (p-1)^m points are drawn;
+    at a large prime no redraw ever happens.
     """
 
     def __init__(self, images: IntegerImages, prime: int, seed: int, packing: MonomialPacking):
         self.images = images
         self.prime = prime
         self.packing = packing
-        self.rng = random.Random(seed)
+        self.draws = filter(None, map(random.Random(seed).randrange, repeat(prime)))  # zeros dropped
         self.drawn = 0
         self.seen: set[tuple[int, ...]] = set()
-        self.room = prime ** min(images.packing.n, 64)  # points of GF(p)^m, capped past any c
+        self.room = (prime - 1) ** min(images.packing.n, 64)  # nonzero points, capped past any c
         self.powers = [[[] for _ in range(packing.bound + 1)] for _ in range(packing.n)]
         zero = [i for i in range(packing.n) if not images.power(i, 1)]
         self.zero_fields = sum(packing.mask << packing.shifts[i] for i in zero)
@@ -283,9 +281,9 @@ class EvaluationPoints:
         if c == 1 and not columns[0] & self.zero_fields:
             return True
         for _ in range(self.drawn, c):
-            point = tuple(self.rng.randrange(p) for _ in range(self.images.packing.n))
+            point = tuple(islice(self.draws, self.images.packing.n))
             while point in self.seen and len(self.seen) < self.room:
-                point = tuple(self.rng.randrange(p) for _ in range(self.images.packing.n))
+                point = tuple(islice(self.draws, self.images.packing.n))
             self.seen.add(point)
             for value, table in zip(self.images.values_mod_p(point, p), self.powers):
                 power = 1
@@ -351,7 +349,7 @@ def components_of_kernel(
         stages = dict.fromkeys(STAGES, 0.0)
         level = levels[degree] = enumerate_level(grading, degree, packing)
         stages["enumerate"] = time.perf_counter() - started
-        first = orbits(level, moves) if moves else range(len(level.components))
+        first = orbits(level, moves) if moves else {}
         stages["orbits"] = time.perf_counter() - started - stages["enumerate"]
         ticked = time.perf_counter()
         index = push_index(result.generators, level, levels)
@@ -363,16 +361,16 @@ def components_of_kernel(
         # must find as many generators
         unsettled: dict[int, int] = {}
         skipped_m = skipped_p = by_symmetry = solved = 0
-        for k, (beta, basis) in enumerate(level.components.items()):
-            rep = first[k]
-            if rep != k and rep not in unsettled:
+        for key, basis in level.components.items():
+            rep = first.get(key, key)
+            if rep != key and rep not in unsettled:
                 by_symmetry += 1
                 continue
             ticked = time.perf_counter()
-            columns, lift_rank = trim_basis(basis, index.get(beta, []), pivots)
+            columns, lift_rank = trim_basis(basis, index.get(key, []), pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
-            if columns and options.use_prescreen and rep == k:
+            if columns and options.use_prescreen and rep == key:
                 certified = points.certify_no_generators(columns)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
@@ -380,7 +378,7 @@ def components_of_kernel(
                     skipped_m += not lift_rank
                     continue
             solved += 1
-            if not columns and rep == k:
+            if not columns and rep == key:
                 continue  # an orbit member is still solved, so that its count is checked
             ticked = time.perf_counter()
             monomials = [packing.monomial(c) for c in columns]
@@ -390,11 +388,11 @@ def components_of_kernel(
             kernel = exact_kernel(matrix)
             solved_at = time.perf_counter()
             found = kernel.dimension
-            if (found or rep != k) and unsettled.setdefault(rep, found) != found:
-                raise EngineInvariantError(f"orbit members of {beta} differ in new generators")
+            if (found or rep != key) and unsettled.setdefault(rep, found) != found:
+                raise EngineInvariantError(f"orbit members of {level.beta(key)} differ in new generators")
             for vec in kernel.vectors:
                 poly = Polynomial(phi.n, {monomials[c]: v for c, v in enumerate(vec) if v})
-                new_generators.append(Generator(poly, beta, degree))
+                new_generators.append(Generator(poly, level.beta(key), degree))
                 _verify_generator(column_images, vec, grading, new_generators[-1])
             stages["assemble"] += assembled - ticked
             stages["kernel"] += solved_at - assembled

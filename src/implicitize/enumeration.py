@@ -4,19 +4,18 @@ A level holds every exponent vector alpha >= 0 with a . alpha = i for the
 grading's positive weight a, partitioned into components keyed by
 beta = A alpha. Enumeration is a depth-first knapsack over the variables.
 Each step adds one precomputed integer for the monomial, its packed key
-(`MonomialPacking`), and one for beta, packed the same way into fixed-width
-fields that hold beta_k + 2^(w-1) (so they never borrow) and wide enough for
-any beta of the level, beta_0 most significant; a component's beta is
-unpacked once, as two's complement after flipping each field's top bit. Both
-keys stay exact integer arithmetic throughout: a component sorts its keys
-numerically, which is graded-lex order, and the level sorts its packed betas
-numerically, which is lexicographic beta order.
+(`MonomialPacking`), and one for beta, packed into fields of one width per
+run, beta_0 most significant. A field holds beta_k + 2^(w-1), and w is sized
+from the packing's degree bound, so no field of any level of the run ever
+borrows or overflows. The packed beta is the component's key: packed betas of
+one run add like the betas themselves, and their numeric order is
+lexicographic beta order. A component's members sort numerically too, which
+is graded-lex order. Only `DegreeLevel.beta` turns a key back into a tuple.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 from .grading import GradingMatrix, NoPositiveWeightError
@@ -27,21 +26,28 @@ from .polyring import MonomialPacking
 class DegreeLevel:
     """All monomials of one weighted degree, grouped into components.
 
-    A component is a tuple of packed keys, graded-lex descending.
-    `beta_keys` holds each component's packed beta, in component order: the
-    packed beta of x^alpha is `beta_bias` + sum_i alpha_i `beta_units[i]`.
+    A component maps its packed beta to its members, a tuple of packed keys,
+    graded-lex descending; components come in ascending key order, which is
+    canonical beta order. The packed beta of x^alpha is `beta_bias` +
+    sum_i alpha_i `beta_units[i]`, in fields `beta_width` bits wide.
     """
 
     weighted_degree: int
-    components: dict[tuple[int, ...], tuple[int, ...]]
+    components: dict[int, tuple[int, ...]]
     packing: MonomialPacking
-    beta_keys: list[int]
     beta_units: list[int]
     beta_bias: int
+    beta_width: int
 
     @property
     def monomial_count(self) -> int:
         return sum(map(len, self.components.values()))
+
+    def beta(self, key: int) -> tuple[int, ...]:
+        """The multidegree tuple of a packed beta."""
+        w = self.beta_width
+        half, fields = 1 << w - 1, self.beta_bias.bit_length() // w
+        return tuple((key >> w * k & (1 << w) - 1) - half for k in reversed(range(fields)))
 
 
 def enumerate_level(
@@ -49,9 +55,10 @@ def enumerate_level(
 ) -> DegreeLevel:
     """Bucket every monomial of the given weighted degree by its multidegree.
 
-    Components are keyed by beta in lexicographic order; members are sorted
-    graded-lex, leading monomial first. Keys use `packing`, by default one
-    sized for this degree; a run shares one sized for its degree bound.
+    Components are keyed by packed beta in lexicographic beta order; members
+    are sorted graded-lex, leading monomial first. Keys use `packing`, by
+    default one sized for this degree; a run shares one sized for its degree
+    bound, and so one beta layout.
     """
     if grading.positive_weight is None:
         raise NoPositiveWeightError("enumeration requires a positive weight")
@@ -63,19 +70,11 @@ def enumerate_level(
     if packing.n != n or packing.bound < degree:
         raise ValueError(f"packing of {packing.n} variables to degree {packing.bound}")
     units = packing.units
-    # a total degree <= degree bounds every |beta_k| by degree * max |A|
-    span = degree * max(abs(a) for row in grading.A for a in row)
-    for size, code in ((1, "b"), (2, "h"), (4, "i"), (8, "q")):
-        if span < 1 << 8 * size - 1:
-            break
-    else:
-        raise ValueError(f"multidegrees up to {span} do not fit 64-bit fields")
-    r = grading.rank
-    fmt = f">{r}{code}"
-    flip = sum(1 << 8 * size * (k + 1) - 1 for k in range(r))
-    bunits = [
-        sum(c << 8 * size * (r - 1 - k) for k, c in enumerate(col)) for col in grading.columns()
-    ]
+    # a total degree <= the bound bounds every |beta_k| by bound * max |A|
+    span = packing.bound * max(abs(a) for row in grading.A for a in row)
+    width, r = span.bit_length() + 1, grading.rank
+    bias = sum(1 << width * (k + 1) - 1 for k in range(r))  # 2^(w-1) in every field
+    bunits = [sum(c << width * (r - 1 - k) for k, c in enumerate(col)) for col in grading.columns()]
 
     # suffix_gcd[v] divides every weight reachable using variables >= v
     suffix_gcd = [0] * (n + 1)
@@ -98,14 +97,13 @@ def enumerate_level(
                 beta += bunits[v]
                 descend(v + 1, rest, mono, beta)
 
-    descend(0, degree, 0, flip)  # every field starts at its bias 2^(w-1)
+    descend(0, degree, 0, bias)
     del descend  # it refers to itself: free the level's buckets now, not at the next gc
 
     # each bucket is freed as its sorted tuple is built, so a level is held once
-    keys = sorted(buckets)
     components = {}
-    for bkey in keys:
+    for bkey in sorted(buckets):
         members = buckets.pop(bkey)
         members.sort(reverse=True)
-        components[struct.unpack(fmt, (bkey ^ flip).to_bytes(size * r, "big"))] = tuple(members)
-    return DegreeLevel(degree, components, packing, keys, bunits, flip)
+        components[bkey] = tuple(members)
+    return DegreeLevel(degree, components, packing, bunits, bias, width)

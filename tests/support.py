@@ -596,9 +596,10 @@ def enumeration_suite(cases: int) -> int:
             expected = weighted_count_oracle(weights, degree)
         level = enumerate_level(grading, degree)
         assert level.monomial_count == expected
-        betas = list(level.components)
-        assert betas == sorted(betas)
-        for beta, basis in level.components.items():
+        keys = list(level.components)
+        betas = [level.beta(key) for key in keys]
+        assert keys == sorted(keys) and betas == sorted(betas)
+        for beta, basis in zip(betas, level.components.values()):
             for mono in unpacked(level, basis):
                 assert multidegree_of(grading, mono).beta == beta
         checked += 1

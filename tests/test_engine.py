@@ -127,7 +127,7 @@ def test_trim_without_compatible_degrees(cusp):
     (beta3, basis3), = level3.components.items()
     index = push_index(run.generators, level3, levels)
     assert list(index) == [beta3]
-    columns, lift_rank = trim_basis(basis3, index.get((999,), []), {})
+    columns, lift_rank = trim_basis(basis3, index.get(beta3 + 1, []), {})
     assert lift_rank == 0 and columns == list(basis3)
     columns, lift_rank = trim_basis(basis3, index[beta3], {})
     assert lift_rank == 3  # x*f, y*f, z*f are independent shifts
@@ -246,10 +246,10 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
         levels = shared_levels(grading_for_map(phi), 3)
         for degree, level in levels.items():
             index = push_index(run.generators, level, levels)
-            for beta, basis in level.components.items():
-                _, lift_rank = trim_basis(basis, index.get(beta, []), {})
+            for key, basis in level.components.items():
+                _, lift_rank = trim_basis(basis, index.get(key, []), {})
                 full = exact_kernel(assemble_component(phi, unpacked(level, basis)))
-                assert full.dimension == found[degree, beta] + lift_rank
+                assert full.dimension == found[degree, level.beta(key)] + lift_rank
 
 
 def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
@@ -325,23 +325,23 @@ def test_component_task_records(gr24, monkeypatch):
     result = components_of_kernel(gr24, 3)
     levels = shared_levels(grading_for_map(gr24), 3)
     component_of = {
-        key: (degree, beta)
+        mono: (degree, key)
         for degree, level in levels.items()
-        for beta, basis in level.components.items()
-        for key in basis
+        for key, basis in level.components.items()
+        for mono in basis
     }
     indexes = {d: push_index(result.generators, level, levels) for d, level in levels.items()}
     found = Counter((g.weighted_degree, g.beta) for g in result.generators)
     certified: Counter = Counter()
     for columns, ok in calls:
-        (degree, beta), = {component_of[key] for key in columns}
+        (degree, key), = {component_of[mono] for mono in columns}
         level = levels[degree]
-        trimmed, lift_rank = trim_basis(level.components[beta], indexes[degree].get(beta, []), {})
+        trimmed, lift_rank = trim_basis(level.components[key], indexes[degree].get(key, []), {})
         assert columns and tuple(trimmed) == columns
         if ok:
             certified[bool(lift_rank)] += 1
             assert exact_kernel(assemble_component(gr24, unpacked(level, columns))).dimension == 0
-            assert not found[degree, beta]
+            assert not found[degree, level.beta(key)]
     assert len({component_of[columns[0]] for columns, _ in calls}) == len(calls)
     stats = result.level_stats
     assert certified[False] == sum(st.skipped_matroid for st in stats)

@@ -50,7 +50,8 @@ def test_grassmannian_level_one_singletons(gr24):
     assert level.monomial_count == 6 and len(level.components) == 6
     p12 = mono_by_names(gr24, {"p12": 1})
     beta = multidegree_of(grading, p12).beta
-    assert level.components[beta] == (level.packing.pack(p12),)
+    by_beta = {level.beta(key): basis for key, basis in level.components.items()}
+    assert by_beta[beta] == (level.packing.pack(p12),)
 
 
 def test_lookup_unknown_beta(gr24):
@@ -59,7 +60,7 @@ def test_lookup_unknown_beta(gr24):
     levels = shared_levels(grading, 3)
     run = components_of_kernel(gr24, 2)
     index = push_index(run.generators, levels[3], levels)
-    assert (99,) * grading.rank not in levels[3].components
+    assert levels[3].beta_bias not in levels[3].components  # beta = 0
     assert set(index) <= set(levels[3].components)
     assert sum(len(gammas) for lifts in index.values() for _, _, gammas in lifts) == 6
 
@@ -75,8 +76,8 @@ def test_single_variable_level():
 def test_component_order_and_member_order(cusp):
     grading = grading_for_map(cusp)
     level = enumerate_level(grading, 2)
-    betas = list(level.components)
-    assert betas == sorted(betas)
+    betas = [level.beta(key) for key in level.components]
+    assert list(level.components) == sorted(level.components) and betas == sorted(betas)
     for basis in level.components.values():
         keys = [grlex_key(m) for m in unpacked(level, basis)]
         assert keys == sorted(keys)
@@ -89,7 +90,7 @@ def test_cusp_levels_collapse_to_one_component(cusp):
     level = enumerate_level(grading, 2)
     assert len(level.components) == 1
     assert level.monomial_count == 6
-    assert list(level.components) == [(4,)]
+    assert [level.beta(key) for key in level.components] == [(4,)]
 
 
 def test_sunlet_level_two_counts(sunlet):

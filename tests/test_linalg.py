@@ -103,31 +103,37 @@ def test_prescreen_zero_image_column():
 
 
 def test_prescreen_bad_prime():
-    # 5 cannot evaluate t/5, but the certificate reads the integer image t
+    # 5 cannot evaluate t/5, but the certificate reads the integer image t.
+    # Points have no zero coordinate: seed 0 draws t = 3, 3, 0, 2, and at
+    # t = 0 the columns t^2 and t would both vanish
     f = Polynomial(1, [(Monomial.variable(0), Fraction(1, 5))])
     packing = MonomialPacking(1, 2)
     columns = [packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))]
     images = IntegerImages(RingMap([f], m=1), 2)
-    assert EvaluationPoints(images, 5, seed=1, packing=packing).certify_no_generators(columns)
+    for seed in (0, 1):
+        points = EvaluationPoints(images, 5, seed=seed, packing=packing)
+        assert points.certify_no_generators(columns)
+        assert all(all(point) for point in points.seen)
 
 
 def test_evaluation_points_distinct():
-    # mod 5, seed 0 draws t = 3 twice; the repeat is redrawn, as t = 0
+    # mod 5, seed 0 draws t = 3, 3, 0, 2: the repeat is redrawn, and so is
+    # the redraw's zero coordinate, on its own, as t = 2
     rng = random.Random(0)
-    assert [rng.randrange(5) for _ in range(3)] == [3, 3, 0]
+    assert [rng.randrange(5) for _ in range(4)] == [3, 3, 0, 2]
     one, t = Polynomial.constant(1, 1), Polynomial.variable(1, 0)
     phi = RingMap([(t + one) * Polynomial.constant(1, Fraction(1, 5))], m=1)
     packing = MonomialPacking(1, 6)
     points = EvaluationPoints(IntegerImages(phi, 6), 5, seed=0, packing=packing)
-    # psi = t + 1 is 4 and 1 at the two points, so [x^2, x] has rank 2;
+    # psi = t + 1 is 4 and 3 at the two points, so [x^2, x] has rank 2;
     # at the repeated point 3 it would have had rank 1
     square, line = packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))
     assert points.certify_no_generators([square, line])
-    assert sorted(points.seen) == [(0,), (3,)]
-    # once all 5 points of GF(5) are drawn, a repeat cannot be avoided
+    assert sorted(points.seen) == [(2,), (3,)]
+    # once all 4 nonzero points of GF(5) are drawn, a repeat cannot be avoided
     columns = [packing.pack(Monomial([(0, e)])) for e in range(6, 0, -1)]
     assert points.certify_no_generators(columns) is False
-    assert len(points.seen) == 5 and len(points.powers[0][1]) == 6
+    assert len(points.seen) == 4 and len(points.powers[0][1]) == 6
 
 
 def test_kernel_of_empty_and_zero_matrices():

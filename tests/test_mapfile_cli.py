@@ -286,6 +286,7 @@ EXAMPLE_SHA256 = {
     ("cusp", "4"): "c8e207315e560bc207601cdce52a4eb8ba47f91899f36fb8c218faaa5b3e491d",
     ("grassmannian 6", "3"): "6a7aba561ab5a8e5f64d9f850c4f3d236564a254e9b877b685e445a406d2a8a3",
     ("sunlet-k3p", "2"): "5ce5a421ee3fbe88e7834c52a00d088d265ee013ca95cc018413662fc20eeef3",
+    ("grassmannian 8", "4"): "95a45dd6261b016cab772d3a9d21c97883a95384a9658401bac2002144494d00",
 }
 
 
@@ -296,6 +297,22 @@ def test_example_outputs_pinned():
         code, out, _ = run_cli(["run", "-d", degree], stdin_text=map_json)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, example
+
+
+def test_huge_multidegrees_run():
+    # multidegrees past 2^70 pack into wider beta fields; sympy cannot expand
+    # these exponents, so stdout is pinned
+    big = 2**70
+    text = f"x = t^{big}\ny = t^{big}\nz = s^2\nw = s*t^{big // 2}\n"
+    code, out, _ = run_cli(["run", "-d", "2"], stdin_text=text)
+    assert code == 0
+    assert out == (
+        "# generators: 2\n"
+        f"# degree 1 | multidegree (0,{big})\n"
+        "x - y\n"
+        f"# degree 2 | multidegree (2,{big})\n"
+        "y*z - w^2\n"
+    )
 
 
 def test_cli_exit_codes(tmp_path):

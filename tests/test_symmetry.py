@@ -120,7 +120,8 @@ def test_orbits_match_brute_force():
         moves = symmetry_moves(grading, phi.symmetries)
         assert len(moves) == len(phi.symmetries)
         for level in shared_levels(grading, top).values():
-            position = {beta: k for k, beta in enumerate(level.components)}
+            keys = list(level.components)
+            position = {level.beta(key): k for k, key in enumerate(keys)}
             parent = list(range(len(position)))
 
             def root(k):
@@ -128,19 +129,19 @@ def test_orbits_match_brute_force():
                     k = parent[k]
                 return k
 
-            for k, (beta, basis) in enumerate(level.components.items()):
+            for k, basis in enumerate(level.components.values()):
                 for sigma in moves:
                     images = set()
                     for mono in unpacked(level, basis):
                         exps = [(sigma[i], e) for i, e in mono.exps]
                         images.add(type(mono)(exps))
                     (target,) = {multidegree_of(grading, mono).beta for mono in images}
-                    assert images == set(unpacked(level, level.components[target]))
+                    assert images == set(unpacked(level, level.components[keys[position[target]]]))
                     a, b = sorted((root(k), root(position[target])))
                     parent[b] = a
             first = orbits(level, moves)
-            for k, basis in enumerate(level.components.values()):
-                assert first[k] == (root(k) if len(basis) > 1 else k)
+            assert set(first) == {key for key, basis in level.components.items() if len(basis) > 1}
+            assert all(first[key] == keys[root(k)] for k, key in enumerate(keys) if key in first)
 
 
 def test_sympy_oracle_with_symmetries():
@@ -189,10 +190,10 @@ def test_orbit_statuses(monkeypatch):
     moves = symmetry_moves(grading, phi.symmetries)
     first = {degree: orbits(level, moves) for degree, level in levels.items()}
     component_of = {
-        key: (degree, k)
+        mono: (degree, key)
         for degree, level in levels.items()
-        for k, basis in enumerate(level.components.values())
-        for key in basis
+        for key, basis in level.components.items()
+        for mono in basis
     }
     for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
         calls.clear()
@@ -201,15 +202,14 @@ def test_orbit_statuses(monkeypatch):
             (g.poly, g.beta) for g in plain.generators
         ]
         for columns, _ in calls:
-            degree, k = component_of[columns[0]]
-            assert first[degree][k] == k
+            degree, key = component_of[columns[0]]
+            assert first[degree].get(key, key) == key
         found = {(g.weighted_degree, g.beta) for g in result.generators}
         for stats, (degree, level) in zip(result.level_stats, levels.items()):
-            betas = list(level.components)
-            members = [k for k, rep in enumerate(first[degree]) if rep != k]
-            open_members = [k for k in members if (degree, betas[first[degree][k]]) in found]
+            members = [key for key, rep in first[degree].items() if rep != key]
+            open_members = [key for key in members if (degree, level.beta(first[degree][key])) in found]
             assert stats.certified_by_symmetry == len(members) - len(open_members)
-            assert all((degree, betas[k]) in found for k in open_members)
+            assert all((degree, level.beta(key)) in found for key in open_members)
         # the 15 quadrics lie in one orbit of 15 components
         assert len(found) == 15 and result.level_stats[1].solved >= 15
         assert result.level_stats[1].solved == 15 or not options.use_prescreen
