@@ -22,8 +22,6 @@ from .fixtures import (
 )
 from .grading import (
     GradingMatrix,
-    HomogeneityBasis,
-    Multidegree,
     NoPositiveWeightError,
     build_constraints,
     domain_grading,
@@ -32,7 +30,7 @@ from .grading import (
     homogeneity_space,
     multidegree_of,
 )
-from .linalg import ComponentMatrix, KernelBasis, exact_kernel, rank_mod_p
+from .linalg import rank_mod_p
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
 from .polyring import (
     DEFAULT_PRIME,

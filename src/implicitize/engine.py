@@ -5,7 +5,7 @@ groups its components into orbits under the map's declared symmetries, then
 handles its components one at a time, in canonical beta order:
 
     trim against lower-degree generators -> certify mod p -> assemble the
-    component system -> exact integer kernel -> verify
+    component's integer rows -> nullspace_primitive -> verify
 
 A symmetry x_i -> +-x_sigma(i) with phi o sigma = tau o phi maps ker phi onto
 itself and, when it fixes the positive weight, the ideal of the lower-degree
@@ -52,8 +52,8 @@ from .grading import (
     grading_for_map,
     multidegree_of,
 )
-from .linalg import ComponentMatrix, echelon, exact_kernel, is_prime, rank_mod_p
-from .polyring import DEFAULT_PRIME, IntegerImages, Monomial, MonomialPacking, Polynomial
+from .linalg import echelon, is_prime, nullspace_primitive, rank_mod_p
+from .polyring import DEFAULT_PRIME, IntegerImages, MonomialPacking, Polynomial
 from .polyring import RingMap, Symmetry, grlex_key
 
 
@@ -218,25 +218,20 @@ def trim_basis(basis: tuple[int, ...], lifts: list, pivots: dict) -> tuple[list[
     return [m for idx, m in enumerate(basis) if idx not in taken], len(taken)
 
 
-def assemble_component(
-    phi: RingMap, columns: list[Monomial], images: list[dict[int, int]] | None = None
-) -> ComponentMatrix:
-    """Integer coefficient matrix of L * phi over the column monomials.
+def component_rows(images: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The sparse integer rows whose column j is images[j], the j-th `IntegerImages.scaled` image.
 
-    `images` are the columns' `IntegerImages.scaled` images, computed here if
-    not given. One L > 0 scales every column, so rows have the primitive forms
-    of phi's rows. Rows are indexed by the packed codomain monomials the images
-    touch, graded-lex descending; columns with zero image contribute no rows.
+    One L > 0 scales every column, so rows have the primitive forms of phi's
+    rows. Rows are indexed by the packed codomain monomials the images touch,
+    graded-lex descending; columns with zero image contribute no rows.
     """
-    if images is None:
-        images = IntegerImages(phi, max(map(Monomial.degree, columns), default=0)).scaled(columns)
     row_keys = sorted({g for image in images for g in image}, reverse=True)
     row_index = {g: i for i, g in enumerate(row_keys)}
     rows: list[dict] = [{} for _ in row_keys]
     for c, image in enumerate(images):
         for gamma, coeff in image.items():
             rows[row_index[gamma]][c] = coeff
-    return ComponentMatrix(list(columns), rows)
+    return rows
 
 
 class EvaluationPoints:
@@ -313,7 +308,7 @@ def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix
         if not gen.poly.is_homogeneous(row):
             raise EngineInvariantError(f"generator not homogeneous: {gen.poly!r}")
     lead, _ = gen.poly.leading()
-    if multidegree_of(grading, lead).beta != gen.beta:
+    if multidegree_of(grading, lead) != gen.beta:
         raise EngineInvariantError(f"multidegree mismatch for {gen.poly!r}")
 
 
@@ -383,14 +378,14 @@ def components_of_kernel(
             ticked = time.perf_counter()
             monomials = [packing.monomial(c) for c in columns]
             column_images = images.scaled(monomials)
-            matrix = assemble_component(phi, monomials, column_images)
+            rows = component_rows(column_images)
             assembled = time.perf_counter()
-            kernel = exact_kernel(matrix)
+            vectors = nullspace_primitive(rows, len(columns))
             solved_at = time.perf_counter()
-            found = kernel.dimension
+            found = len(vectors)
             if (found or rep != key) and unsettled.setdefault(rep, found) != found:
                 raise EngineInvariantError(f"orbit members of {level.beta(key)} differ in new generators")
-            for vec in kernel.vectors:
+            for vec in vectors:
                 poly = Polynomial(phi.n, {monomials[c]: v for c, v in enumerate(vec) if v})
                 new_generators.append(Generator(poly, level.beta(key), degree))
                 _verify_generator(column_images, vec, grading, new_generators[-1])

@@ -8,8 +8,9 @@ phi(x_i) therefore imposes one linear constraint
 
 on weight vectors w in Z^{n+m} (domain coordinates first). An integer basis
 of the constraint nullspace, projected onto the domain coordinates, yields a
-grading matrix A under which every kernel element is homogeneous. A strictly
-positive integer vector in the row span of A drives degree-by-degree
+grading matrix A under which every kernel element is homogeneous. The basis
+and the multidegrees beta = A alpha are plain integer lists and tuples. A
+strictly positive integer vector in the row span of A drives degree-by-degree
 enumeration; without one the engine refuses to run.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from . import linalg
 from .polyring import Monomial, RingMap
@@ -26,20 +26,6 @@ from .polyring import Monomial, RingMap
 
 class NoPositiveWeightError(RuntimeError):
     """The grading row span contains no strictly positive vector."""
-
-
-@dataclass
-class HomogeneityBasis:
-    """Primitive integer basis of the homogeneity space of the elimination ideal."""
-
-    full_vectors: list[list[int]]
-    constraint_rank: int
-    n: int
-    m: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.full_vectors)
 
 
 @dataclass
@@ -64,11 +50,6 @@ class GradingMatrix:
         return [tuple(row[j] for row in self.A) for j in range(self.n)]
 
 
-class Multidegree(NamedTuple):
-    beta: tuple[int, ...]
-    weighted_degree: int | None
-
-
 def build_constraints(phi: RingMap) -> list[list[int]]:
     """One integer row per (variable, image monomial) pair.
 
@@ -87,21 +68,13 @@ def build_constraints(phi: RingMap) -> list[list[int]]:
     return rows
 
 
-def homogeneity_space(phi: RingMap) -> HomogeneityBasis:
-    """Primitive integer basis of the nullspace of the homogeneity constraints."""
-    rows = build_constraints(phi)
-    dim = phi.n + phi.m
-    vectors = linalg.nullspace_primitive(rows, dim)
-    return HomogeneityBasis(
-        full_vectors=vectors,
-        constraint_rank=dim - len(vectors),
-        n=phi.n,
-        m=phi.m,
-    )
+def homogeneity_space(phi: RingMap) -> list[list[int]]:
+    """Primitive integer basis of the constraint nullspace, as (n+m)-vectors, domain first."""
+    return linalg.nullspace_primitive(build_constraints(phi), phi.n + phi.m)
 
 
-def domain_grading(basis: HomogeneityBasis) -> GradingMatrix:
-    """Project the basis onto the domain and keep a maximal independent subset.
+def domain_grading(vectors: list[list[int]], n: int) -> GradingMatrix:
+    """Project the first n coordinates of the vectors and keep a maximal independent subset.
 
     Candidates are ordered by (max absolute entry, lexicographic), then one
     elimination over their projections, taken as columns, keeps the pivot
@@ -109,10 +82,7 @@ def domain_grading(basis: HomogeneityBasis) -> GradingMatrix:
     that order, and the result is deterministic. Surviving rows stay aligned
     with their un-projected counterparts in A_full.
     """
-    n = basis.n
-    ordered = sorted(
-        basis.full_vectors, key=lambda v: (max(map(abs, v), default=0), tuple(v))
-    )
+    ordered = sorted(vectors, key=lambda v: (max(map(abs, v), default=0), tuple(v)))
     by_coordinate = [[vec[i] for vec in ordered] for i in range(n)]
     picked = [k for k, _ in linalg.echelon(by_coordinate, len(ordered))]
     return GradingMatrix(
@@ -222,17 +192,11 @@ def find_positive_weight(grading: GradingMatrix) -> list[int] | None:
 
 def grading_for_map(phi: RingMap) -> GradingMatrix:
     """Homogeneity space, domain projection, and positive weight in one step."""
-    grading = domain_grading(homogeneity_space(phi))
+    grading = domain_grading(homogeneity_space(phi), phi.n)
     grading.positive_weight = find_positive_weight(grading) if grading.rank else None
     return grading
 
 
-def multidegree_of(grading: GradingMatrix, mono: Monomial) -> Multidegree:
-    """beta = A alpha, plus the weighted degree when a positive weight exists."""
-    beta = tuple(
-        sum(row[i] * e for i, e in mono.exps) for row in grading.A
-    )
-    weighted = None
-    if grading.positive_weight is not None:
-        weighted = mono.weighted_degree(grading.positive_weight)
-    return Multidegree(beta, weighted)
+def multidegree_of(grading: GradingMatrix, mono: Monomial) -> tuple[int, ...]:
+    """The multidegree beta = A alpha of x^alpha."""
+    return tuple(sum(row[i] * e for i, e in mono.exps) for row in grading.A)

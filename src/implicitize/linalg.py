@@ -1,6 +1,9 @@
-"""Exact nullspace and rank computation.
+"""Exact nullspace and rank computation, in a leaf module that imports nothing from the package.
 
-Every exact elimination goes through `echelon`: forward elimination on sparse
+Integer rows go in, primitive integer vectors and ranks come out.
+`nullspace_primitive(rows, ncols)` is the one exact kernel call, shared by the
+engine's component solves and the grading's homogeneity space. Every exact
+elimination goes through `echelon`: forward elimination on sparse
 primitive integer rows (dicts keyed by column index). Every caller passes
 integer rows; each update row := (a/g)*row - (v/g)*pivot
 is followed by dividing out the row's content, so no common factor carries
@@ -18,9 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
-
-from .polyring import Monomial
 
 IntRow = dict[int, int]
 
@@ -167,36 +167,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass
-class ComponentMatrix:
-    """The linear system of one graded component.
-
-    Column j holds the coefficient vector of the image of the j-th basis
-    monomial, one row per codomain monomial those images touch; all-zero rows
-    are never stored.
-    """
-
-    columns: list[Monomial]
-    rows: list[dict]  # column index -> nonzero integer coefficient
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.columns))
-
-
-@dataclass
-class KernelBasis:
-    """Primitive integer basis of ker of a component matrix, by free column."""
-
-    vectors: list[list[int]]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
-
-
-def exact_kernel(matrix: ComponentMatrix) -> KernelBasis:
-    """Exact rational kernel of the component system, canonically normalized."""
-    return KernelBasis(nullspace_primitive(matrix.rows, len(matrix.columns)))

@@ -16,15 +16,23 @@ from implicitize import (
     components_of_kernel,
     enumerate_level,
     grading_for_map,
+    multidegree_of,
 )
 from implicitize import cli, engine
-from implicitize.engine import EngineInvariantError, assemble_component, push_index, trim_basis
+from implicitize.engine import (
+    EngineInvariantError,
+    Generator,
+    component_rows,
+    push_index,
+    trim_basis,
+)
 from implicitize.grading import NoPositiveWeightError
-from implicitize.linalg import ComponentMatrix, exact_kernel
+from implicitize.linalg import nullspace_primitive
 from implicitize.mapfile import emit_map_text
 
 from support import (
     GR24_QUADRIC_COMPONENT,
+    assembled_rows,
     mono_by_names,
     poly_by_names,
     random_monomial_map,
@@ -53,13 +61,13 @@ def test_assemble_quadric_component(gr24):
     grading = grading_for_map(gr24)
     level = enumerate_level(grading, 2)
     _, basis = find_component(level, (2, 1, 1, 1, -1))
-    matrix = assemble_component(gr24, unpacked(level, basis))
-    assert matrix.shape == (6, 3)
+    rows = assembled_rows(gr24, unpacked(level, basis))
+    assert len(rows) == 6 and len(basis) == 3
     dense = sorted(
-        [int(row.get(c, 0)) for c in range(3)] for row in matrix.rows
+        [int(row.get(c, 0)) for c in range(3)] for row in rows
     )
     assert dense == sorted(GR24_QUADRIC_COMPONENT)
-    assert exact_kernel(matrix).vectors == [[1, -1, 1]]
+    assert nullspace_primitive(rows, 3) == [[1, -1, 1]]
 
 
 def test_assemble_full_degree_two(gr24):
@@ -70,16 +78,16 @@ def test_assemble_full_degree_two(gr24):
     for basis in level.components.values():
         monos.extend(unpacked(level, basis))
     assert len(monos) == 21
-    matrix = assemble_component(gr24, monos)
-    assert matrix.shape[0] == 72 and matrix.shape[1] == 21
-    assert exact_kernel(matrix).dimension == 1
+    rows = assembled_rows(gr24, monos)
+    assert len(rows) == 72
+    assert len(nullspace_primitive(rows, 21)) == 1
 
 
 def test_assemble_zero_image_column():
     phi = RingMap([Polynomial.zero(1)], m=1, domain_names=["x"], codomain_names=["t"])
-    matrix = assemble_component(phi, [Monomial.variable(0)])
-    assert matrix.shape == (0, 1)
-    assert exact_kernel(matrix).vectors == [[1]]
+    rows = assembled_rows(phi, [Monomial.variable(0)])
+    assert rows == []
+    assert nullspace_primitive(rows, 1) == [[1]]
 
 
 def test_trim_cubic_component(gr24):
@@ -102,9 +110,9 @@ def test_trim_cubic_component(gr24):
         mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
         mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
     ]
-    matrix = assemble_component(gr24, columns)
-    assert matrix.shape == (10, 2)
-    assert exact_kernel(matrix).dimension == 0
+    rows = assembled_rows(gr24, columns)
+    assert len(rows) == 10
+    assert nullspace_primitive(rows, 2) == []
 
 
 def test_trim_with_no_generators(gr24):
@@ -248,8 +256,8 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
             index = push_index(run.generators, level, levels)
             for key, basis in level.components.items():
                 _, lift_rank = trim_basis(basis, index.get(key, []), {})
-                full = exact_kernel(assemble_component(phi, unpacked(level, basis)))
-                assert full.dimension == found[degree, level.beta(key)] + lift_rank
+                full = nullspace_primitive(assembled_rows(phi, unpacked(level, basis)), len(basis))
+                assert len(full) == found[degree, level.beta(key)] + lift_rank
 
 
 def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
@@ -340,7 +348,7 @@ def test_component_task_records(gr24, monkeypatch):
         assert columns and tuple(trimmed) == columns
         if ok:
             certified[bool(lift_rank)] += 1
-            assert exact_kernel(assemble_component(gr24, unpacked(level, columns))).dimension == 0
+            assert nullspace_primitive(assembled_rows(gr24, unpacked(level, columns)), len(columns)) == []
             assert not found[degree, level.beta(key)]
     assert len({component_of[columns[0]] for columns, _ in calls}) == len(calls)
     stats = result.level_stats
@@ -348,6 +356,21 @@ def test_component_task_records(gr24, monkeypatch):
     assert certified[True] == sum(st.skipped_prescreen for st in stats)
     assert all(st.skipped_matroid + st.skipped_prescreen + st.solved == st.components for st in stats)
     assert sum(certified.values()) and sum(st.solved for st in stats)
+
+
+def test_verify_rejects_inhomogeneous_and_misgraded_generators(gr24):
+    # with no column images the zero check passes, so only the grading checks can fire
+    grading = grading_for_map(gr24)
+    quadric = pluecker_quadric(gr24)
+    beta = multidegree_of(grading, quadric.leading()[0])
+    engine._verify_generator([], [], grading, Generator(quadric, beta, 2))
+    mixed = quadric + poly_by_names(gr24, {"p12": 1})
+    with pytest.raises(EngineInvariantError, match="generator not homogeneous"):
+        engine._verify_generator([], [], grading, Generator(mixed, beta, 2))
+    wrong = multidegree_of(grading, mono_by_names(gr24, {"p12": 2}))
+    assert wrong != beta
+    with pytest.raises(EngineInvariantError, match="multidegree mismatch"):
+        engine._verify_generator([], [], grading, Generator(quadric, wrong, 2))
 
 
 def test_generator_order_is_canonical(gr25):
@@ -361,14 +384,14 @@ def test_generator_order_is_canonical(gr25):
 
 def test_corrupted_kernel_entry_is_caught(cusp, tmp_path, monkeypatch, capsys):
     # verification re-expands every generator, so one wrong kernel entry stops the run
-    def corrupted(matrix):
-        kernel = exact_kernel(matrix)
-        for vec in kernel.vectors[:1]:
+    def corrupted(rows, ncols):
+        kernel = nullspace_primitive(rows, ncols)
+        for vec in kernel[:1]:
             j = next(j for j, v in enumerate(vec) if v)
             vec[j] *= 2  # no column of the cusp maps to zero
         return kernel
 
-    monkeypatch.setattr(engine, "exact_kernel", corrupted)
+    monkeypatch.setattr(engine, "nullspace_primitive", corrupted)
     with pytest.raises(EngineInvariantError, match="does not map to zero"):
         components_of_kernel(cusp, 2)
     path = tmp_path / "cusp.map"
@@ -380,11 +403,11 @@ def test_corrupted_kernel_entry_is_caught(cusp, tmp_path, monkeypatch, capsys):
 
 def test_dropped_assembly_rows_are_caught(cusp, monkeypatch):
     # a component system missing rows has too large a kernel; its extra vectors fail verification
-    def dropped(phi, columns, images=None):
-        matrix = assemble_component(phi, columns, images)
-        return ComponentMatrix(matrix.columns, matrix.rows[: len(matrix.rows) // 2])
+    def dropped(images):
+        rows = component_rows(images)
+        return rows[: len(rows) // 2]
 
-    monkeypatch.setattr(engine, "assemble_component", dropped)
+    monkeypatch.setattr(engine, "component_rows", dropped)
     for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
         with pytest.raises(EngineInvariantError):
             components_of_kernel(cusp, 2, options)
@@ -393,16 +416,16 @@ def test_dropped_assembly_rows_are_caught(cusp, monkeypatch):
 def test_corrupted_assembly_column_is_caught(gr24, tmp_path, monkeypatch, capsys):
     # column 1 overwritten by column 0 gives the false kernel vector e_0 - e_1;
     # verification expands the column images, not the assembled rows
-    def copied(phi, columns, images=None):
-        matrix = assemble_component(phi, columns, images)
-        if len(columns) > 1:
-            for row in matrix.rows:
+    def copied(images):
+        rows = component_rows(images)
+        if len(images) > 1:
+            for row in rows:
                 row.pop(1, None)
                 if 0 in row:
                     row[1] = row[0]
-        return matrix
+        return rows
 
-    monkeypatch.setattr(engine, "assemble_component", copied)
+    monkeypatch.setattr(engine, "component_rows", copied)
     for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
         with pytest.raises(EngineInvariantError, match="does not map to zero"):
             components_of_kernel(gr24, 2, options)

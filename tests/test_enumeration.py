@@ -49,7 +49,7 @@ def test_grassmannian_level_one_singletons(gr24):
     level = enumerate_level(grading, 1)
     assert level.monomial_count == 6 and len(level.components) == 6
     p12 = mono_by_names(gr24, {"p12": 1})
-    beta = multidegree_of(grading, p12).beta
+    beta = multidegree_of(grading, p12)
     by_beta = {level.beta(key): basis for key, basis in level.components.items()}
     assert by_beta[beta] == (level.packing.pack(p12),)
 

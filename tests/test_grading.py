@@ -53,8 +53,8 @@ def test_constraint_rows_monomial_map():
 
 def test_homogeneity_space_cusp(cusp):
     basis = homogeneity_space(cusp)
-    assert basis.dimension == 1
-    assert basis.full_vectors == [[2, 2, 2, 1, 1]]
+    assert len(basis) == 1
+    assert basis == [[2, 2, 2, 1, 1]]
     # independent oracle: exact nullspace of the constraint matrix
     oracle = sympy_nullspace(build_constraints(cusp))
     assert len(oracle) == 1
@@ -63,27 +63,27 @@ def test_homogeneity_space_cusp(cusp):
 
 def test_homogeneity_space_grassmannian(gr24):
     basis = homogeneity_space(gr24)
-    assert basis.dimension == 5
-    ours = sympy_rank(basis.full_vectors)
+    assert len(basis) == 5
+    ours = sympy_rank(basis)
     golden = sympy_rank(GR24_HOMOGENEITY)
-    stacked = sympy_rank(basis.full_vectors + GR24_HOMOGENEITY)
+    stacked = sympy_rank(basis + GR24_HOMOGENEITY)
     assert ours == golden == stacked == 5
 
 
 def test_homogeneity_space_identity_map():
     phi = RingMap([Polynomial.variable(1, 0)], m=1)
-    assert homogeneity_space(phi).full_vectors == [[1, 1]]
+    assert homogeneity_space(phi) == [[1, 1]]
 
 
 def test_zero_image_variable_is_free():
     phi = RingMap([Polynomial.variable(1, 0), Polynomial.zero(1)], m=1)
     basis = homogeneity_space(phi)
-    assert [0, 1, 0] in basis.full_vectors
+    assert [0, 1, 0] in basis
 
 
 def test_domain_grading_ranks(cusp, gr24):
-    assert domain_grading(homogeneity_space(cusp)).A == [[2, 2, 2]]
-    grading = domain_grading(homogeneity_space(gr24))
+    assert domain_grading(homogeneity_space(cusp), cusp.n).A == [[2, 2, 2]]
+    grading = domain_grading(homogeneity_space(gr24), gr24.n)
     assert grading.rank == 4
     assert len(grading.A_full) == 4
     # projected rows must stay aligned with their full counterparts
@@ -105,7 +105,7 @@ def test_images_homogeneous_under_codomain_grading(gr24, cusp, sunlet):
 
 def test_positive_weight_prefers_all_ones(gr24, cusp, sunlet):
     for phi in (gr24, cusp, sunlet):
-        grading = domain_grading(homogeneity_space(phi))
+        grading = domain_grading(homogeneity_space(phi), phi.n)
         assert find_positive_weight(grading) == [1] * phi.n
 
 
@@ -131,11 +131,11 @@ def test_multidegree_of_examples(gr24):
     m3 = mono_by_names(gr24, {"p23": 1, "p14": 1})
     d1 = multidegree_of(grading, m1)
     assert d1 == multidegree_of(grading, m2) == multidegree_of(grading, m3)
-    assert d1.weighted_degree == 2
+    assert m1.weighted_degree(grading.positive_weight) == 2
     # in the reference basis these monomials sit in component (2,1,1,1,-1)
     assert reference_beta(m1) == reference_beta(m2) == (2, 1, 1, 1, -1)
     empty = multidegree_of(grading, Monomial())
-    assert empty.beta == (0,) * grading.rank and empty.weighted_degree == 0
+    assert empty == (0,) * grading.rank and Monomial().weighted_degree(grading.positive_weight) == 0
 
 
 def test_weighted_degree_well_defined(gr24, cusp):
@@ -163,6 +163,6 @@ def test_grading_exactness_and_maximality_randomized():
 def test_elimination_generators_homogeneous_under_basis(gr24):
     basis = homogeneity_space(gr24)
     gens = [elimination_generator(gr24, i) for i in range(gr24.n)]
-    for vec in basis.full_vectors:
+    for vec in basis:
         weights = [Fraction(v) for v in vec]
         assert all(g.is_homogeneous(weights) for g in gens)
