@@ -7,7 +7,6 @@ exact linear algebra, one small system per multidegree.
 
 from .engine import (
     EngineInvariantError,
-    EngineOptions,
     Generator,
     GeneratorSet,
     components_of_kernel,

@@ -35,12 +35,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-from .engine import (
-    EngineInvariantError,
-    EngineOptions,
-    GeneratorSet,
-    components_of_kernel,
-)
+from .engine import EngineInvariantError, GeneratorSet, components_of_kernel
 from .fixtures import (
     gen_cusp,
     gen_grassmannian,
@@ -235,17 +230,14 @@ def _cmd_run(args) -> int:
         phi = parse_map_file(args.map_path)
     else:
         phi = parse_map(sys.stdin.read())
-    options = EngineOptions(
-        seed=args.seed,
-        prime=args.prime,
-        use_prescreen=not args.no_prescreen,
-    )
     # Exact coefficients may pass CPython's int-to-decimal limit (4300 digits)
     # when sorted and printed; the limit stays in force while parsing, where it
     # bounds the quadratic cost of reading huge literals.
     with _unlimited_int_digits():
         started = time.perf_counter()
-        result = components_of_kernel(phi, args.max_degree, options)
+        result = components_of_kernel(
+            phi, args.max_degree, seed=args.seed, prime=args.prime, prescreen=not args.no_prescreen
+        )
         wall = time.perf_counter() - started
 
         if args.output == "json":
@@ -264,10 +256,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    if (args.name == "grassmannian") != (args.size is not None):
+        need = "needs a size argument" if args.size is None else "takes no size argument"
+        print(f"error: {args.name} {need}", file=sys.stderr)
+        return 2
     if args.name == "grassmannian":
-        if args.size is None:
-            print("error: grassmannian needs a size argument", file=sys.stderr)
-            return 2
         phi = gen_grassmannian(args.size).with_symmetries(grassmannian_symmetries(args.size))
     elif args.name == "cusp":
         phi = gen_cusp()

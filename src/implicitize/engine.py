@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .enumeration import DegreeLevel, enumerate_level
 from .grading import (
@@ -61,15 +61,7 @@ class EngineInvariantError(RuntimeError):
     """An internal consistency check failed; the output cannot be trusted."""
 
 
-@dataclass
-class EngineOptions:
-    seed: int = 0
-    prime: int = DEFAULT_PRIME
-    use_prescreen: bool = True
-
-
-@dataclass
-class Generator:
+class Generator(NamedTuple):
     """One minimal generator, with the multidegree and weighted degree it has."""
 
     poly: Polynomial
@@ -77,8 +69,7 @@ class Generator:
     weighted_degree: int
 
 
-@dataclass
-class LevelStats:
+class LevelStats(NamedTuple):
     weighted_degree: int
     monomials: int
     components: int
@@ -94,19 +85,12 @@ class LevelStats:
 STAGES = ("enumerate", "orbits", "trim", "certify", "assemble", "kernel", "verify")
 
 
-@dataclass
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Canonically ordered minimal generators plus run bookkeeping."""
 
-    generators: list[Generator] = field(default_factory=list)
-    level_stats: list[LevelStats] = field(default_factory=list)
-    grading: GradingMatrix | None = None
-
-    def counts_by_degree(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for g in self.generators:
-            counts[g.weighted_degree] = counts.get(g.weighted_degree, 0) + 1
-        return counts
+    generators: list[Generator]
+    level_stats: list[LevelStats]
+    grading: GradingMatrix
 
 
 def push_index(generators: list[Generator], level: DegreeLevel, levels: dict) -> dict:
@@ -313,30 +297,32 @@ def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix
 
 
 def components_of_kernel(
-    phi: RingMap, max_degree: int, options: EngineOptions | None = None
+    phi: RingMap, max_degree: int, *, seed: int = 0, prime: int = DEFAULT_PRIME, prescreen: bool = True
 ) -> GeneratorSet:
     """All minimal generators of ker(phi) of weighted degree <= max_degree.
 
     The weighted degree is taken against the grading's positive weight, which
     is the all-ones vector (plain total degree) whenever the row span allows
-    it. Raises NoPositiveWeightError when no positive weight exists.
+    it. Raises NoPositiveWeightError when no positive weight exists. `seed`
+    and `prime` pick the certificate's evaluation points; `prescreen=False`
+    solves every component exactly. None of them changes the output.
     """
     if max_degree < 1:
         raise ValueError("degree bound must be >= 1")
-    options = options or EngineOptions()
     grading = grading_for_map(phi)
     if grading.positive_weight is None:
         raise NoPositiveWeightError(
             "the grading admits no strictly positive weight vector"
         )
     # rank mod a composite can over-count: a product of nonzero pivots can vanish
-    if not is_prime(options.prime):
-        raise ValueError(f"{options.prime} is not prime")
+    if not is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
     # a monomial's total degree is at most its weighted degree
     packing = MonomialPacking(phi.n, max_degree)
     images = IntegerImages(phi, max_degree)
-    result = GeneratorSet(grading=grading)
-    points = EvaluationPoints(images, options.prime, options.seed, packing)
+    generators: list[Generator] = []
+    level_stats: list[LevelStats] = []
+    points = EvaluationPoints(images, prime, seed, packing)
     moves = symmetry_moves(grading, phi.symmetries)
     levels: dict[int, DegreeLevel] = {}
     for degree in range(1, max_degree + 1):
@@ -347,7 +333,7 @@ def components_of_kernel(
         first = orbits(level, moves) if moves else {}
         stages["orbits"] = time.perf_counter() - started - stages["enumerate"]
         ticked = time.perf_counter()
-        index = push_index(result.generators, level, levels)
+        index = push_index(generators, level, levels)
         stages["trim"] = time.perf_counter() - ticked
         pivots: dict = {}  # trim_basis's, for this level
         new_generators: list[Generator] = []
@@ -365,7 +351,7 @@ def components_of_kernel(
             columns, lift_rank = trim_basis(basis, index.get(key, []), pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
-            if columns and options.use_prescreen and rep == key:
+            if columns and prescreen and rep == key:
                 certified = points.certify_no_generators(columns)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
@@ -402,8 +388,8 @@ def components_of_kernel(
                 tuple(sorted((m.exps, str(c)) for m, c in g.poly.terms.items())),
             )
         )
-        result.generators.extend(new_generators)
-        result.level_stats.append(
+        generators.extend(new_generators)
+        level_stats.append(
             LevelStats(
                 weighted_degree=degree,
                 monomials=level.monomial_count,
@@ -417,4 +403,4 @@ def components_of_kernel(
                 stage_seconds=stages,
             )
         )
-    return result
+    return GeneratorSet(generators, level_stats, grading)

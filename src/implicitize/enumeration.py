@@ -16,14 +16,13 @@ is graded-lex order. Only `DegreeLevel.beta` turns a key back into a tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grading import GradingMatrix, NoPositiveWeightError
 from .polyring import MonomialPacking
 
 
-@dataclass
-class DegreeLevel:
+class DegreeLevel(NamedTuple):
     """All monomials of one weighted degree, grouped into components.
 
     A component maps its packed beta to its members, a tuple of packed keys,

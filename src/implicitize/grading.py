@@ -17,8 +17,8 @@ enumeration; without one the engine refuses to run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .polyring import Monomial, RingMap
@@ -28,19 +28,17 @@ class NoPositiveWeightError(RuntimeError):
     """The grading row span contains no strictly positive vector."""
 
 
-@dataclass
-class GradingMatrix:
+class GradingMatrix(NamedTuple):
     """Maximal-rank integer grading on the domain.
 
-    `A` is r x n with independent rows; `A_full` keeps the un-projected
-    (n+m)-vectors the surviving rows came from. `positive_weight`, when
-    present, is an integer vector in rowspan(A) with every entry >= 1.
+    `A` is r x n with independent rows. `positive_weight`, when present, is a
+    primitive integer vector in rowspan(A) with every entry >= 1; None means
+    that the row span has no such vector.
     """
 
     A: list[list[int]]
     n: int
-    A_full: list[list[int]] | None = None
-    positive_weight: list[int] | None = None
+    positive_weight: list[int] | None
 
     @property
     def rank(self) -> int:
@@ -79,17 +77,13 @@ def domain_grading(vectors: list[list[int]], n: int) -> GradingMatrix:
     Candidates are ordered by (max absolute entry, lexicographic), then one
     elimination over their projections, taken as columns, keeps the pivot
     columns: the leftmost independent ones, so exactly the greedy picks in
-    that order, and the result is deterministic. Surviving rows stay aligned
-    with their un-projected counterparts in A_full.
+    that order, and the result is deterministic. The grading comes with the
+    positive weight of its rows (`find_positive_weight`).
     """
     ordered = sorted(vectors, key=lambda v: (max(map(abs, v), default=0), tuple(v)))
     by_coordinate = [[vec[i] for vec in ordered] for i in range(n)]
-    picked = [k for k, _ in linalg.echelon(by_coordinate, len(ordered))]
-    return GradingMatrix(
-        A=[list(ordered[k][:n]) for k in picked],
-        n=n,
-        A_full=[list(ordered[k]) for k in picked],
-    )
+    A = [list(ordered[k][:n]) for k, _ in linalg.echelon(by_coordinate, len(ordered))]
+    return GradingMatrix(A, n, find_positive_weight(A, n))
 
 
 def _feasible_point(stages: list[list[tuple[int, ...]]], r: int) -> list[Fraction]:
@@ -164,18 +158,18 @@ def _positive_combination(columns: list[tuple[int, ...]], r: int) -> list[Fracti
     return _feasible_point(stages, r)
 
 
-def find_positive_weight(grading: GradingMatrix) -> list[int] | None:
-    """A strictly positive primitive integer vector in rowspan(A), if any.
+def find_positive_weight(A: list[list[int]], n: int) -> list[int] | None:
+    """A strictly positive primitive integer vector in the row span of A (r x n), if any.
 
     The all-ones vector is preferred whenever the row span contains it, so
     degree-by-degree enumeration coincides with total degree; otherwise an
     exact Fourier-Motzkin search over the row-coefficient space decides
     feasibility. Returns None when no positive vector exists.
     """
-    r, n = grading.rank, grading.n
+    r = len(A)
     if r == 0:
         return None
-    columns = grading.columns()
+    columns = list(zip(*A))
     # Rows of [A^T | 1]: pivot columns are the leftmost independent ones, so
     # the ones column r is a pivot exactly when ones is not in rowspan(A).
     if r not in dict(linalg.echelon([[*col, 1] for col in columns], r + 1)):
@@ -183,7 +177,7 @@ def find_positive_weight(grading: GradingMatrix) -> list[int] | None:
     u = _positive_combination(columns, r)
     if u is None:
         return None
-    weight = [sum(u[k] * grading.A[k][j] for k in range(r)) for j in range(n)]
+    weight = [sum(u[k] * A[k][j] for k in range(r)) for j in range(n)]
     primitive = linalg.normalize_primitive(weight)
     if any(w < 1 for w in primitive):
         raise AssertionError("positive weight search produced a non-positive vector")
@@ -192,9 +186,7 @@ def find_positive_weight(grading: GradingMatrix) -> list[int] | None:
 
 def grading_for_map(phi: RingMap) -> GradingMatrix:
     """Homogeneity space, domain projection, and positive weight in one step."""
-    grading = domain_grading(homogeneity_space(phi), phi.n)
-    grading.positive_weight = find_positive_weight(grading) if grading.rank else None
-    return grading
+    return domain_grading(homogeneity_space(phi), phi.n)
 
 
 def multidegree_of(grading: GradingMatrix, mono: Monomial) -> tuple[int, ...]:

@@ -130,7 +130,8 @@ def _coerce(c):
 class Polynomial:
     """A sparse polynomial in `num_vars` variables: Monomial -> coefficient.
 
-    Zero coefficients are never stored; the zero polynomial has no terms.
+    Zero coefficients are never stored; the zero polynomial, `Polynomial(num_vars)`,
+    has no terms.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -159,10 +160,6 @@ class Polynomial:
         p.num_vars = num_vars
         p.terms = terms
         return p
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "Polynomial":
-        return cls._make(num_vars, {})
 
     @classmethod
     def constant(cls, num_vars: int, c) -> "Polynomial":
@@ -322,7 +319,7 @@ class RingMap:
     """A homomorphism K[x_0..x_{n-1}] -> K[t_0..t_{m-1}], x_i -> images[i].
 
     Images may be zero (then x_i itself is a degree-1 kernel generator).
-    The engine expands monomial images through `IntegerImages` instead.
+    The engine expands monomial images through `IntegerImages`.
     `symmetries` are declared `Symmetry`s of the map, each checked exactly here;
     a declaration that is not a signed permutation or not a symmetry raises
     ValueError.
@@ -377,18 +374,6 @@ class RingMap:
     def with_symmetries(self, symmetries: Sequence[Symmetry]) -> "RingMap":
         """This map with `symmetries` declared, each checked exactly."""
         return RingMap(self.images, self.m, self.domain_names, self.codomain_names, symmetries)
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        """Substitute each x_i by its image and expand (uncached)."""
-        if f.num_vars != self.n:
-            raise ValueError(f"polynomial in {f.num_vars} variables, map expects {self.n}")
-        out = Polynomial.zero(self.m)
-        for mono, coeff in f.terms.items():
-            term = Polynomial.constant(self.m, coeff)
-            for i, e in mono.exps:
-                term = term * self.images[i] ** e
-            out = out + term
-        return out
 
     def __eq__(self, other):
         return (

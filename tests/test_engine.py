@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from implicitize import (
-    EngineOptions,
     Monomial,
     MonomialPacking,
     Polynomial,
@@ -33,6 +32,7 @@ from implicitize.mapfile import emit_map_text
 from support import (
     GR24_QUADRIC_COMPONENT,
     assembled_rows,
+    counts_by_degree,
     mono_by_names,
     poly_by_names,
     random_monomial_map,
@@ -84,7 +84,7 @@ def test_assemble_full_degree_two(gr24):
 
 
 def test_assemble_zero_image_column():
-    phi = RingMap([Polynomial.zero(1)], m=1, domain_names=["x"], codomain_names=["t"])
+    phi = RingMap([Polynomial(1)], m=1, domain_names=["x"], codomain_names=["t"])
     rows = assembled_rows(phi, [Monomial.variable(0)])
     assert rows == []
     assert nullspace_primitive(rows, 1) == [[1]]
@@ -161,7 +161,7 @@ def test_trim_pivot_cache_matches_fresh_elimination(gr25):
 
 def test_grassmannian_run(gr24):
     result = components_of_kernel(gr24, 3)
-    assert result.counts_by_degree() == {2: 1}
+    assert counts_by_degree(result) == {2: 1}
     gen = result.generators[0]
     assert gen.poly == pluecker_quadric(gr24)
     # report reconciliation
@@ -177,7 +177,7 @@ def test_cusp_run(cusp):
 
 def test_zero_image_and_coincident_images_make_linear_generators():
     t = Polynomial.variable(1, 0)
-    phi = RingMap([t, Polynomial.zero(1)], m=1, domain_names=["x", "y"], codomain_names=["t"])
+    phi = RingMap([t, Polynomial(1)], m=1, domain_names=["x", "y"], codomain_names=["t"])
     result = components_of_kernel(phi, 2)
     assert [g.poly for g in result.generators] == [Polynomial.variable(2, 1)]
 
@@ -192,15 +192,15 @@ def test_zero_first_image_is_a_linear_generator(monkeypatch):
     # column it enters; such a lone column must still reach the exact solve
     calls = spy_certificates(monkeypatch)
     t = Polynomial.variable(1, 0)
-    phi = RingMap([Polynomial.zero(1), t, t], m=1, domain_names=["x", "y", "z"])
+    phi = RingMap([Polynomial(1), t, t], m=1, domain_names=["x", "y", "z"])
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
     lone = (MonomialPacking(3, 3).pack(x.leading()[0]),)
-    for options in (EngineOptions(), EngineOptions(prime=3), EngineOptions(use_prescreen=False)):
+    for options in ({}, {"prime": 3}, {"prescreen": False}):
         calls.clear()
-        result = components_of_kernel(phi, 3, options)
+        result = components_of_kernel(phi, 3, **options)
         assert [g.poly for g in result.generators] == [x, y - z]
         assert result.generators[0].weighted_degree == 1
-        expected = [False] if options.use_prescreen else []
+        expected = [False] if options.get("prescreen", True) else []
         assert [certified for columns, certified in calls if columns == lone] == expected
 
 
@@ -218,7 +218,7 @@ def test_weighted_degree_bound_semantics():
 def test_oracle_equivalence_small(gr24, cusp):
     for phi in (gr24, cusp):
         result = components_of_kernel(phi, 3)
-        assert result.counts_by_degree() == sympy_oracle_check(phi, result, 3)
+        assert counts_by_degree(result) == sympy_oracle_check(phi, result, 3)
 
 
 def test_oracle_equivalence_random_monomial_maps():
@@ -226,7 +226,7 @@ def test_oracle_equivalence_random_monomial_maps():
     for _ in range(4):
         phi = random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3))
         result = components_of_kernel(phi, 3)
-        assert result.counts_by_degree() == sympy_oracle_check(phi, result, 3)
+        assert counts_by_degree(result) == sympy_oracle_check(phi, result, 3)
 
 
 def test_oracle_equivalence_weighted():
@@ -242,7 +242,7 @@ def test_oracle_equivalence_weighted():
         phi = RingMap(images, m=2)
         result = components_of_kernel(phi, 6)
         assert result.grading.positive_weight == weight
-        assert result.counts_by_degree() == counts
+        assert counts_by_degree(result) == counts
         assert sympy_oracle_check(phi, result, 6) == counts
 
 
@@ -262,11 +262,10 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
 
 def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
     calls = spy_certificates(monkeypatch)
-    for phi, options in ((gr24, EngineOptions()), (gr25, EngineOptions(seed=7, prime=101))):
-        base = components_of_kernel(phi, 3, options)
-        options.use_prescreen = False
+    for phi, options in ((gr24, {}), (gr25, {"seed": 7, "prime": 101})):
+        base = components_of_kernel(phi, 3, **options)
         calls.clear()
-        off = components_of_kernel(phi, 3, options)
+        off = components_of_kernel(phi, 3, **options, prescreen=False)
         assert [(g.poly, g.beta) for g in base.generators] == [
             (g.poly, g.beta) for g in off.generators
         ]
@@ -275,11 +274,11 @@ def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
 
 
 def test_small_prime_still_exact(gr24):
-    result = components_of_kernel(gr24, 3, EngineOptions(prime=101))
-    assert result.counts_by_degree() == {2: 1}
+    result = components_of_kernel(gr24, 3, prime=101)
+    assert counts_by_degree(result) == {2: 1}
 
 
-def test_prime_bumped_when_unsafe(tmp_path, capsys):
+def test_prime_dividing_a_denominator_is_used_as_given(tmp_path, capsys):
     # 5 divides the denominators of t/5 and t^2/5, yet the run keeps 5: the
     # certificate reads the integer images t and t^2, valid mod every prime
     phi = RingMap(
@@ -287,7 +286,7 @@ def test_prime_bumped_when_unsafe(tmp_path, capsys):
     )
     expected = [(g.poly, g.beta) for g in components_of_kernel(phi, 3).generators]
     assert len(expected) == 1  # x1 - 5*x0^2
-    result = components_of_kernel(phi, 3, EngineOptions(prime=5))
+    result = components_of_kernel(phi, 3, prime=5)
     assert [(g.poly, g.beta) for g in result.generators] == expected
     path, report = tmp_path / "fifth.map", tmp_path / "report.json"
     path.write_text(emit_map_text(phi), encoding="utf-8")
@@ -309,9 +308,8 @@ def test_run_path_does_no_rational_image_work(monkeypatch):
     # expanding or evaluating an image takes Polynomial products, sums or powers
     for name in ("__mul__", "__add__", "__pow__"):
         monkeypatch.setattr(Polynomial, name, refuse)
-    monkeypatch.setattr(RingMap, "apply", refuse)
-    for options in (EngineOptions(prime=5), EngineOptions(use_prescreen=False)):
-        result = components_of_kernel(phi, 3, options)
+    for options in ({"prime": 5}, {"prescreen": False}):
+        result = components_of_kernel(phi, 3, **options)
         assert [(g.poly, g.beta) for g in result.generators] == expected
 
 
@@ -323,10 +321,10 @@ def test_error_paths():
     with pytest.raises(ValueError):
         components_of_kernel(affine, 0)
     with pytest.raises(ValueError):
-        components_of_kernel(RingMap([t], m=1), 2, EngineOptions(prime=10))
+        components_of_kernel(RingMap([t], m=1), 2, prime=10)
 
 
-def test_component_task_records(gr24, monkeypatch):
+def test_every_component_is_certified_or_solved(gr24, monkeypatch):
     # each component is certified or solved; the certificate sees exactly the
     # trimmed columns, and a certified component has no new generators
     calls = spy_certificates(monkeypatch)
@@ -408,9 +406,9 @@ def test_dropped_assembly_rows_are_caught(cusp, monkeypatch):
         return rows[: len(rows) // 2]
 
     monkeypatch.setattr(engine, "component_rows", dropped)
-    for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
+    for prescreen in (True, False):
         with pytest.raises(EngineInvariantError):
-            components_of_kernel(cusp, 2, options)
+            components_of_kernel(cusp, 2, prescreen=prescreen)
 
 
 def test_corrupted_assembly_column_is_caught(gr24, tmp_path, monkeypatch, capsys):
@@ -426,9 +424,9 @@ def test_corrupted_assembly_column_is_caught(gr24, tmp_path, monkeypatch, capsys
         return rows
 
     monkeypatch.setattr(engine, "component_rows", copied)
-    for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
+    for prescreen in (True, False):
         with pytest.raises(EngineInvariantError, match="does not map to zero"):
-            components_of_kernel(gr24, 2, options)
+            components_of_kernel(gr24, 2, prescreen=prescreen)
     path = tmp_path / "gr24.map"
     path.write_text(emit_map_text(gr24), encoding="utf-8")
     assert cli.main(["run", "--map", str(path), "-d", "2"]) == 4

@@ -102,12 +102,10 @@ def test_sunlet_level_two_counts(sunlet):
 
 
 def test_weight_required():
-    grading = GradingMatrix(A=[[1, 1]], n=2)
     with pytest.raises(NoPositiveWeightError):
-        enumerate_level(grading, 1)
-    grading.positive_weight = [1, 1]
+        enumerate_level(GradingMatrix(A=[[1, 1]], n=2, positive_weight=None), 1)
     with pytest.raises(ValueError):
-        enumerate_level(grading, 0)
+        enumerate_level(GradingMatrix(A=[[1, 1]], n=2, positive_weight=[1, 1]), 0)
 
 
 def test_partition_identity_randomized():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -92,7 +93,7 @@ def test_prescreen_examples(gr24):
 def test_prescreen_zero_image_column():
     # x0 -> 0, x1 -> t: a lone column is certified only if it avoids x0
     t = Polynomial.variable(1, 0)
-    phi = RingMap([Polynomial.zero(1), t], m=1)
+    phi = RingMap([Polynomial(1), t], m=1)
     packing = MonomialPacking(2, 3)
     points = EvaluationPoints(IntegerImages(phi, 3), 101, seed=0, packing=packing)
     x0, x1 = Monomial.variable(0), Monomial.variable(1)
@@ -221,3 +222,20 @@ def test_linalg_is_a_leaf_module():
             modules.extend(alias.name for alias in node.names)
     assert "math" in modules
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "implicitize"]
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: no run pays for importing dataclasses (and inspect)
+    package = pathlib.Path(linalg.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert "dataclasses" not in names, source.name

@@ -340,6 +340,10 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
     code, _, _ = run_cli(["examples", "grassmannian", "2"])
     assert code == 2
+    for args in (["cusp", "7"], ["sunlet-k3p", "5"]):
+        code, out, err = run_cli(["examples", *args])
+        assert code == 2 and out == ""
+        assert err == f"error: {args[0]} takes no size argument\n"
 
 
 def test_cli_toggle_flags():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from implicitize import EngineOptions, MonomialPacking, components_of_kernel, engine
+from implicitize import DEFAULT_PRIME, MonomialPacking, components_of_kernel, engine
 from implicitize.linalg import nullspace_primitive
 from implicitize.polyring import IntegerImages
 
@@ -31,12 +31,12 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp, monkeypatch):
     lone = unit_free = 0
     # points have nonzero coordinates, and at 5 and 7 seed 0's points miss the
     # rational quadrics' 5-column component, which seed 2's certify
-    for prime, seed in itertools.product((3, 5, 7, 101, EngineOptions().prime), (0, 2)):
+    for prime, seed in itertools.product((3, 5, 7, 101, DEFAULT_PRIME), (0, 2)):
         certified = 0
         for phi in maps:
             calls.clear()
             moduli.clear()
-            result = components_of_kernel(phi, 3, EngineOptions(prime=prime, seed=seed))
+            result = components_of_kernel(phi, 3, prime=prime, seed=seed)
             assert moduli <= {prime}  # the requested prime, never a substitute
             packing = MonomialPacking(phi.n, 3)
             denominators = IntegerImages(phi, 3).denominators
@@ -62,7 +62,7 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp, monkeypatch):
 
 def test_sunlet_skip_counts_pinned(sunlet):
     # measured once and stable: deterministic grading basis and seed-0 points
-    result = components_of_kernel(sunlet, 2, EngineOptions(seed=0))
+    result = components_of_kernel(sunlet, 2, seed=0)
     stats = result.level_stats[1]
     assert stats.components == 1720
     assert stats.skipped_matroid == 1708
@@ -72,7 +72,7 @@ def test_sunlet_skip_counts_pinned(sunlet):
 def test_skip_neutral_on_outputs(gr24):
     # certifying a component only skips its exact solve; generators are unchanged
     with_skip = components_of_kernel(gr24, 3)
-    without = components_of_kernel(gr24, 3, EngineOptions(use_prescreen=False))
+    without = components_of_kernel(gr24, 3, prescreen=False)
     assert any(stats.skipped_matroid + stats.skipped_prescreen for stats in with_skip.level_stats)
     assert [(g.poly, g.beta) for g in with_skip.generators] == [
         (g.poly, g.beta) for g in without.generators

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from implicitize import (
-    EngineOptions,
     RingMap,
     Symmetry,
     cli,
@@ -26,7 +25,7 @@ from implicitize.engine import orbits, symmetry_moves
 from implicitize.linalg import nullspace_primitive
 from implicitize.mapfile import MapParseError, emit_map_json, emit_map_text, parse_map
 
-from support import shared_levels, spy_certificates, sympy_oracle_check, unpacked
+from support import counts_by_degree, shared_levels, spy_certificates, sympy_oracle_check, unpacked
 
 
 def _symmetric(n: int | None = None) -> RingMap:
@@ -147,7 +146,7 @@ def test_orbits_match_brute_force():
 def test_sympy_oracle_with_symmetries():
     phi = _symmetric(5)
     result = components_of_kernel(phi, 3)
-    assert sympy_oracle_check(phi, result, 3) == result.counts_by_degree() == {2: 5}
+    assert sympy_oracle_check(phi, result, 3) == counts_by_degree(result) == {2: 5}
     assert sum(st.certified_by_symmetry for st in result.level_stats) > 0
     for st in result.level_stats:
         settled = st.skipped_matroid + st.skipped_prescreen + st.certified_by_symmetry
@@ -195,9 +194,9 @@ def test_orbit_statuses(monkeypatch):
         for key, basis in level.components.items()
         for mono in basis
     }
-    for options in (EngineOptions(), EngineOptions(use_prescreen=False)):
+    for prescreen in (True, False):
         calls.clear()
-        result = components_of_kernel(phi, 4, options)
+        result = components_of_kernel(phi, 4, prescreen=prescreen)
         assert [(g.poly, g.beta) for g in result.generators] == [
             (g.poly, g.beta) for g in plain.generators
         ]
@@ -212,4 +211,4 @@ def test_orbit_statuses(monkeypatch):
             assert all((degree, level.beta(key)) in found for key in open_members)
         # the 15 quadrics lie in one orbit of 15 components
         assert len(found) == 15 and result.level_stats[1].solved >= 15
-        assert result.level_stats[1].solved == 15 or not options.use_prescreen
+        assert result.level_stats[1].solved == 15 or not prescreen
