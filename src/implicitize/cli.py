@@ -9,10 +9,11 @@
 to the degree bound, prints them to stdout (text or JSON), and prints a
 per-level summary table to stderr. With a non-standard positive weight the
 bound applies to the weighted degree; the `--report` JSON says whether the
-all-ones weight was used. Before any exact solve, each component is screened
-by evaluating its images at random points mod `--prime` (`--seed` picks the
-points); a full-rank evaluation certifies that it has no new generators, and
-every prime is valid. Components that a symmetry declared in the map carries
+all-ones weight was used. Before any exact trim or solve, each component is
+trimmed mod `--prime` and screened by evaluating the images of the columns
+left at random points mod the same prime (`--seed` picks the points); a
+full-rank evaluation certifies that it has no new generators, and every
+prime is valid. Components that a symmetry declared in the map carries
 onto each other form an orbit, and only its first member, in canonical order,
 is screened: when it has no new generators, neither has any other member, and
 they are settled without trimming or screening (`certified_by_symmetry` in

@@ -4,8 +4,9 @@ For each weighted degree i up to the bound, the engine enumerates the level,
 groups its components into orbits under the map's declared symmetries, then
 handles its components one at a time, in canonical beta order:
 
-    trim against lower-degree generators -> certify mod p -> assemble the
-    component's integer rows -> nullspace_primitive -> verify
+    trim mod p against lower-degree generators -> certify mod p -> exact
+    trim -> assemble the component's integer rows -> nullspace_primitive ->
+    verify
 
 A symmetry x_i -> +-x_sigma(i) with phi o sigma = tau o phi maps ker phi onto
 itself and, when it fixes the positive weight, the ideal of the lower-degree
@@ -25,12 +26,26 @@ multidegree. Trimming runs whenever lower-degree generators exist: without it
 the kernel would also hold their multiples, which are not minimal. Trimming
 at level i reads only generators from levels < i, through a push index that
 files their shifts under the components they land on, so components within a
-level never interact. The certificate evaluates the images psi^alpha of the
-trimmed columns at seeded random points of GF(p)^m; when those values have
-full rank the component has no new generators, and no matrix is built for
-it. Each psi^alpha is phi(x^alpha) times a nonzero rational, so every prime
-is valid. A failed certificate only costs the exact solve, so no seed or
-prime changes the output.
+level never interact. When a level is done, its generators become lift
+sources once: per (weighted degree, beta), the reduced row echelon basis of
+their coefficient rows (`lift_sources`), which spans what they span with
+distinct leading monomials, so the trim's elimination has far fewer
+collisions. Emitted generators are untouched.
+
+The certificate evaluates the images psi^alpha of a column set at seeded
+random points of GF(p)^m; when those values have full rank the columns'
+images are independent (each psi^alpha is phi(x^alpha) times a nonzero
+rational, so every prime is valid). It first reads the columns C_p left by
+a trim mod p: the lift rows L of a component, with pivot columns P_p over
+GF(p) and r_p = |P_p|, span U inside the component's kernel W. Then
+r_p <= rank_Q(L) = dim U <= dim W, and a full-rank certificate on C_p gives
+W meet span(e_C_p) = 0, so dim W <= |P_p| = r_p. Hence U = W: the component
+has no new generators, for every prime, and no exact trim or matrix is
+needed. Only when that fails does the exact trim run, then the exact solve;
+if the exact columns differ from C_p they are certified too, so a prime
+that drops the lift rank costs work, never an answer. An empty C_p means
+r_p is every column, so the exact trim is empty too. No seed or prime
+changes the output.
 Every emitted generator g is re-verified to map to zero, by an exact expansion
 of L * phi(g) from those images, and to be homogeneous under every grading
 row. A component leaves behind only its generators and one count in its
@@ -52,7 +67,7 @@ from .grading import (
     grading_for_map,
     multidegree_of,
 )
-from .linalg import echelon, is_prime, nullspace_primitive, rank_mod_p
+from .linalg import echelon, is_prime, nullspace_primitive, rank_mod_p, reduced_echelon
 from .polyring import DEFAULT_PRIME, IntegerImages, MonomialPacking, Polynomial
 from .polyring import RingMap, Symmetry, grlex_key
 
@@ -93,27 +108,61 @@ class GeneratorSet(NamedTuple):
     grading: GradingMatrix
 
 
-def push_index(generators: list[Generator], level: DegreeLevel, levels: dict) -> dict:
+class LiftSource(NamedTuple):
+    """One row of the reduced basis of the generators of one (weighted degree, beta).
+
+    `monos` are packed monomials, `coeffs` their primitive integer coefficients.
+    """
+
+    weighted_degree: int
+    monos: tuple[int, ...]
+    coeffs: tuple[int, ...]
+
+
+def lift_sources(generators: list[Generator], packing: MonomialPacking) -> list[LiftSource]:
+    """The generators as lift sources: per (weighted degree, beta), a reduced basis of their span.
+
+    A group's coefficient rows, over its monomials in component order
+    (graded-lex descending), are replaced by their reduced row echelon basis
+    (`reduced_echelon`). Shifting by a monomial keeps that order, so the lift
+    rows of a component span what the generators' shifts span, and trimming
+    keeps its pivot columns; but the rows now have distinct leading columns,
+    so far fewer of them collide during the elimination. A lone generator is
+    its own basis. Emitted generators are untouched.
+    """
+    groups: dict[tuple, list[Generator]] = {}
+    for g in generators:
+        groups.setdefault((g.weighted_degree, g.beta), []).append(g)
+    sources = []
+    for (degree, _), group in groups.items():
+        packed = [{packing.pack(m): c.numerator for m, c in g.poly.terms.items()} for g in group]
+        columns = sorted({m for terms in packed for m in terms}, reverse=True)
+        position = {m: j for j, m in enumerate(columns)}
+        rows = [{position[m]: c for m, c in terms.items()} for terms in packed]
+        for _, row in reduced_echelon(rows, len(columns)):
+            sources.append(LiftSource(degree, tuple(columns[j] for j in row), tuple(row.values())))
+    return sources
+
+
+def push_index(sources: list[LiftSource], level: DegreeLevel, levels: dict) -> dict:
     """The lift sources of each component of `level`, keyed by its packed beta.
 
-    Each lower-degree generator g is walked over the components of level
-    deg(level) - deg(g); every shift lands on the component of `level` whose
-    packed beta is the shift's key plus g's offset, sum_i e_i `beta_units[i]`
-    over one monomial x^e of g, and is filed under it, in generator order, as
-    (g's packed monomials, their integer coefficients, the shift monomials).
+    Each lower-degree source s is walked over the components of level
+    deg(level) - deg(s); every shift lands on the component of `level` whose
+    packed beta is the shift's key plus s's offset, sum_i e_i `beta_units[i]`
+    over one monomial x^e of s, and is filed under it, in source order, as
+    (s's packed monomials, their integer coefficients, the shift monomials).
     """
     index: dict[int, list] = {}
-    for g in generators:
-        shifts = levels.get(level.weighted_degree - g.weighted_degree)
+    for s in sources:
+        shifts = levels.get(level.weighted_degree - s.weighted_degree)
         if shifts is None:
             continue
         if shifts.packing is not level.packing:
             raise ValueError("push_index needs levels that share one packing")
-        monos = tuple(map(level.packing.pack, g.poly.terms))
-        coeffs = tuple(c.numerator for c in g.poly.terms.values())
-        offset = sum(e * level.beta_units[i] for i, e in level.packing.pairs(monos[0]))
+        offset = sum(e * level.beta_units[i] for i, e in level.packing.pairs(s.monos[0]))
         for gamma_key, gammas in shifts.components.items():
-            index.setdefault(gamma_key + offset, []).append((monos, coeffs, gammas))
+            index.setdefault(gamma_key + offset, []).append((s.monos, s.coeffs, gammas))
     return index
 
 
@@ -172,14 +221,19 @@ def orbits(level: DegreeLevel, moves: list[list[int]]) -> dict[int, int]:
     return first
 
 
-def trim_basis(basis: tuple[int, ...], lifts: list, pivots: dict) -> tuple[list[int], int]:
+def trim_basis(
+    basis: tuple[int, ...], lifts: list, pivots: dict, prime: int | None = None
+) -> tuple[list[int], int]:
     """Columns of a component that can still support new minimal generators.
 
     `lifts` is the component's `push_index` entry. The span of its shifted
     generators is removed, leaving the non-pivot columns. Returns (columns,
     lift rank). Generator coefficients are primitive integers, so the lift
-    rows are too. `pivots` caches the pivot columns of lift rows, keyed by
-    coefficients and column positions: symmetric maps repeat them.
+    rows are too. With a `prime`, the pivot columns and the rank are those of
+    the lift rows mod p (`rank_mod_p`): the mod-p trim that the certificate
+    reads first. `pivots` caches the pivot columns of lift rows, keyed by
+    coefficients and column positions (symmetric maps repeat them); a cache
+    holds one kind of pivots, exact or mod one prime.
     """
     if not lifts:
         return list(basis), 0
@@ -198,7 +252,11 @@ def trim_basis(basis: tuple[int, ...], lifts: list, pivots: dict) -> tuple[list[
             for coeffs, cols in key
             for i in range(0, len(cols), len(coeffs))
         )
-        taken = pivots[key] = {c for c, _ in echelon(rows, len(basis))}
+        if prime:
+            taken = set(rank_mod_p(rows, prime))
+        else:
+            taken = {c for c, _ in echelon(rows, len(basis))}
+        pivots[key] = taken
     return [m for idx, m in enumerate(basis) if idx not in taken], len(taken)
 
 
@@ -276,7 +334,7 @@ class EvaluationPoints:
             for i, e in pairs:
                 values = list(map(mul, values, self.powers[i][e]))
             matrix.append(values)
-        return rank_mod_p(matrix, p) == c
+        return len(rank_mod_p(matrix, p)) == c
 
 
 def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix, gen: Generator):
@@ -325,6 +383,7 @@ def components_of_kernel(
     points = EvaluationPoints(images, prime, seed, packing)
     moves = symmetry_moves(grading, phi.symmetries)
     levels: dict[int, DegreeLevel] = {}
+    sources: list[LiftSource] = []
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
         stages = dict.fromkeys(STAGES, 0.0)
@@ -333,9 +392,10 @@ def components_of_kernel(
         first = orbits(level, moves) if moves else {}
         stages["orbits"] = time.perf_counter() - started - stages["enumerate"]
         ticked = time.perf_counter()
-        index = push_index(generators, level, levels)
+        index = push_index(sources, level, levels)
         stages["trim"] = time.perf_counter() - ticked
-        pivots: dict = {}  # trim_basis's, for this level
+        pivots: dict = {}  # trim_basis's, for this level: exact
+        modular: dict = {}  # and mod p
         new_generators: list[Generator] = []
         # an orbit's first member settles it when it has no new generators;
         # otherwise every member goes straight to its own exact solve, which
@@ -347,11 +407,27 @@ def components_of_kernel(
             if rep != key and rep not in unsettled:
                 by_symmetry += 1
                 continue
+            lifts = index.get(key, [])
+            screened = None
+            if prescreen and rep == key:
+                ticked = time.perf_counter()
+                screened, rank_p = trim_basis(basis, lifts, modular, prime)
+                trimmed = time.perf_counter()
+                stages["trim"] += trimmed - ticked
+                certified = bool(screened) and points.certify_no_generators(screened)
+                stages["certify"] += time.perf_counter() - trimmed
+                if certified:
+                    skipped_p += bool(rank_p)
+                    skipped_m += not rank_p
+                    continue
+                if not screened:  # rank mod p is full, so the exact rank is too
+                    solved += 1
+                    continue
             ticked = time.perf_counter()
-            columns, lift_rank = trim_basis(basis, index.get(key, []), pivots)
+            columns, lift_rank = trim_basis(basis, lifts, pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
-            if columns and prescreen and rep == key:
+            if columns and screened is not None and columns != screened:
                 certified = points.certify_no_generators(columns)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
@@ -389,6 +465,10 @@ def components_of_kernel(
             )
         )
         generators.extend(new_generators)
+        if degree < max_degree:
+            ticked = time.perf_counter()
+            sources.extend(lift_sources(new_generators, packing))
+            stages["trim"] += time.perf_counter() - ticked
         level_stats.append(
             LevelStats(
                 weighted_degree=degree,

@@ -13,8 +13,11 @@ right, so they are the leftmost independent columns whatever pivot row is
 chosen; rows are picked sparsest first, then by the smallest pivot, to limit
 fill-in and growth. Kernels come from integer back-substitution through the
 echelon form, one primitive vector per free column, so they equal the
-normalized kernel of the unique reduced row echelon form. Dense fraction-free
-elimination over GF(p) (`rank_mod_p`) backs the engine's mod-p certificate.
+normalized kernel of the unique reduced row echelon form. `reduced_echelon`
+back-eliminates the echelon form into integer rows of that reduced form.
+The one elimination over GF(p), `rank_mod_p`, runs the same sparse forward
+elimination and returns the pivot columns mod p: their count backs the
+engine's mod-p certificate, and the columns themselves its mod-p trim.
 """
 
 from __future__ import annotations
@@ -55,28 +58,54 @@ def echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tuple[int, I
         if candidates is None:
             continue
         prow = min(candidates, key=lambda row: (len(row), abs(row[c]).bit_length()))
-        a = prow[c]
         for row in candidates:
-            if row is prow:
-                continue
-            g = math.gcd(a, row[c])
-            ma, mv = a // g, row[c] // g
-            if ma != 1:
-                row = {j: ma * x for j, x in row.items()}
-            for j, x in prow.items():
-                s = row.get(j, 0) - mv * x
-                if s:
-                    row[j] = s
-                else:
-                    del row[j]
-            if not row:
-                continue
-            content = math.gcd(*row.values())
-            if content > 1:
-                row = {j: x // content for j, x in row.items()}
-            waiting.setdefault(min(row), []).append(row)
+            if row is not prow:
+                row = _eliminate(row, prow, c)
+                if row:
+                    waiting.setdefault(min(row), []).append(row)
         pivots.append((c, prow))
     return pivots
+
+
+def _eliminate(row: IntRow, prow: IntRow, c: int) -> IntRow:
+    """(a/g)*row - (v/g)*prow for a = prow[c], v = row[c], g = gcd(a, v), divided by its content."""
+    a, v = prow[c], row[c]
+    g = math.gcd(a, v)
+    ma, mv = a // g, v // g
+    if ma != 1:
+        row = {j: ma * x for j, x in row.items()}
+    for j, x in prow.items():
+        s = row.get(j, 0) - mv * x
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+    if row:
+        content = math.gcd(*row.values())
+        if content > 1:
+            row = {j: x // content for j, x in row.items()}
+    return row
+
+
+def reduced_echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tuple[int, IntRow]]:
+    """Reduced row echelon form of integer rows, over primitive integer rows.
+
+    `echelon`'s pivot rows, each cleared of every other pivot column by
+    integer back-elimination, divided by its content and signed so that its
+    pivot entry is positive: row / row[c] is the row of the unique rational
+    reduced row echelon form. Returned like `echelon`'s, sorted by column.
+    """
+    reduced: list[tuple[int, IntRow]] = []
+    for c, row in reversed(echelon(rows, ncols)):
+        # every later row is final: zero in every pivot column but its own
+        for k, later in reduced:
+            if k in row:
+                row = _eliminate(row, later, k)
+        if row[c] < 0:
+            row = {j: -x for j, x in row.items()}
+        reduced.append((c, dict(sorted(row.items()))))
+    reduced.reverse()
+    return reduced
 
 
 def nullspace_primitive(rows: Iterable[Mapping | Sequence], ncols: int) -> list[list[int]]:
@@ -119,27 +148,45 @@ def normalize_primitive(vec: Sequence) -> list[int]:
     return [sign * ints.get(j, 0) for j in range(len(vec))]
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Exact rank over GF(p); row := a * row - v * pivot row scales by the unit a, no inverse."""
-    mat = [[v % p for v in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][c]), None)
-        if pivot is None:
+def rank_mod_p(rows: Iterable[Mapping | Sequence], p: int) -> list[int]:
+    """Pivot columns over GF(p) of integer rows (sparse or dense), leftmost first.
+
+    Their count is the rank mod p. Forward elimination as in `echelon`, on
+    sparse rows of residues: the pivot row is scaled by the inverse of its
+    pivot, so row := row - v * pivot row touches only the pivot row's
+    columns, which keeps sparse lift rows cheap. As over Q, the pivot columns
+    are the leftmost columns that are independent mod p, whatever pivot row
+    is chosen.
+    """
+    waiting: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        entries = row.items() if isinstance(row, Mapping) else enumerate(row)
+        residues = {j: r for j, v in entries if (r := v % p)}
+        if residues:
+            waiting.setdefault(min(residues), []).append(residues)
+    pivots = []
+    while waiting:
+        c = min(waiting)
+        candidates = waiting.pop(c)
+        pivots.append(c)
+        if len(candidates) == 1:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        a = prow[c]
-        for r in range(rank + 1, nrows):
-            v = mat[r][c]
-            if v:
-                mat[r] = [(a * x - v * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == min(nrows, ncols):
-            break
-    return rank
+        prow = min(candidates, key=len)
+        inverse = pow(prow[c], -1, p)
+        scaled = [(j, x * inverse % p) for j, x in prow.items() if j != c]
+        for row in candidates:
+            if row is prow:
+                continue
+            v = row.pop(c)
+            for j, y in scaled:
+                s = (row.get(j, 0) - v * y) % p
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            if row:
+                waiting.setdefault(min(row), []).append(row)
+    return pivots
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from implicitize import (
+    DEFAULT_PRIME,
     Monomial,
     MonomialPacking,
     Polynomial,
@@ -22,6 +23,7 @@ from implicitize.engine import (
     EngineInvariantError,
     Generator,
     component_rows,
+    lift_sources,
     push_index,
     trim_basis,
 )
@@ -33,10 +35,12 @@ from support import (
     GR24_QUADRIC_COMPONENT,
     assembled_rows,
     counts_by_degree,
+    generic_cubics_map,
     mono_by_names,
     poly_by_names,
     random_monomial_map,
     rational_quadrics_map,
+    raw_lift_sources,
     reference_beta,
     shared_levels,
     spy_certificates,
@@ -101,7 +105,7 @@ def test_trim_cubic_component(gr24):
         mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
         mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
     ]
-    lifts = push_index(run.generators, levels[3], levels)[beta]
+    lifts = push_index(lift_sources(run.generators, levels[3].packing), levels[3], levels)[beta]
     assert [len(gammas) for _, _, gammas in lifts] == [1]  # p34 * quadric
     columns, lift_rank = trim_basis(basis, lifts, {})
     assert lift_rank == 1
@@ -133,7 +137,7 @@ def test_trim_without_compatible_degrees(cusp):
     # covers beta (6,), so a mismatched beta keeps the full basis
     level3 = levels[3]
     (beta3, basis3), = level3.components.items()
-    index = push_index(run.generators, level3, levels)
+    index = push_index(lift_sources(run.generators, level3.packing), level3, levels)
     assert list(index) == [beta3]
     columns, lift_rank = trim_basis(basis3, index.get(beta3 + 1, []), {})
     assert lift_rank == 0 and columns == list(basis3)
@@ -142,7 +146,7 @@ def test_trim_without_compatible_degrees(cusp):
     # levels enumerated with different packings cannot be combined
     mixed = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
     with pytest.raises(ValueError):
-        push_index(run.generators, mixed[3], mixed)
+        push_index(lift_sources(run.generators, mixed[3].packing), mixed[3], mixed)
 
 
 def test_trim_pivot_cache_matches_fresh_elimination(gr25):
@@ -152,11 +156,77 @@ def test_trim_pivot_cache_matches_fresh_elimination(gr25):
     levels = shared_levels(grading, 4)
     pivots: dict = {}
     for degree in (3, 4):
-        index = push_index(run.generators, levels[degree], levels)
+        sources = lift_sources(run.generators, levels[degree].packing)
+        index = push_index(sources, levels[degree], levels)
         for beta, basis in levels[degree].components.items():
             lifts = index.get(beta, [])
             assert trim_basis(basis, lifts, pivots) == trim_basis(basis, lifts, {})
     assert 0 < len(pivots) < sum(1 for lifts in index.values() if lifts)
+
+
+def test_reduced_lift_sources_trim_like_raw_generators(gr25):
+    # a reduced basis of each (degree, beta) group spans what its generators
+    # span, so trimming keeps its columns and its lift rank
+    reduced_groups = 0
+    for phi, top in ((gr25, 4), (rational_quadrics_map(), 4), (generic_cubics_map(2), 3)):
+        run = components_of_kernel(phi, top)
+        levels = shared_levels(grading_for_map(phi), top)
+        packing = levels[1].packing
+        reduced, raw = lift_sources(run.generators, packing), raw_lift_sources(run.generators, packing)
+        assert len(reduced) == len(raw)
+        reduced_groups += reduced != raw
+        for level in levels.values():
+            index, raw_index = (push_index(sources, level, levels) for sources in (reduced, raw))
+            assert index.keys() == raw_index.keys()
+            for key, basis in level.components.items():
+                lifts, raw_lifts = index.get(key, []), raw_index.get(key, [])
+                assert trim_basis(basis, lifts, {}) == trim_basis(basis, raw_lifts, {})
+    assert reduced_groups == 2  # a lone Pluecker quadric is its own reduced basis
+
+
+def test_fallback_under_small_primes(monkeypatch):
+    # a prime that drops the lift rank makes the mod-p trim keep too many
+    # columns; the certificate then fails, and the exact trim and solve run
+    events = []
+    trim, kernel = engine.trim_basis, engine.nullspace_primitive
+
+    def spy_trim(basis, lifts, pivots, prime=None):
+        columns, rank = trim(basis, lifts, pivots, prime)
+        events.append(("trim", basis, prime, rank))
+        return columns, rank
+
+    def spy_kernel(rows, ncols):
+        events.append(("kernel",))
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(engine, "trim_basis", spy_trim)
+    monkeypatch.setattr(engine, "nullspace_primitive", spy_kernel)
+    dropped_and_solved = 0
+    for phi, top in ((rational_quadrics_map(), 4), (generic_cubics_map(2), 3)):
+        expected = None
+        for options in [{"prime": p} for p in (2, 3, 5, 7, 101, DEFAULT_PRIME)] + [{"prescreen": False}]:
+            events.clear()
+            result = components_of_kernel(phi, top, **options)
+            found = [(g.poly, g.beta, g.weighted_degree) for g in result.generators]
+            expected = expected or found
+            assert found == expected, options
+            ranks: dict = {}
+            for event, following in zip(events, events[1:] + [None]):
+                if event[0] == "trim":
+                    _, basis, prime, rank = event
+                    ranks.setdefault(basis, {})[bool(prime)] = rank
+                    if not prime and following == ("kernel",):
+                        dropped_and_solved += ranks[basis].get(True, rank) < rank
+    assert dropped_and_solved
+
+
+def test_generic_cubics_reach_degree_four():
+    # level 4 is certified on its mod-p trim: no exact trim of its 320 lift rows
+    phi = generic_cubics_map(2)
+    result = components_of_kernel(phi, 4)
+    assert counts_by_degree(result) == {2: 8, 3: 4}
+    assert result.generators == components_of_kernel(phi, 3).generators
+    assert result.level_stats[-1].skipped_prescreen == 1
 
 
 def test_grassmannian_run(gr24):
@@ -253,7 +323,7 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
         found = Counter((g.weighted_degree, g.beta) for g in run.generators)
         levels = shared_levels(grading_for_map(phi), 3)
         for degree, level in levels.items():
-            index = push_index(run.generators, level, levels)
+            index = push_index(lift_sources(run.generators, level.packing), level, levels)
             for key, basis in level.components.items():
                 _, lift_rank = trim_basis(basis, index.get(key, []), {})
                 full = nullspace_primitive(assembled_rows(phi, unpacked(level, basis)), len(basis))
@@ -326,7 +396,7 @@ def test_error_paths():
 
 def test_every_component_is_certified_or_solved(gr24, monkeypatch):
     # each component is certified or solved; the certificate sees exactly the
-    # trimmed columns, and a certified component has no new generators
+    # columns of the mod-p trim, and a certified component has no new generators
     calls = spy_certificates(monkeypatch)
     result = components_of_kernel(gr24, 3)
     levels = shared_levels(grading_for_map(gr24), 3)
@@ -336,16 +406,18 @@ def test_every_component_is_certified_or_solved(gr24, monkeypatch):
         for key, basis in level.components.items()
         for mono in basis
     }
-    indexes = {d: push_index(result.generators, level, levels) for d, level in levels.items()}
+    sources = lift_sources(result.generators, levels[1].packing)
+    indexes = {d: push_index(sources, level, levels) for d, level in levels.items()}
     found = Counter((g.weighted_degree, g.beta) for g in result.generators)
     certified: Counter = Counter()
     for columns, ok in calls:
         (degree, key), = {component_of[mono] for mono in columns}
         level = levels[degree]
-        trimmed, lift_rank = trim_basis(level.components[key], indexes[degree].get(key, []), {})
-        assert columns and tuple(trimmed) == columns
+        lifts = indexes[degree].get(key, [])
+        screened, rank_p = trim_basis(level.components[key], lifts, {}, DEFAULT_PRIME)
+        assert columns and tuple(screened) == columns
         if ok:
-            certified[bool(lift_rank)] += 1
+            certified[bool(rank_p)] += 1
             assert nullspace_primitive(assembled_rows(gr24, unpacked(level, columns)), len(columns)) == []
             assert not found[degree, level.beta(key)]
     assert len({component_of[columns[0]] for columns, _ in calls}) == len(calls)

@@ -22,6 +22,7 @@ from implicitize.linalg import (
     normalize_primitive,
     nullspace_primitive,
     rank_mod_p,
+    reduced_echelon,
 )
 from implicitize.polyring import IntegerImages
 
@@ -36,8 +37,9 @@ from support import (
     random_rational_matrix,
     shifted_stack,
     sympy_nullspace,
-    sympy_pivots_and_nullspace,
+    sympy_pivots_mod_p,
     sympy_rank,
+    sympy_rref_and_nullspace,
 )
 
 
@@ -59,11 +61,31 @@ def test_cubic_component_kernel_and_trimmed_column():
 
 
 def test_rank_mod_p_examples():
-    assert rank_mod_p([[0, 0], [0, 0]], 101) == 0
-    assert rank_mod_p([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 101) == 3
+    assert rank_mod_p([[0, 0], [0, 0]], 101) == []
+    assert rank_mod_p([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 101) == [0, 1, 2]
     # the quadric component has rational rank 2 and 101 preserves it
     assert sympy_rank(GR24_QUADRIC_COMPONENT) == 2
-    assert rank_mod_p(GR24_QUADRIC_COMPONENT, 101) == 2
+    assert rank_mod_p(GR24_QUADRIC_COMPONENT, 101) == [0, 1]
+    # sparse rows too: mod 5 the row (5, 1) loses its first column, so its
+    # pivot moves right of the rational one, and rank can only drop
+    assert rank_mod_p([{0: 5, 1: 1}], 5) == [1]
+    assert [c for c, _ in echelon([{0: 5, 1: 1}], 2)] == [0]
+    assert rank_mod_p([{0: 5, 1: 10}, {2: 7}], 5) == [2]
+
+
+def test_rank_mod_p_pivots_match_sympy_gf():
+    # the pivot columns are the leftmost independent columns mod p, dense or sparse
+    rng = random.Random(1729)
+    drops = 0
+    for p in (2, 3, 5, 7, 101, 2**61 - 1):
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
+            pivots = sympy_pivots_mod_p(rows, ncols, p)
+            assert rank_mod_p(rows, p) == pivots
+            assert rank_mod_p([{j: v for j, v in enumerate(row) if v} for row in rows], p) == pivots
+            drops += len(pivots) < len(echelon(rows, ncols))
+    assert drops  # small primes lose rank on some of these
 
 
 def test_prescreen_examples(gr24):
@@ -187,7 +209,8 @@ def test_echelon_and_kernel_match_sympy_rref():
     deficient = 0
     for rows in cases:
         ncols = len(rows[0]) if rows else rng.randint(1, 4)
-        pivots, kernel = sympy_pivots_and_nullspace(rows, ncols)
+        rref, kernel = sympy_rref_and_nullspace(rows, ncols)
+        pivots = [c for c, _ in rref]
         deficient += len(pivots) < min(len(rows), ncols)
         integer = [cleared(row) for row in rows]
         sparse = [{j: v for j, v in enumerate(row) if v} for row in integer]
@@ -195,10 +218,16 @@ def test_echelon_and_kernel_match_sympy_rref():
         expected = [normalize_primitive(v) for v in kernel]
         assert nullspace_primitive(integer, ncols) == expected
         assert nullspace_primitive(sparse, ncols) == expected
+        # reduced rows: primitive, positive pivot, and sympy's row once divided by it
+        reduced = reduced_echelon(sparse, ncols)
+        for c, row in reduced:
+            assert row[c] > 0 and math.gcd(*row.values()) == 1 and list(row) == sorted(row)
+        divided = [(c, [Fraction(row.get(j, 0), row[c]) for j in range(ncols)]) for c, row in reduced]
+        assert divided == rref
     assert deficient >= 20
     big = cases[-1]
     assert min(abs(v.numerator).bit_length() for row in big for v in row if v) >= 200
-    assert len(sympy_pivots_and_nullspace(big, 15)[0]) == 11
+    assert len(sympy_rref_and_nullspace(big, 15)[0]) == 11
 
 
 def test_primes():
