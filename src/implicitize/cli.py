@@ -2,7 +2,7 @@
 
     implicit run --map cusp.map -d 2
     implicit examples grassmannian 4 | implicit run -d 3
-    implicit run --map sunlet4.map -d 2 --seed 7
+    implicit run --map sunlet4.map -d 2 --prime 101
     implicit examples cusp --format text -o cusp.map
 
 `run` parses a map (file or stdin), computes all minimal kernel generators up
@@ -10,16 +10,17 @@ to the degree bound, prints them to stdout (text or JSON), and prints a
 per-level summary table to stderr. With a non-standard positive weight the
 bound applies to the weighted degree; the `--report` JSON says whether the
 all-ones weight was used. Before any exact trim or solve, each component is
-trimmed mod `--prime` and screened by evaluating the images of the columns
-left at random points mod the same prime (`--seed` picks the points); a
-full-rank evaluation certifies that it has no new generators, and every
-prime is valid. Components that a symmetry declared in the map carries
-onto each other form an orbit, and only its first member, in canonical order,
-is screened: when it has no new generators, neither has any other member, and
-they are settled without trimming or screening (`certified_by_symmetry` in
-the report); otherwise every member is solved exactly. `--no-prescreen` turns
-the screen off and solves every orbit representative, and every member that
-has generators, exactly; it changes where the time goes, never the output.
+trimmed mod `--prime` and screened by the rank mod the same prime of the
+integer images of the columns left; full rank certifies that it has no new
+generators, and every prime is valid. Nothing is random: `--seed` is
+accepted, echoed in the report and has no effect. Components that a symmetry
+declared in the map carries onto each other form an orbit, and only its
+first member, in canonical order, is screened: when it has no new
+generators, neither has any other member, and they are settled without
+trimming or screening (`certified_by_symmetry` in the report); otherwise
+every member is solved exactly. `--no-prescreen` turns the screen off and
+solves every orbit representative, and every member that has generators,
+exactly; it changes where the time goes, never the output.
 The `--report` JSON echoes the options as given, and gives each level's
 seconds per stage (enumerate, orbits, trim, certify, assemble, kernel,
 verify); timings never reach stdout.
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="compute kernel generators up to a degree bound")
     run.add_argument("--map", dest="map_path", help="map file (JSON or text); stdin if omitted")
     run.add_argument("-d", "--max-degree", type=int, required=True, help="degree bound, >= 1")
-    run.add_argument("--seed", type=int, default=0, help="seed for the random evaluation points")
+    run.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     run.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="prime for mod-p work")
     run.add_argument(
         "--no-prescreen", action="store_true", help="solve every component exactly, unscreened"
@@ -237,7 +238,7 @@ def _cmd_run(args) -> int:
     with _unlimited_int_digits():
         started = time.perf_counter()
         result = components_of_kernel(
-            phi, args.max_degree, seed=args.seed, prime=args.prime, prescreen=not args.no_prescreen
+            phi, args.max_degree, prime=args.prime, prescreen=not args.no_prescreen
         )
         wall = time.perf_counter() - started
 

@@ -32,20 +32,19 @@ their coefficient rows (`lift_sources`), which spans what they span with
 distinct leading monomials, so the trim's elimination has far fewer
 collisions. Emitted generators are untouched.
 
-The certificate evaluates the images psi^alpha of a column set at seeded
-random points of GF(p)^m; when those values have full rank the columns'
-images are independent (each psi^alpha is phi(x^alpha) times a nonzero
-rational, so every prime is valid). It first reads the columns C_p left by
-a trim mod p: the lift rows L of a component, with pivot columns P_p over
-GF(p) and r_p = |P_p|, span U inside the component's kernel W. Then
-r_p <= rank_Q(L) = dim U <= dim W, and a full-rank certificate on C_p gives
-W meet span(e_C_p) = 0, so dim W <= |P_p| = r_p. Hence U = W: the component
-has no new generators, for every prime, and no exact trim or matrix is
-needed. Only when that fails does the exact trim run, then the exact solve;
-if the exact columns differ from C_p they are certified too, so a prime
-that drops the lift rank costs work, never an answer. An empty C_p means
-r_p is every column, so the exact trim is empty too. No seed or prime
-changes the output.
+The certificate proves the images psi^alpha of c columns independent when
+they have rank c mod p (`certify_no_generators`). It first reads the
+columns C_p left by a trim mod p: the lift rows L of a component, with pivot
+columns P_p over GF(p) and r_p = |P_p|, span U inside the component's kernel
+W. Then r_p <= rank_Q(L) = dim U <= dim W, and a full-rank certificate on
+C_p gives W meet span(e_C_p) = 0, so dim W <= |P_p| = r_p. Hence U = W: the
+component has no new generators, for every prime, and no exact trim or
+matrix is needed. Only when that fails does the exact trim run, then the
+exact solve, which reuses the certificate's psi^alpha when its columns are
+C_p; if the exact columns differ from C_p they are certified too, so a prime
+that drops the lift rank costs work, never an answer. An empty C_p means r_p
+is every column, so the exact trim is empty too. No prime changes the output,
+and nothing in a run is random.
 Every emitted generator g is re-verified to map to zero, by an exact expansion
 of L * phi(g) from those images, and to be homogeneous under every grading
 row. A component leaves behind only its generators and one count in its
@@ -54,10 +53,7 @@ level's `LevelStats`.
 
 from __future__ import annotations
 
-import random
 import time
-from itertools import islice, repeat
-from operator import mul
 from typing import NamedTuple
 
 from .enumeration import DegreeLevel, enumerate_level
@@ -261,11 +257,12 @@ def trim_basis(
 
 
 def component_rows(images: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The sparse integer rows whose column j is images[j], the j-th `IntegerImages.scaled` image.
+    """The sparse integer rows whose column j is the integer image images[j].
 
-    One L > 0 scales every column, so rows have the primitive forms of phi's
-    rows. Rows are indexed by the packed codomain monomials the images touch,
-    graded-lex descending; columns with zero image contribute no rows.
+    Rows are indexed by the packed codomain monomials the images touch,
+    graded-lex descending; columns with zero image contribute no rows. The
+    exact solve passes `IntegerImages.scaled` images, whose one L > 0 keeps
+    the primitive forms of phi's rows; the certificate passes psi^alpha.
     """
     row_keys = sorted({g for image in images for g in image}, reverse=True)
     row_index = {g: i for i, g in enumerate(row_keys)}
@@ -276,65 +273,27 @@ def component_rows(images: list[dict[int, int]]) -> list[dict[int, int]]:
     return rows
 
 
-class EvaluationPoints:
-    """Seeded random points t_k of (GF(p)^*)^m, drawn as needed and shared by a run.
+def certify_no_generators(
+    columns: list[int], images: IntegerImages, packing: MonomialPacking, prime: int
+) -> tuple[bool, list[dict[int, int]] | None]:
+    """(certified, images): True proves that the packed `columns` have independent images.
 
-    `powers[i][e][k]` is the integer image psi_i of `images` evaluated at t_k,
-    raised to the power e <= the bound of the packing that the certified
-    columns use. A zero coordinate is redrawn on its own: there every column
-    whose image is divisible by that codomain variable would vanish. A repeated
-    point adds no rank, so one is redrawn until all (p-1)^m points are drawn;
-    at a large prime no redraw ever happens.
+    `packing` is the `MonomialPacking(phi.n, bound)` of `images`. A lone
+    column's image, a product of images, is nonzero unless the column sets
+    the field of a variable with zero image; it is not expanded (None).
+    Otherwise the c images psi^alpha = d^alpha phi(x^alpha) are expanded, and
+    returned for the exact solve, as R x c rows (`component_rows`). With
+    d^alpha > 0 they have the rank of the component's coefficient matrix, and
+    rank only drops from Q to GF(p), so rank c mod p proves a trivial kernel
+    at every prime, dividing a denominator or not. R < c rows cannot reach
+    rank c and are not eliminated.
     """
-
-    def __init__(self, images: IntegerImages, prime: int, seed: int, packing: MonomialPacking):
-        self.images = images
-        self.prime = prime
-        self.packing = packing
-        self.draws = filter(None, map(random.Random(seed).randrange, repeat(prime)))  # zeros dropped
-        self.drawn = 0
-        self.seen: set[tuple[int, ...]] = set()
-        self.room = (prime - 1) ** min(images.packing.n, 64)  # nonzero points, capped past any c
-        self.powers = [[[] for _ in range(packing.bound + 1)] for _ in range(packing.n)]
-        zero = [i for i in range(packing.n) if not images.power(i, 1)]
-        self.zero_fields = sum(packing.mask << packing.shifts[i] for i in zero)
-
-    def certify_no_generators(self, columns: list[int]) -> bool:
-        """True certifies that the images of the packed `columns` are independent.
-
-        A lone column needs no points: its image, a product of images, is
-        nonzero unless the column sets a field of a variable with zero image.
-        Otherwise E[k][j] = prod_i psi_i(t_k)^e_ij over the first c = len(columns)
-        points (built here as its transpose) equals V C' mod p, where V holds
-        the codomain monomials evaluated at the points and C' the integer
-        coefficients of the images psi^alpha_j. C' is the component's
-        coefficient matrix Phi scaled column by column by the nonzero
-        rationals d^alpha_j, so it has Phi's rank. Rank can only drop from Q to
-        GF(p) and under the product, so rank E = c proves a trivial rational
-        kernel for every prime p, dividing a denominator or not; a smaller rank
-        certifies nothing.
-        """
-        c, p = len(columns), self.prime
-        if c == 1 and not columns[0] & self.zero_fields:
-            return True
-        for _ in range(self.drawn, c):
-            point = tuple(islice(self.draws, self.images.packing.n))
-            while point in self.seen and len(self.seen) < self.room:
-                point = tuple(islice(self.draws, self.images.packing.n))
-            self.seen.add(point)
-            for value, table in zip(self.images.values_mod_p(point, p), self.powers):
-                power = 1
-                for column in table:
-                    column.append(power)
-                    power = power * value % p
-        self.drawn = max(self.drawn, c)
-        matrix = []
-        for pairs in map(self.packing.pairs, columns):
-            values = [1] * c
-            for i, e in pairs:
-                values = list(map(mul, values, self.powers[i][e]))
-            matrix.append(values)
-        return len(rank_mod_p(matrix, p)) == c
+    c = len(columns)
+    if c == 1 and not columns[0] & images.zero_fields:
+        return True, None
+    expanded = images.expand(map(packing.pairs, columns))
+    rows = component_rows(expanded)
+    return len(rows) >= c and len(rank_mod_p(rows, prime, c)) == c, expanded
 
 
 def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix, gen: Generator):
@@ -355,15 +314,15 @@ def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix
 
 
 def components_of_kernel(
-    phi: RingMap, max_degree: int, *, seed: int = 0, prime: int = DEFAULT_PRIME, prescreen: bool = True
+    phi: RingMap, max_degree: int, *, prime: int = DEFAULT_PRIME, prescreen: bool = True
 ) -> GeneratorSet:
     """All minimal generators of ker(phi) of weighted degree <= max_degree.
 
     The weighted degree is taken against the grading's positive weight, which
     is the all-ones vector (plain total degree) whenever the row span allows
-    it. Raises NoPositiveWeightError when no positive weight exists. `seed`
-    and `prime` pick the certificate's evaluation points; `prescreen=False`
-    solves every component exactly. None of them changes the output.
+    it. Raises NoPositiveWeightError when no positive weight exists. `prime`
+    is the certificate's modulus; `prescreen=False` solves every component
+    exactly. Neither changes the output.
     """
     if max_degree < 1:
         raise ValueError("degree bound must be >= 1")
@@ -380,7 +339,6 @@ def components_of_kernel(
     images = IntegerImages(phi, max_degree)
     generators: list[Generator] = []
     level_stats: list[LevelStats] = []
-    points = EvaluationPoints(images, prime, seed, packing)
     moves = symmetry_moves(grading, phi.symmetries)
     levels: dict[int, DegreeLevel] = {}
     sources: list[LiftSource] = []
@@ -408,27 +366,27 @@ def components_of_kernel(
                 by_symmetry += 1
                 continue
             lifts = index.get(key, [])
-            screened = None
+            screened = expanded = None  # the mod-p trim's columns, and their images
             if prescreen and rep == key:
                 ticked = time.perf_counter()
                 screened, rank_p = trim_basis(basis, lifts, modular, prime)
                 trimmed = time.perf_counter()
                 stages["trim"] += trimmed - ticked
-                certified = bool(screened) and points.certify_no_generators(screened)
+                if not screened:  # rank mod p is full, so the exact rank is too
+                    solved += 1
+                    continue
+                certified, expanded = certify_no_generators(screened, images, packing, prime)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
                     skipped_p += bool(rank_p)
                     skipped_m += not rank_p
-                    continue
-                if not screened:  # rank mod p is full, so the exact rank is too
-                    solved += 1
                     continue
             ticked = time.perf_counter()
             columns, lift_rank = trim_basis(basis, lifts, pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
             if columns and screened is not None and columns != screened:
-                certified = points.certify_no_generators(columns)
+                certified, expanded = certify_no_generators(columns, images, packing, prime)
                 stages["certify"] += time.perf_counter() - trimmed
                 if certified:
                     skipped_p += bool(lift_rank)
@@ -439,7 +397,7 @@ def components_of_kernel(
                 continue  # an orbit member is still solved, so that its count is checked
             ticked = time.perf_counter()
             monomials = [packing.monomial(c) for c in columns]
-            column_images = images.scaled(monomials)
+            column_images = images.scaled(monomials, expanded or images.expand(monomials))
             rows = component_rows(column_images)
             assembled = time.perf_counter()
             vectors = nullspace_primitive(rows, len(columns))

@@ -15,9 +15,10 @@ fill-in and growth. Kernels come from integer back-substitution through the
 echelon form, one primitive vector per free column, so they equal the
 normalized kernel of the unique reduced row echelon form. `reduced_echelon`
 back-eliminates the echelon form into integer rows of that reduced form.
-The one elimination over GF(p), `rank_mod_p`, runs the same sparse forward
-elimination and returns the pivot columns mod p: their count backs the
-engine's mod-p certificate, and the columns themselves its mod-p trim.
+The one elimination over GF(p), `rank_mod_p`, inserts sparse rows one at a
+time and returns the pivot columns mod p: their count backs the engine's
+mod-p certificate, which stops reading rows at full rank, and the columns
+themselves its mod-p trim.
 """
 
 from __future__ import annotations
@@ -148,45 +149,40 @@ def normalize_primitive(vec: Sequence) -> list[int]:
     return [sign * ints.get(j, 0) for j in range(len(vec))]
 
 
-def rank_mod_p(rows: Iterable[Mapping | Sequence], p: int) -> list[int]:
+def rank_mod_p(rows: Iterable[Mapping | Sequence], p: int, ncols: int | None = None) -> list[int]:
     """Pivot columns over GF(p) of integer rows (sparse or dense), leftmost first.
 
-    Their count is the rank mod p. Forward elimination as in `echelon`, on
-    sparse rows of residues: the pivot row is scaled by the inverse of its
-    pivot, so row := row - v * pivot row touches only the pivot row's
-    columns, which keeps sparse lift rows cheap. As over Q, the pivot columns
-    are the leftmost columns that are independent mod p, whatever pivot row
-    is chosen.
+    Their count is the rank mod p. Rows are inserted one at a time, reduced
+    by the pivot row of their leading column until that column is free; of
+    two rows that share one, the sparser is kept as the pivot row. Pivot rows
+    have a leading 1, so row := row - v * pivot row touches only its columns.
+    The pivot columns are the leftmost columns independent mod p, whatever
+    pivot rows are kept. Given `ncols`, reading stops at full rank.
     """
-    waiting: dict[int, list[dict[int, int]]] = {}
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> the rest of its pivot row
     for row in rows:
         entries = row.items() if isinstance(row, Mapping) else enumerate(row)
-        residues = {j: r for j, v in entries if (r := v % p)}
-        if residues:
-            waiting.setdefault(min(residues), []).append(residues)
-    pivots = []
-    while waiting:
-        c = min(waiting)
-        candidates = waiting.pop(c)
-        pivots.append(c)
-        if len(candidates) == 1:
-            continue
-        prow = min(candidates, key=len)
-        inverse = pow(prow[c], -1, p)
-        scaled = [(j, x * inverse % p) for j, x in prow.items() if j != c]
-        for row in candidates:
-            if row is prow:
-                continue
-            v = row.pop(c)
-            for j, y in scaled:
+        row = {j: r for j, v in entries if (r := v % p)}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None or len(row) <= len(prow):
+                inverse = pow(row.pop(c), -1, p)
+                pivots[c] = {j: x * inverse % p for j, x in row.items()}
+                if prow is None:
+                    break
+                row, prow, v = prow, pivots[c], 1  # the old pivot row, its leading 1 implied
+            else:
+                v = row.pop(c)
+            for j, y in prow.items():
                 s = (row.get(j, 0) - v * y) % p
                 if s:
                     row[j] = s
                 else:
                     del row[j]
-            if row:
-                waiting.setdefault(min(row), []).append(row)
-    return pivots
+        if len(pivots) == ncols:
+            break
+    return sorted(pivots)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

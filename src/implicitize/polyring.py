@@ -8,13 +8,16 @@ ranking highest, iterated leading term first.
 The engine's level path (enumerate, trim, certify) packs each domain monomial
 into one integer instead (`MonomialPacking`), where a product is one addition.
 Both its certificate and its exact solve read the images as integer
-polynomials (`IntegerImages`), the one place their denominators are cleared.
+polynomials (`IntegerImages`), the one place their denominators are cleared:
+the certificate the products psi^alpha (`expand`), the exact solve the same
+products brought to one common scale (`scaled`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_PRIME = 2**61 - 1
@@ -393,9 +396,11 @@ class RingMap:
 def _times(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     """Product of two integer polynomials over packed monomial keys."""
     out: dict[int, int] = {}
+    get = out.get
     for m1, c1 in f.items():
         for m2, c2 in g.items():
-            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
@@ -405,11 +410,11 @@ class IntegerImages:
     psi_i is an integer polynomial over keys of `packing` (the m codomain
     variables to `bound` times the largest image degree, so images of domain
     monomials of total degree <= `bound` never overflow). `powers[i][k]`
-    caches psi_i^k for the run; `terms[i]` lists psi_i's (coefficient,
-    exponent pairs), unpacked once for evaluation at points.
+    caches psi_i^k for the run. `zero_fields` masks, in the keys of
+    `MonomialPacking(phi.n, bound)`, the fields of the variables whose image is zero.
     """
 
-    __slots__ = ("packing", "denominators", "powers", "terms")
+    __slots__ = ("packing", "denominators", "powers", "zero_fields")
 
     def __init__(self, phi: RingMap, bound: int):
         degree = max((mono.degree() for f in phi.images for mono in f.terms), default=0)
@@ -420,14 +425,8 @@ class IntegerImages:
             [{0: 1}, {pack(mono): c.numerator * (d // c.denominator) for mono, c in f.terms.items()}]
             for f, d in zip(phi.images, self.denominators)
         ]
-        self.terms = [[(c, self.packing.pairs(key)) for key, c in psi.items()] for _, psi in self.powers]
-
-    def values_mod_p(self, point: Sequence[int], p: int) -> list[int]:
-        """Each psi_i at a point of GF(p)^m; integer coefficients need no inverse, so any p works."""
-        return [
-            sum(c * math.prod(pow(point[j], e, p) for j, e in pairs) for c, pairs in terms) % p
-            for terms in self.terms
-        ]
+        domain = MonomialPacking(phi.n, bound)
+        self.zero_fields = sum(domain.mask << domain.shifts[i] for i, f in enumerate(phi.images) if not f)
 
     def power(self, i: int, k: int) -> dict[int, int]:
         table = self.powers[i]
@@ -435,8 +434,15 @@ class IntegerImages:
             table.append(_times(table[-1], table[1]))
         return table[k]
 
-    def scaled(self, columns: Sequence[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
-        """L * phi(x^alpha) for each column's (variable, exponent) pairs alpha.
+    def expand(self, columns: Iterable[Sequence[tuple[int, int]]]) -> list[dict[int, int]]:
+        """psi^alpha = d^alpha phi(x^alpha) per column alpha; it may be a cached power: do not mutate."""
+        products = (sorted((self.power(i, e) for i, e in alpha), key=len) for alpha in columns)
+        return [reduce(_times, parts[1:], parts[0]) for parts in products]
+
+    def scaled(
+        self, columns: Sequence[Sequence[tuple[int, int]]], expanded: list[dict[int, int]]
+    ) -> list[dict[int, int]]:
+        """L * phi(x^alpha) for each column alpha, from its `expand`ed psi^alpha.
 
         With L = prod_i d_i^(max_j alpha_ij), column alpha is the integer
         polynomial (L / d^alpha) psi^alpha. It may be a cached power: do not mutate.
@@ -447,11 +453,7 @@ class IntegerImages:
                 top[i] = max(top.get(i, 0), e)
         lcm = math.prod(self.denominators[i] ** e for i, e in top.items())
         out = []
-        for alpha in columns:
-            parts = sorted((self.power(i, e) for i, e in alpha), key=len)
-            image = parts[0] if parts else self.powers[0][0]
-            for part in parts[1:]:
-                image = _times(image, part)
+        for alpha, image in zip(columns, expanded):
             scale = lcm // math.prod(self.denominators[i] ** e for i, e in alpha)
             out.append({m: scale * c for m, c in image.items()} if scale > 1 else image)
         return out

@@ -28,7 +28,8 @@ from implicitize import (
     domain_grading,
     enumerate_level,
 )
-from implicitize.engine import EvaluationPoints, LiftSource, component_rows
+from implicitize import engine
+from implicitize.engine import LiftSource, component_rows
 from implicitize.polyring import IntegerImages
 
 # Homogeneity basis of the Pluecker Gr(2,4) map, columns ordered like
@@ -77,8 +78,8 @@ def component_from_dense(rows) -> list[dict[int, int]]:
 
 def assembled_rows(phi: RingMap, columns: list[Monomial]) -> list[dict[int, int]]:
     """The engine's component rows over `columns`: `IntegerImages.scaled`, then `component_rows`."""
-    degree = max(map(Monomial.degree, columns), default=0)
-    return component_rows(IntegerImages(phi, degree).scaled(columns))
+    images = IntegerImages(phi, max(map(Monomial.degree, columns), default=0))
+    return component_rows(images.scaled(columns, images.expand(columns)))
 
 
 def reference_beta(mono: Monomial) -> tuple[int, ...]:
@@ -116,14 +117,14 @@ def spy_certificates(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
     packing `shared_levels(grading, max_degree)` uses.
     """
     calls = []
-    certify = EvaluationPoints.certify_no_generators
+    certify = engine.certify_no_generators
 
-    def spy(points, columns):
-        certified = certify(points, columns)
+    def spy(columns, *args):
+        certified, expanded = certify(columns, *args)
         calls.append((tuple(columns), certified))
-        return certified
+        return certified, expanded
 
-    monkeypatch.setattr(EvaluationPoints, "certify_no_generators", spy)
+    monkeypatch.setattr(engine, "certify_no_generators", spy)
     return calls
 
 
@@ -527,6 +528,22 @@ def generic_cubics_map(seed: int) -> RingMap:
     )
 
 
+def dense_quartics_map(seed: int) -> RingMap:
+    """Ten quartics in a, b, c, d, each over all 35 quartic monomials, integer coefficients in [-9, 9] (0 -> 1).
+
+    The certificate's image rows of a component outnumber its columns
+    several times over (level 2: 55 columns, 165 rows), so its elimination
+    reads only the rows it needs for full rank.
+    """
+    rng = random.Random(seed)
+    quartic = [
+        Monomial((j, combo.count(j)) for j in set(combo))
+        for combo in itertools.combinations_with_replacement(range(4), 4)
+    ]
+    images = [Polynomial(4, [(mono, rng.randint(-9, 9) or 1) for mono in quartic]) for _ in range(10)]
+    return RingMap(images, m=4, codomain_names=["a", "b", "c", "d"])
+
+
 def grading_from_rows(rows, n: int, weight=None) -> GradingMatrix:
     """Reduce arbitrary integer rows to an independent grading whose positive weight is `weight`."""
     return domain_grading([list(r) for r in rows], n)._replace(positive_weight=weight)
@@ -675,7 +692,10 @@ def linalg_suite(cases: int) -> int:
         assert [normalize_primitive(v) for v in kernel] == kernel
         # full column rank mod p certifies full column rank over Q
         residues = [[v.numerator * pow(v.denominator, -1, 101) for v in row] for row in rows]
-        if len(rank_mod_p(residues, 101)) == ncols:
+        pivots = rank_mod_p(residues, 101)
+        if len(pivots) == ncols:
             assert kernel == []
+        # stopping at full rank changes no pivot
+        assert rank_mod_p(residues, 101, ncols) == pivots
         checked += 1
     return checked

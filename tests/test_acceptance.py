@@ -55,7 +55,7 @@ def criterion(number: int, label: str):
 @pytest.fixture(scope="module")
 def sunlet_run(sunlet):
     started = time.perf_counter()
-    result = components_of_kernel(sunlet, 3, seed=0)
+    result = components_of_kernel(sunlet, 3)
     return result, time.perf_counter() - started
 
 

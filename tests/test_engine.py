@@ -332,7 +332,7 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
 
 def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
     calls = spy_certificates(monkeypatch)
-    for phi, options in ((gr24, {}), (gr25, {"seed": 7, "prime": 101})):
+    for phi, options in ((gr24, {}), (gr25, {"prime": 101})):
         base = components_of_kernel(phi, 3, **options)
         calls.clear()
         off = components_of_kernel(phi, 3, **options, prescreen=False)

@@ -6,8 +6,6 @@ import pathlib
 import random
 from fractions import Fraction
 
-import pytest
-
 from implicitize import (
     Monomial,
     MonomialPacking,
@@ -15,7 +13,7 @@ from implicitize import (
     RingMap,
 )
 from implicitize import linalg
-from implicitize.engine import EvaluationPoints
+from implicitize.engine import certify_no_generators
 from implicitize.linalg import (
     echelon,
     is_prime,
@@ -83,33 +81,38 @@ def test_rank_mod_p_pivots_match_sympy_gf():
             rows = [[rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
             pivots = sympy_pivots_mod_p(rows, ncols, p)
             assert rank_mod_p(rows, p) == pivots
+            assert rank_mod_p(rows, p, ncols) == pivots
             assert rank_mod_p([{j: v for j, v in enumerate(row) if v} for row in rows], p) == pivots
             drops += len(pivots) < len(echelon(rows, ncols))
     assert drops  # small primes lose rank on some of these
 
 
+def _certified(columns, images, packing, p):
+    return certify_no_generators(columns, images, packing, p)[0]
+
+
 def test_prescreen_examples(gr24):
     packing = MonomialPacking(gr24.n, 3)
-    points = EvaluationPoints(IntegerImages(gr24, 3), 101, seed=0, packing=packing)
+    images = IntegerImages(gr24, 3)
     # the quadric component p12*p34, p13*p24, p23*p14 holds the Pluecker relation
     quadric = [
         packing.pack(mono_by_names(gr24, {"p12": 1, "p34": 1})),
         packing.pack(mono_by_names(gr24, {"p13": 1, "p24": 1})),
         packing.pack(mono_by_names(gr24, {"p23": 1, "p14": 1})),
     ]
-    assert points.certify_no_generators(quadric) is False
+    assert _certified(quadric, images, packing, 101) is False
     # the cubic component after trimming p12*p34^2 has a trivial kernel
     trimmed = [
         packing.pack(mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1})),
         packing.pack(mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1})),
     ]
-    assert points.certify_no_generators(trimmed) is True
-    assert points.certify_no_generators(quadric[:2]) is True
-    assert points.drawn == 3  # one point per column, drawn as needed
-    # one column with a nonzero image needs no point at all
-    fresh = EvaluationPoints(IntegerImages(gr24, 3), 101, seed=0, packing=packing)
-    assert fresh.certify_no_generators(quadric[:1]) is True
-    assert fresh.drawn == 0
+    assert _certified(trimmed, images, packing, 101) is True
+    assert _certified(quadric[:2], images, packing, 101) is True
+    # the images come back for the exact solve to reuse
+    _, expanded = certify_no_generators(quadric, images, packing, 101)
+    assert expanded == images.expand(map(packing.pairs, quadric))
+    # one column with a nonzero image needs no elimination and no expansion
+    assert certify_no_generators(quadric[:1], images, packing, 101) == (True, None)
 
 
 def test_prescreen_zero_image_column():
@@ -117,46 +120,41 @@ def test_prescreen_zero_image_column():
     t = Polynomial.variable(1, 0)
     phi = RingMap([Polynomial(1), t], m=1)
     packing = MonomialPacking(2, 3)
-    points = EvaluationPoints(IntegerImages(phi, 3), 101, seed=0, packing=packing)
+    images = IntegerImages(phi, 3)
     x0, x1 = Monomial.variable(0), Monomial.variable(1)
-    assert points.certify_no_generators([packing.pack(x1 * x1)]) is True
+    assert _certified([packing.pack(x1 * x1)], images, packing, 101) is True
     for mono in (x0, x0 * x1, x0 * x1 * x1):
-        assert points.certify_no_generators([packing.pack(mono)]) is False
-    assert points.certify_no_generators([packing.pack(x0), packing.pack(x1)]) is False
+        assert _certified([packing.pack(mono)], images, packing, 101) is False
+    assert _certified([packing.pack(x0), packing.pack(x1)], images, packing, 101) is False
 
 
 def test_prescreen_bad_prime():
-    # 5 cannot evaluate t/5, but the certificate reads the integer image t.
-    # Points have no zero coordinate: seed 0 draws t = 3, 3, 0, 2, and at
-    # t = 0 the columns t^2 and t would both vanish
+    # 5 cannot evaluate t/5, but the certificate reads the integer images t^2 and t
     f = Polynomial(1, [(Monomial.variable(0), Fraction(1, 5))])
     packing = MonomialPacking(1, 2)
     columns = [packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))]
-    images = IntegerImages(RingMap([f], m=1), 2)
-    for seed in (0, 1):
-        points = EvaluationPoints(images, 5, seed=seed, packing=packing)
-        assert points.certify_no_generators(columns)
-        assert all(all(point) for point in points.seen)
+    assert _certified(columns, IntegerImages(RingMap([f], m=1), 2), packing, 5)
 
 
 def test_evaluation_points_distinct():
-    # mod 5, seed 0 draws t = 3, 3, 0, 2: the repeat is redrawn, and so is
-    # the redraw's zero coordinate, on its own, as t = 2
-    rng = random.Random(0)
-    assert [rng.randrange(5) for _ in range(4)] == [3, 3, 0, 2]
+    # x -> (t + 1)/5 mod 5: the integer images (t + 1)^k have leading term t^k,
+    # so every set of powers of x is certified, even more columns than GF(5)
+    # has nonzero points
     one, t = Polynomial.constant(1, 1), Polynomial.variable(1, 0)
     phi = RingMap([(t + one) * Polynomial.constant(1, Fraction(1, 5))], m=1)
     packing = MonomialPacking(1, 6)
-    points = EvaluationPoints(IntegerImages(phi, 6), 5, seed=0, packing=packing)
-    # psi = t + 1 is 4 and 3 at the two points, so [x^2, x] has rank 2;
-    # at the repeated point 3 it would have had rank 1
+    images = IntegerImages(phi, 6)
     square, line = packing.pack(Monomial([(0, 2)])), packing.pack(Monomial.variable(0))
-    assert points.certify_no_generators([square, line])
-    assert sorted(points.seen) == [(2,), (3,)]
-    # once all 4 nonzero points of GF(5) are drawn, a repeat cannot be avoided
+    assert _certified([square, line], images, packing, 5)
     columns = [packing.pack(Monomial([(0, e)])) for e in range(6, 0, -1)]
-    assert points.certify_no_generators(columns) is False
-    assert len(points.seen) == 4 and len(points.powers[0][1]) == 6
+    assert _certified(columns, images, packing, 5)
+
+
+def test_rank_mod_p_stops_at_full_rank():
+    # given ncols, the elimination reads rows only until every column is a pivot
+    rows = iter([[1, 2, 0], [0, 3, 1], [4, 0, 5], [7, 7, 7], [1, 0, 0]])
+    assert rank_mod_p(rows, 101, 3) == [0, 1, 2]
+    assert list(rows) == [[7, 7, 7], [1, 0, 0]]
 
 
 def test_kernel_of_empty_and_zero_matrices():
@@ -254,7 +252,8 @@ def test_linalg_is_a_leaf_module():
 
 
 def test_no_module_imports_dataclasses():
-    # records are NamedTuples: no run pays for importing dataclasses (and inspect)
+    # records are NamedTuples: no run pays for importing dataclasses (and
+    # inspect); and nothing draws random numbers, so every run is deterministic
     package = pathlib.Path(linalg.__file__).parent
     sources = sorted(package.glob("*.py"))
     assert len(sources) > 5
@@ -267,4 +266,4 @@ def test_no_module_imports_dataclasses():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            assert "dataclasses" not in names, source.name
+            assert not {"dataclasses", "random"} & set(names), source.name

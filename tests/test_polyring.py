@@ -125,8 +125,8 @@ def test_format_polynomial(cusp):
 def test_power_cache_reuse(gr24):
     images = IntegerImages(gr24, 3)
     mono = mono_by_names(gr24, {"p12": 2, "p34": 1})
-    first = images.scaled([mono])
-    second = images.scaled([mono])
+    first = images.scaled([mono], images.expand([mono]))
+    second = images.scaled([mono], images.expand([mono]))
     assert first == second
     assert len(images.powers[0]) == 3  # psi_0^0, psi_0^1 and the cached psi_0^2
     assert images.powers[0][2] is images.power(0, 2)
@@ -179,7 +179,8 @@ def test_integer_images_match_sympy():
     ]
     images = IntegerImages(weighted, 6)
     for columns in level_components:
-        assert _decoded(images, images.scaled(columns)) == _sympy_scaled_images(weighted, columns)
+        scaled = images.scaled(columns, images.expand(columns))
+        assert _decoded(images, scaled) == _sympy_scaled_images(weighted, columns)
     assert images.denominators == [2, 3, 1]
 
     checked = 0
@@ -195,7 +196,8 @@ def test_integer_images_match_sympy():
                 for combo in itertools.combinations_with_replacement(range(n), degree)
             ]
             for columns in (monos, rng.sample(monos, min(3, len(monos)))):
-                assert _decoded(images, images.scaled(columns)) == _sympy_scaled_images(phi, columns)
+                scaled = images.scaled(columns, images.expand(columns))
+                assert _decoded(images, scaled) == _sympy_scaled_images(phi, columns)
                 checked += 1
     assert checked == 24
 
