@@ -27,7 +27,6 @@ from .grading import (
     find_positive_weight,
     grading_for_map,
     homogeneity_space,
-    multidegree_of,
 )
 from .linalg import rank_mod_p
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     run.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="prime for mod-p work")
     run.add_argument(
-        "--no-prescreen", action="store_true", help="solve every component exactly, unscreened"
+        "--no-prescreen", action="store_true", help="unscreened: solve exactly what symmetry leaves"
     )
     run.add_argument("--output", choices=("text", "json"), default="text")
     run.add_argument("--grading-out", help="write the grading matrix to this path")

@@ -16,10 +16,12 @@ has no new generators, the others are settled without trim or certificate.
 When it has some, every member skips the certificate and is solved exactly,
 for its own canonical generators, and must find as many.
 
-Until assembly, monomials are ints of one run-wide `MonomialPacking`. Image
-denominators are cleared once per run, phi_i = psi_i / d_i (`IntegerImages`):
-the exact solve reads each column x^alpha as the integer image L * phi(x^alpha),
-one L for the component, and the certificate reads psi^alpha.
+Until a generator is emitted, monomials are ints of one run-wide
+`MonomialPacking`. Image denominators are cleared once per run, phi_i =
+psi_i / d_i (`IntegerImages`); the certificate and the exact solve both read
+the integer images psi^alpha = d^alpha phi(x^alpha) of the columns. Column j
+is d^alpha_j > 0 times column j of phi's coefficient matrix, so a kernel
+vector v gives the generator with coefficients v_j d^alpha_j, made primitive.
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
 multidegree. Trimming runs whenever lower-degree generators exist: without it
@@ -41,29 +43,25 @@ C_p gives W meet span(e_C_p) = 0, so dim W <= |P_p| = r_p. Hence U = W: the
 component has no new generators, for every prime, and no exact trim or
 matrix is needed. Only when that fails does the exact trim run, then the
 exact solve, which reuses the certificate's psi^alpha when its columns are
-C_p; if the exact columns differ from C_p they are certified too, so a prime
-that drops the lift rank costs work, never an answer. An empty C_p means r_p
-is every column, so the exact trim is empty too. No prime changes the output,
-and nothing in a run is random.
-Every emitted generator g is re-verified to map to zero, by an exact expansion
-of L * phi(g) from those images, and to be homogeneous under every grading
-row. A component leaves behind only its generators and one count in its
-level's `LevelStats`.
+C_p. When they differ, the component goes straight to the exact solve, so
+each is certified at most once and a prime that drops the lift rank costs
+work, never an answer. An empty C_p means r_p is every column, so the exact
+trim is empty too. No prime changes the output, and nothing is random.
+Each kernel vector is verified on the images and the packed beta
+(`_verify_generator`). A component leaves behind only its generators and one
+count in its level's `LevelStats`.
 """
 
 from __future__ import annotations
 
 import time
+from math import prod
 from typing import NamedTuple
 
 from .enumeration import DegreeLevel, enumerate_level
-from .grading import (
-    GradingMatrix,
-    NoPositiveWeightError,
-    grading_for_map,
-    multidegree_of,
-)
-from .linalg import echelon, is_prime, nullspace_primitive, rank_mod_p, reduced_echelon
+from .grading import GradingMatrix, NoPositiveWeightError, grading_for_map
+from .linalg import echelon, is_prime, normalize_primitive, nullspace_primitive, rank_mod_p
+from .linalg import reduced_echelon
 from .polyring import DEFAULT_PRIME, IntegerImages, MonomialPacking, Polynomial
 from .polyring import RingMap, Symmetry, grlex_key
 
@@ -261,8 +259,7 @@ def component_rows(images: list[dict[int, int]]) -> list[dict[int, int]]:
 
     Rows are indexed by the packed codomain monomials the images touch,
     graded-lex descending; columns with zero image contribute no rows. The
-    exact solve passes `IntegerImages.scaled` images, whose one L > 0 keeps
-    the primitive forms of phi's rows; the certificate passes psi^alpha.
+    certificate and the exact solve both pass the columns' psi^alpha.
     """
     row_keys = sorted({g for image in images for g in image}, reverse=True)
     row_index = {g: i for i, g in enumerate(row_keys)}
@@ -296,21 +293,22 @@ def certify_no_generators(
     return len(rows) >= c and len(rank_mod_p(rows, prime, c)) == c, expanded
 
 
-def _verify_generator(images: list[dict], vec: list[int], grading: GradingMatrix, gen: Generator):
-    """Expand L * phi(gen) = sum_j vec_j images[j] exactly; images, not rows, catch bad matrices."""
+def _verify_generator(images: list, vec: list[int], columns: list[tuple], key: int, level: DegreeLevel):
+    """Check that sum_j vec_j images[j] = 0 exactly and that every term has the packed beta `key`.
+
+    `columns` holds the (variable, exponent) pairs of each x^alpha and `images`
+    its psi^alpha, not the rows, so a bad matrix is caught. As every d^alpha > 0, the
+    sum vanishes exactly when the generator sum_j vec_j d^alpha_j x^alpha_j maps to zero.
+    """
     total: dict[int, int] = {}
-    for c, image in zip(vec, images):
-        if c:
-            for gamma, v in image.items():
-                total[gamma] = total.get(gamma, 0) + c * v
+    for v, image, alpha in zip(vec, images, columns):
+        if v:
+            if level.beta_bias + sum(e * level.beta_units[i] for i, e in alpha) != key:
+                raise EngineInvariantError(f"a generator term lies outside component {level.beta(key)}")
+            for gamma, c in image.items():
+                total[gamma] = total.get(gamma, 0) + v * c
     if any(total.values()):
-        raise EngineInvariantError(f"generator does not map to zero: {gen.poly!r}")
-    for row in grading.A:
-        if not gen.poly.is_homogeneous(row):
-            raise EngineInvariantError(f"generator not homogeneous: {gen.poly!r}")
-    lead, _ = gen.poly.leading()
-    if multidegree_of(grading, lead) != gen.beta:
-        raise EngineInvariantError(f"multidegree mismatch for {gen.poly!r}")
+        raise EngineInvariantError(f"a generator of {level.beta(key)} does not map to zero")
 
 
 def components_of_kernel(
@@ -321,8 +319,10 @@ def components_of_kernel(
     The weighted degree is taken against the grading's positive weight, which
     is the all-ones vector (plain total degree) whenever the row span allows
     it. Raises NoPositiveWeightError when no positive weight exists. `prime`
-    is the certificate's modulus; `prescreen=False` solves every component
-    exactly. Neither changes the output.
+    is the certificate's modulus. `prescreen=False` turns the certificate off:
+    every orbit representative, and every member of an orbit whose
+    representative has new generators, is solved exactly; the other members
+    are still settled by symmetry. Neither changes the output.
     """
     if max_degree < 1:
         raise ValueError("degree bound must be >= 1")
@@ -382,34 +382,29 @@ def components_of_kernel(
                     skipped_m += not rank_p
                     continue
             ticked = time.perf_counter()
-            columns, lift_rank = trim_basis(basis, lifts, pivots)
+            columns, _ = trim_basis(basis, lifts, pivots)
             trimmed = time.perf_counter()
             stages["trim"] += trimmed - ticked
-            if columns and screened is not None and columns != screened:
-                certified, expanded = certify_no_generators(columns, images, packing, prime)
-                stages["certify"] += time.perf_counter() - trimmed
-                if certified:
-                    skipped_p += bool(lift_rank)
-                    skipped_m += not lift_rank
-                    continue
             solved += 1
             if not columns and rep == key:
                 continue  # an orbit member is still solved, so that its count is checked
-            ticked = time.perf_counter()
-            monomials = [packing.monomial(c) for c in columns]
-            column_images = images.scaled(monomials, expanded or images.expand(monomials))
-            rows = component_rows(column_images)
+            alphas = [packing.pairs(c) for c in columns]
+            if columns != screened:  # no certificate expanded these columns
+                expanded = images.expand(alphas)
+            rows = component_rows(expanded)
             assembled = time.perf_counter()
             vectors = nullspace_primitive(rows, len(columns))
             solved_at = time.perf_counter()
             found = len(vectors)
             if (found or rep != key) and unsettled.setdefault(rep, found) != found:
                 raise EngineInvariantError(f"orbit members of {level.beta(key)} differ in new generators")
+            scales = [prod(images.denominators[i] ** e for i, e in alpha) for alpha in alphas]
             for vec in vectors:
-                poly = Polynomial(phi.n, {monomials[c]: v for c, v in enumerate(vec) if v})
+                _verify_generator(expanded, vec, alphas, key, level)
+                coeffs = normalize_primitive([v * d for v, d in zip(vec, scales)])
+                poly = Polynomial(phi.n, {packing.monomial(c): v for c, v in zip(columns, coeffs) if v})
                 new_generators.append(Generator(poly, level.beta(key), degree))
-                _verify_generator(column_images, vec, grading, new_generators[-1])
-            stages["assemble"] += assembled - ticked
+            stages["assemble"] += assembled - trimmed
             stages["kernel"] += solved_at - assembled
             stages["verify"] += time.perf_counter() - solved_at
         del first, unsettled

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .polyring import Monomial, RingMap
+from .polyring import RingMap
 
 
 class NoPositiveWeightError(RuntimeError):
@@ -188,7 +188,3 @@ def grading_for_map(phi: RingMap) -> GradingMatrix:
     """Homogeneity space, domain projection, and positive weight in one step."""
     return domain_grading(homogeneity_space(phi), phi.n)
 
-
-def multidegree_of(grading: GradingMatrix, mono: Monomial) -> tuple[int, ...]:
-    """The multidegree beta = A alpha of x^alpha."""
-    return tuple(sum(row[i] * e for i, e in mono.exps) for row in grading.A)

@@ -8,9 +8,8 @@ ranking highest, iterated leading term first.
 The engine's level path (enumerate, trim, certify) packs each domain monomial
 into one integer instead (`MonomialPacking`), where a product is one addition.
 Both its certificate and its exact solve read the images as integer
-polynomials (`IntegerImages`), the one place their denominators are cleared:
-the certificate the products psi^alpha (`expand`), the exact solve the same
-products brought to one common scale (`scaled`).
+polynomials (`IntegerImages`), the one place their denominators are cleared,
+and expand each column x^alpha to psi^alpha = d^alpha phi(x^alpha) (`expand`).
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ class Monomial(tuple):
 
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
-
-    def weighted_degree(self, weights: Sequence) -> int | Fraction:
-        return sum(weights[i] * e for i, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not other:
@@ -253,13 +249,6 @@ class Polynomial:
         mono = min(self.terms, key=grlex_key)
         return mono, self.terms[mono]
 
-    def is_homogeneous(self, weights: Sequence) -> bool:
-        """True iff the weight is constant over the support (vacuously for 0)."""
-        if len(weights) != self.num_vars:
-            raise ValueError("weight vector length mismatch")
-        values = {m.weighted_degree(weights) for m in self.terms}
-        return len(values) <= 1
-
     def format(self, names: Sequence[str] | None = None) -> str:
         return format_polynomial(self, names)
 
@@ -438,22 +427,3 @@ class IntegerImages:
         """psi^alpha = d^alpha phi(x^alpha) per column alpha; it may be a cached power: do not mutate."""
         products = (sorted((self.power(i, e) for i, e in alpha), key=len) for alpha in columns)
         return [reduce(_times, parts[1:], parts[0]) for parts in products]
-
-    def scaled(
-        self, columns: Sequence[Sequence[tuple[int, int]]], expanded: list[dict[int, int]]
-    ) -> list[dict[int, int]]:
-        """L * phi(x^alpha) for each column alpha, from its `expand`ed psi^alpha.
-
-        With L = prod_i d_i^(max_j alpha_ij), column alpha is the integer
-        polynomial (L / d^alpha) psi^alpha. It may be a cached power: do not mutate.
-        """
-        top: dict[int, int] = {}
-        for alpha in columns:
-            for i, e in alpha:
-                top[i] = max(top.get(i, 0), e)
-        lcm = math.prod(self.denominators[i] ** e for i, e in top.items())
-        out = []
-        for alpha, image in zip(columns, expanded):
-            scale = lcm // math.prod(self.denominators[i] ** e for i, e in alpha)
-            out.append({m: scale * c for m, c in image.items()} if scale > 1 else image)
-        return out

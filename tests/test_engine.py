@@ -16,12 +16,10 @@ from implicitize import (
     components_of_kernel,
     enumerate_level,
     grading_for_map,
-    multidegree_of,
 )
 from implicitize import cli, engine
 from implicitize.engine import (
     EngineInvariantError,
-    Generator,
     component_rows,
     lift_sources,
     push_index,
@@ -30,6 +28,7 @@ from implicitize.engine import (
 from implicitize.grading import NoPositiveWeightError
 from implicitize.linalg import nullspace_primitive
 from implicitize.mapfile import emit_map_text
+from implicitize.polyring import IntegerImages
 
 from support import (
     GR24_QUADRIC_COMPONENT,
@@ -218,6 +217,25 @@ def test_fallback_under_small_primes(monkeypatch):
                     if not prime and following == ("kernel",):
                         dropped_and_solved += ranks[basis].get(True, rank) < rank
     assert dropped_and_solved
+
+
+def test_each_component_is_certified_at_most_once(monkeypatch):
+    # a component whose exact trim keeps other columns than its mod-p trim
+    # goes straight to the exact solve, without a second certificate
+    calls = spy_certificates(monkeypatch)
+    for phi, top in ((generic_cubics_map(2), 3), (rational_quadrics_map(), 4)):
+        levels = shared_levels(grading_for_map(phi), top)
+        component_of = {
+            mono: (degree, key)
+            for degree, level in levels.items()
+            for key, basis in level.components.items()
+            for mono in basis
+        }
+        for prime in (2, 3, 5, 7, 101, DEFAULT_PRIME):
+            calls.clear()
+            components_of_kernel(phi, top, prime=prime)
+            certified = Counter(component_of[columns[0]] for columns, _ in calls)
+            assert calls and max(certified.values()) == 1, prime
 
 
 def test_generic_cubics_reach_degree_four():
@@ -428,19 +446,38 @@ def test_every_component_is_certified_or_solved(gr24, monkeypatch):
     assert sum(certified.values()) and sum(st.solved for st in stats)
 
 
-def test_verify_rejects_inhomogeneous_and_misgraded_generators(gr24):
-    # with no column images the zero check passes, so only the grading checks can fire
-    grading = grading_for_map(gr24)
-    quadric = pluecker_quadric(gr24)
-    beta = multidegree_of(grading, quadric.leading()[0])
-    engine._verify_generator([], [], grading, Generator(quadric, beta, 2))
-    mixed = quadric + poly_by_names(gr24, {"p12": 1})
-    with pytest.raises(EngineInvariantError, match="generator not homogeneous"):
-        engine._verify_generator([], [], grading, Generator(mixed, beta, 2))
-    wrong = multidegree_of(grading, mono_by_names(gr24, {"p12": 2}))
-    assert wrong != beta
-    with pytest.raises(EngineInvariantError, match="multidegree mismatch"):
-        engine._verify_generator([], [], grading, Generator(quadric, wrong, 2))
+def test_verify_rejects_inhomogeneous_and_misgraded_generators(gr24, tmp_path, monkeypatch, capsys):
+    # every nonzero term of a kernel vector must lie on the component's packed
+    # beta: a column from another component, or a wrong key, stops the run
+    level = enumerate_level(grading_for_map(gr24), 2)
+    images = IntegerImages(gr24, 2)
+    key, basis = next((key, basis) for key, basis in level.components.items() if len(basis) == 3)
+    other_key, other = next((k, b[0]) for k, b in level.components.items() if k != key)
+    other = level.packing.pairs(other)
+    columns = list(map(level.packing.pairs, basis))
+    expanded = images.expand(columns)
+    vec = [1, -1, 1]  # the Pluecker quadric
+    engine._verify_generator(expanded, vec, columns, key, level)
+    foreign = images.expand([other])
+    engine._verify_generator(expanded + foreign, vec + [0], columns + [other], key, level)
+    with pytest.raises(EngineInvariantError, match="outside component"):
+        engine._verify_generator(expanded, vec, [other] + columns[1:], key, level)
+    with pytest.raises(EngineInvariantError, match="outside component"):
+        engine._verify_generator(expanded, vec, columns, other_key, level)
+    with pytest.raises(EngineInvariantError, match="does not map to zero"):
+        engine._verify_generator(expanded, [1, -1, 2], columns, key, level)
+
+    verify = engine._verify_generator
+
+    def misgraded(images, vec, columns, key, level):
+        verify(images, vec, columns, key + 1, level)
+
+    monkeypatch.setattr(engine, "_verify_generator", misgraded)
+    path = tmp_path / "gr24.map"
+    path.write_text(emit_map_text(gr24), encoding="utf-8")
+    assert cli.main(["run", "--map", str(path), "-d", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error:")
 
 
 def test_generator_order_is_canonical(gr25):

@@ -14,7 +14,6 @@ from implicitize import (
     components_of_kernel,
     enumerate_level,
     grading_for_map,
-    multidegree_of,
 )
 from implicitize.engine import lift_sources, push_index
 from implicitize.grading import GradingMatrix, NoPositiveWeightError
@@ -24,6 +23,7 @@ from support import (
     enumeration_suite,
     grading_from_rows,
     mono_by_names,
+    multidegree_of,
     shared_levels,
     unpacked,
 )

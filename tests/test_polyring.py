@@ -11,7 +11,15 @@ import sympy
 from implicitize import Monomial, Polynomial, RingMap, enumerate_level, grading_for_map
 from implicitize.polyring import IntegerImages, format_polynomial, grlex_key
 
-from support import mono_by_names, poly_by_names, random_polynomial, ring_laws_suite, substitute
+from support import (
+    is_homogeneous,
+    mono_by_names,
+    poly_by_names,
+    random_polynomial,
+    ring_laws_suite,
+    substitute,
+    weighted_degree,
+)
 
 
 def P(num_vars, *terms):
@@ -62,10 +70,10 @@ def test_arity_mismatch_raises():
 
 def test_is_homogeneous_examples():
     f = P(3, ({0: 1, 2: 1}, 1), ({1: 2}, -1))  # xz - y^2
-    assert f.is_homogeneous([1, 1, 1])
+    assert is_homogeneous(f, [1, 1, 1])
     g = P(1, ({0: 1}, 1), ({0: 2}, 1))
-    assert not g.is_homogeneous([1])
-    assert Polynomial(1).is_homogeneous([7])
+    assert not is_homogeneous(g, [1])
+    assert is_homogeneous(Polynomial(1), [7])
 
 
 def test_apply_map_grassmannian(gr24):
@@ -98,7 +106,7 @@ def test_monomial_basics():
     m1 = Monomial([(2, 1), (0, 2)])
     assert m1.exps == ((0, 2), (2, 1))
     assert m1.degree() == 3
-    assert m1.weighted_degree([1, 1, 2]) == 4
+    assert weighted_degree(m1, [1, 1, 2]) == 4
     assert (m1 * Monomial([(1, 1)])).exps == ((0, 2), (1, 1), (2, 1))
     with pytest.raises(ValueError):
         Monomial([(0, -1)])
@@ -125,15 +133,16 @@ def test_format_polynomial(cusp):
 def test_power_cache_reuse(gr24):
     images = IntegerImages(gr24, 3)
     mono = mono_by_names(gr24, {"p12": 2, "p34": 1})
-    first = images.scaled([mono], images.expand([mono]))
-    second = images.scaled([mono], images.expand([mono]))
+    first = images.expand([mono])
+    second = images.expand([mono])
     assert first == second
+    assert _decoded(images, first) == _sympy_psi_images(gr24, [mono])
     assert len(images.powers[0]) == 3  # psi_0^0, psi_0^1 and the cached psi_0^2
     assert images.powers[0][2] is images.power(0, 2)
 
 
-def _sympy_scaled_images(phi, columns):
-    """L * phi(x^alpha) per column, expanded by sympy, keyed by exponent vector."""
+def _sympy_psi_images(phi, columns):
+    """psi^alpha = d^alpha * phi(x^alpha) per column, expanded by sympy, keyed by exponent vector."""
     ts = sympy.symbols(f"t0:{phi.m}")
     images = [
         sum(
@@ -144,27 +153,25 @@ def _sympy_scaled_images(phi, columns):
         for f in phi.images
     ]
     lcms = [math.lcm(*(c.denominator for c in f.terms.values())) for f in phi.images]
-    scale = math.prod(
-        lcms[i] ** max(dict(alpha).get(i, 0) for alpha in columns) for i in range(phi.n)
-    )
     expected = []
     for alpha in columns:
+        scale = math.prod(lcms[i] ** e for i, e in alpha)
         expr = sympy.expand(scale * sympy.Mul(*(images[i] ** e for i, e in alpha)))
         poly = sympy.Poly(expr, *ts)
         expected.append({exps: int(c) for exps, c in poly.as_dict().items() if c})
     return expected
 
 
-def _decoded(images, scaled):
+def _decoded(images, expanded):
     packing = images.packing
     return [
         {tuple((key >> shift) & packing.mask for shift in packing.shifts): c for key, c in image.items()}
-        for image in scaled
+        for image in expanded
     ]
 
 
 def test_integer_images_match_sympy():
-    # each scaled column image equals L * phi(x^alpha) with L = prod_i d_i^(max_j alpha_ij)
+    # each expanded column is psi^alpha = d^alpha * phi(x^alpha), d_i the lcm of phi_i's denominators
     rng = random.Random(2718)
     t = Polynomial.variable(1, 0)
     weighted = RingMap(
@@ -179,8 +186,7 @@ def test_integer_images_match_sympy():
     ]
     images = IntegerImages(weighted, 6)
     for columns in level_components:
-        scaled = images.scaled(columns, images.expand(columns))
-        assert _decoded(images, scaled) == _sympy_scaled_images(weighted, columns)
+        assert _decoded(images, images.expand(columns)) == _sympy_psi_images(weighted, columns)
     assert images.denominators == [2, 3, 1]
 
     checked = 0
@@ -196,8 +202,7 @@ def test_integer_images_match_sympy():
                 for combo in itertools.combinations_with_replacement(range(n), degree)
             ]
             for columns in (monos, rng.sample(monos, min(3, len(monos)))):
-                scaled = images.scaled(columns, images.expand(columns))
-                assert _decoded(images, scaled) == _sympy_scaled_images(phi, columns)
+                assert _decoded(images, images.expand(columns)) == _sympy_psi_images(phi, columns)
                 checked += 1
     assert checked == 24
 

@@ -18,14 +18,20 @@ from implicitize import (
     gen_sunlet_k3p,
     grading_for_map,
     grassmannian_symmetries,
-    multidegree_of,
     sunlet_k3p_symmetries,
 )
 from implicitize.engine import orbits, symmetry_moves
 from implicitize.linalg import nullspace_primitive
 from implicitize.mapfile import MapParseError, emit_map_json, emit_map_text, parse_map
 
-from support import counts_by_degree, shared_levels, spy_certificates, sympy_oracle_check, unpacked
+from support import (
+    counts_by_degree,
+    multidegree_of,
+    shared_levels,
+    spy_certificates,
+    sympy_oracle_check,
+    unpacked,
+)
 
 
 def _symmetric(n: int | None = None) -> RingMap:
