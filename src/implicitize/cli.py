@@ -23,7 +23,8 @@ solves every orbit representative, and every member that has generators,
 exactly; it changes where the time goes, never the output.
 The `--report` JSON echoes the options as given, and gives each level's
 seconds per stage (enumerate, orbits, trim, certify, assemble, kernel,
-verify); timings never reach stdout.
+verify) and the process's own peak resident set size, `peak_rss_mb`, where
+the platform reports it; timings and memory never reach stdout.
 
 Exit codes: 0 success, 2 bad flags or unreadable input, 3 no positive
 grading exists for the map, 4 internal invariant violation.
@@ -36,6 +37,11 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+
+try:
+    import resource
+except ImportError:  # no `resource` module, as on Windows: the report omits peak_rss_mb
+    resource = None
 
 from .engine import EngineInvariantError, GeneratorSet, components_of_kernel
 from .fixtures import (
@@ -126,6 +132,14 @@ def _generators_json(result: GeneratorSet, phi: RingMap, max_degree: int) -> str
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB, or None where it cannot be read."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
     levels = []
     for st in result.level_stats:
@@ -149,7 +163,7 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
                 },
             }
         )
-    return {
+    payload = {
         "options": {
             "max_degree": args.max_degree,
             "seed": args.seed,
@@ -163,6 +177,10 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
         "generator_count": len(result.generators),
         "seconds": round(wall, 3),
     }
+    peak = _peak_rss_mb()
+    if peak is not None:
+        payload["peak_rss_mb"] = peak
+    return payload
 
 
 def _report_table(payload: dict) -> str:

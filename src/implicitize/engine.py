@@ -17,11 +17,13 @@ When it has some, every member skips the certificate and is solved exactly,
 for its own canonical generators, and must find as many.
 
 Until a generator is emitted, monomials are ints of one run-wide
-`MonomialPacking`. Image denominators are cleared once per run, phi_i =
-psi_i / d_i (`IntegerImages`); the certificate and the exact solve both read
-the integer images psi^alpha = d^alpha phi(x^alpha) of the columns. Column j
-is d^alpha_j > 0 times column j of phi's coefficient matrix, so a kernel
-vector v gives the generator with coefficients v_j d^alpha_j, made primitive.
+`MonomialPacking` built with the grading's A, so `key >> beta_shift` is the
+packed beta of a monomial's component. Image denominators are cleared once
+per run, phi_i = psi_i / d_i (`IntegerImages`); the certificate and the
+exact solve both read the integer images psi^alpha = d^alpha phi(x^alpha) of
+the columns. Column j is d^alpha_j > 0 times column j of phi's coefficient
+matrix, so a kernel vector v gives the generator with coefficients
+v_j d^alpha_j, made primitive.
 New generators are the kernel vectors over the trimmed column set; their
 count per component is exactly the number of minimal generators of that
 multidegree. Trimming runs whenever lower-degree generators exist: without it
@@ -55,6 +57,7 @@ count in its level's `LevelStats`.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from math import prod
 from typing import NamedTuple
 
@@ -143,19 +146,24 @@ def push_index(sources: list[LiftSource], level: DegreeLevel, levels: dict) -> d
 
     Each lower-degree source s is walked over the components of level
     deg(level) - deg(s); every shift lands on the component of `level` whose
-    packed beta is the shift's key plus s's offset, sum_i e_i `beta_units[i]`
-    over one monomial x^e of s, and is filed under it, in source order, as
-    (s's packed monomials, their integer coefficients, the shift monomials).
+    packed beta is the shift's key plus s's offset, the packed beta
+    `s.monos[0] >> beta_shift` that all of s's monomials share, and is filed
+    under it, in source order, as (s's packed monomials, their integer
+    coefficients, the shift monomials). Each shift level's runs are listed
+    once per call, and their member tuples are shared by every source.
     """
     index: dict[int, list] = {}
+    runs: dict[int, list] = {}
+    shift = level.packing.beta_shift
     for s in sources:
-        shifts = levels.get(level.weighted_degree - s.weighted_degree)
-        if shifts is None:
-            continue
-        if shifts.packing is not level.packing:
-            raise ValueError("push_index needs levels that share one packing")
-        offset = sum(e * level.beta_units[i] for i, e in level.packing.pairs(s.monos[0]))
-        for gamma_key, gammas in shifts.components.items():
+        degree = level.weighted_degree - s.weighted_degree
+        if degree not in runs:
+            shifts = levels.get(degree)
+            if shifts is not None and shifts.packing is not level.packing:
+                raise ValueError("push_index needs levels that share one packing")
+            runs[degree] = [] if shifts is None else list(shifts.runs())
+        offset = s.monos[0] >> shift
+        for gamma_key, gammas in runs[degree]:
             index.setdefault(gamma_key + offset, []).append((s.monos, s.coeffs, gammas))
     return index
 
@@ -186,32 +194,41 @@ def orbits(level: DegreeLevel, moves: list[list[int]]) -> dict[int, int]:
     """The packed beta of the first member of each component's orbit.
 
     Only components with more than one monomial are keyed: transports preserve
-    component size, so a lone component is its own orbit. Member x^alpha of a
-    component is carried by sigma to x^sigma(alpha), whose packed beta is
-    `beta_bias` + sum_i alpha_i `beta_units[sigma(i)]`, so transporting a
-    component costs a few multiply-adds and one dict lookup. A transported
-    beta that is not a component of the same size is an EngineInvariantError.
+    component size, so a lone component is its own orbit. The leading member
+    x^alpha of each visited component is carried by sigma to x^sigma(alpha),
+    whose packed beta is sum_i alpha_i `packing.beta_units[sigma(i)]`, so
+    transporting a component costs a few multiply-adds and one dict lookup;
+    a component not yet visited is found by bisection of `ckeys`, and its size
+    read from `starts`. A transported beta that is not a component of the same
+    size, or that lies in another orbit, is an EngineInvariantError: moves that
+    permute the variables and preserve the grading generate a finite group,
+    whose orbits are disjoint.
     """
-    components = level.components
-    units = [[level.beta_units[t] for t in sigma] for sigma in moves]
-    bias, decode = level.beta_bias, level.packing.pairs
+    keys, ckeys, starts = level.keys, level.ckeys, level.starts
+    units = [[level.packing.beta_units[t] for t in sigma] for sigma in moves]
+    decode = level.packing.pairs
     first: dict[int, int] = {}
-    for start, basis in components.items():
-        if len(basis) == 1 or start in first:
+    for k, start in enumerate(ckeys):
+        size = starts[k + 1] - starts[k]
+        if size == 1 or start in first:
             continue
         first[start] = start
-        stack = [start]
+        stack = [k]
         while stack:
-            pairs = decode(components[stack.pop()][0])
+            pairs = decode(keys[starts[stack.pop() + 1] - 1])  # the leading member
             for moved in units:
-                key = bias
+                key = 0
                 for i, e in pairs:
                     key += e * moved[i]
-                if len(components.get(key, ())) != len(basis):
+                rep = first.get(key)
+                if rep == start:
+                    continue
+                j = bisect_left(ckeys, key)
+                alike = j < len(ckeys) and ckeys[j] == key and starts[j + 1] - starts[j] == size
+                if rep is not None or not alike:  # not a component of this size, or in another orbit
                     raise EngineInvariantError("a symmetry carries a component out of its level")
-                if key not in first:
-                    first[key] = start
-                    stack.append(key)
+                first[ckeys[j]] = start  # the level's own int, not a copy
+                stack.append(j)
     return first
 
 
@@ -293,22 +310,23 @@ def certify_no_generators(
     return len(rows) >= c and len(rank_mod_p(rows, prime, c)) == c, expanded
 
 
-def _verify_generator(images: list, vec: list[int], columns: list[tuple], key: int, level: DegreeLevel):
+def _verify_generator(images: list, vec: list[int], columns: list[int], key: int, packing: MonomialPacking):
     """Check that sum_j vec_j images[j] = 0 exactly and that every term has the packed beta `key`.
 
-    `columns` holds the (variable, exponent) pairs of each x^alpha and `images`
-    its psi^alpha, not the rows, so a bad matrix is caught. As every d^alpha > 0, the
-    sum vanishes exactly when the generator sum_j vec_j d^alpha_j x^alpha_j maps to zero.
+    `columns` holds the packed key of each x^alpha, whose packed beta is
+    `column >> beta_shift`, and `images` its psi^alpha, not the rows, so a bad
+    matrix is caught. As every d^alpha > 0, the sum vanishes exactly when the
+    generator sum_j vec_j d^alpha_j x^alpha_j maps to zero.
     """
     total: dict[int, int] = {}
-    for v, image, alpha in zip(vec, images, columns):
+    for v, image, column in zip(vec, images, columns):
         if v:
-            if level.beta_bias + sum(e * level.beta_units[i] for i, e in alpha) != key:
-                raise EngineInvariantError(f"a generator term lies outside component {level.beta(key)}")
+            if column >> packing.beta_shift != key:
+                raise EngineInvariantError(f"a generator term lies outside component {packing.beta(key)}")
             for gamma, c in image.items():
                 total[gamma] = total.get(gamma, 0) + v * c
     if any(total.values()):
-        raise EngineInvariantError(f"a generator of {level.beta(key)} does not map to zero")
+        raise EngineInvariantError(f"a generator of {packing.beta(key)} does not map to zero")
 
 
 def components_of_kernel(
@@ -335,7 +353,7 @@ def components_of_kernel(
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     # a monomial's total degree is at most its weighted degree
-    packing = MonomialPacking(phi.n, max_degree)
+    packing = MonomialPacking(phi.n, max_degree, grading.A)
     images = IntegerImages(phi, max_degree)
     generators: list[Generator] = []
     level_stats: list[LevelStats] = []
@@ -360,7 +378,7 @@ def components_of_kernel(
         # must find as many generators
         unsettled: dict[int, int] = {}
         skipped_m = skipped_p = by_symmetry = solved = 0
-        for key, basis in level.components.items():
+        for key, basis in level.runs():
             rep = first.get(key, key)
             if rep != key and rep not in unsettled:
                 by_symmetry += 1
@@ -397,18 +415,18 @@ def components_of_kernel(
             solved_at = time.perf_counter()
             found = len(vectors)
             if (found or rep != key) and unsettled.setdefault(rep, found) != found:
-                raise EngineInvariantError(f"orbit members of {level.beta(key)} differ in new generators")
+                raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")
             scales = [prod(images.denominators[i] ** e for i, e in alpha) for alpha in alphas]
             for vec in vectors:
-                _verify_generator(expanded, vec, alphas, key, level)
+                _verify_generator(expanded, vec, columns, key, packing)
                 coeffs = normalize_primitive([v * d for v, d in zip(vec, scales)])
                 poly = Polynomial(phi.n, {packing.monomial(c): v for c, v in zip(columns, coeffs) if v})
-                new_generators.append(Generator(poly, level.beta(key), degree))
+                new_generators.append(Generator(poly, packing.beta(key), degree))
             stages["assemble"] += assembled - trimmed
             stages["kernel"] += solved_at - assembled
             stages["verify"] += time.perf_counter() - solved_at
         del first, unsettled
-        if skipped_m + skipped_p + by_symmetry + solved != len(level.components):
+        if skipped_m + skipped_p + by_symmetry + solved != len(level.ckeys):
             raise EngineInvariantError("component statuses do not reconcile")
         new_generators.sort(
             key=lambda g: (
@@ -426,7 +444,7 @@ def components_of_kernel(
             LevelStats(
                 weighted_degree=degree,
                 monomials=level.monomial_count,
-                components=len(level.components),
+                components=len(level.ckeys),
                 skipped_matroid=skipped_m,
                 skipped_prescreen=skipped_p,
                 certified_by_symmetry=by_symmetry,

@@ -6,7 +6,8 @@ canonical term order everywhere is graded lexicographic with variable 0
 ranking highest, iterated leading term first.
 
 The engine's level path (enumerate, trim, certify) packs each domain monomial
-into one integer instead (`MonomialPacking`), where a product is one addition.
+into one integer instead (`MonomialPacking`), where a product is one addition
+and the top fields carry the monomial's multidegree.
 Both its certificate and its exact solve read the images as integer
 polynomials (`IntegerImages`), the one place their denominators are cleared,
 and expand each column x^alpha to psi^alpha = d^alpha phi(x^alpha) (`expand`).
@@ -75,19 +76,49 @@ MONOMIAL_ONE = Monomial._make(())
 class MonomialPacking:
     """Domain monomials of total degree <= `bound`, one int each (Kronecker substitution).
 
-    The top field holds the total degree, the fields below it the exponents of
-    variables 0 .. n-1, variable 0 most significant, each `width` bits wide.
-    No exponent exceeds the total degree, so within the bound no field
-    overflows: adding keys multiplies monomials, and key order is graded-lex.
+    Below `beta_shift`, the top field holds the total degree and the fields
+    below it the exponents of variables 0 .. n-1, variable 0 most significant,
+    each `width` bits wide. No exponent exceeds the total degree, so within
+    the bound no field overflows. Above it sits the packed multidegree
+    beta = A alpha of a grading `A` (r x n rows, none by default): one signed
+    field per row, beta_0 most significant, `beta_width` bits wide, with no
+    bias. A total degree <= `bound` keeps every |beta_k| <= bound * max |A| <
+    2^(beta_width - 1), so a packed beta, sum_k beta_k 2^(beta_width (r-1-k)),
+    has no other expansion with digits that small, and its numeric order is
+    lexicographic beta order. Adding keys multiplies monomials,
+    `key >> beta_shift` is the packed beta of the key's component, and key
+    order is lexicographic in beta, then graded-lex. `beta` decodes a packed
+    beta.
     """
 
-    __slots__ = ("n", "bound", "width", "mask", "shifts", "units")
+    __slots__ = (
+        "n", "bound", "width", "mask", "shifts", "units", "A", "beta_width", "beta_shift", "beta_units"
+    )
 
-    def __init__(self, n: int, bound: int):
+    def __init__(self, n: int, bound: int, A: Sequence[Sequence[int]] = ()):
         self.n, self.bound, self.width = n, bound, max(bound, 1).bit_length()
         self.mask = (1 << self.width) - 1
         self.shifts = [(n - 1 - i) * self.width for i in range(n)]
-        self.units = [(1 << n * self.width) | 1 << s for s in self.shifts]  # key of x_i
+        self.A = tuple(map(tuple, A))
+        span = bound * max((abs(a) for row in self.A for a in row), default=0)
+        self.beta_width = w = span.bit_length() + 1
+        self.beta_shift = (n + 1) * self.width
+        r = len(self.A)
+        # column i of A packed: the packed beta of x_i, then the key of x_i
+        self.beta_units = [sum(row[i] << w * (r - 1 - k) for k, row in enumerate(self.A)) for i in range(n)]
+        top, degree = self.beta_shift, 1 << n * self.width
+        self.units = [(b << top) + degree + (1 << s) for b, s in zip(self.beta_units, self.shifts)]
+
+    def beta(self, ckey: int) -> tuple[int, ...]:
+        """The multidegree tuple of a packed beta, `key >> beta_shift`."""
+        w = self.beta_width
+        half, mask = 1 << w - 1, (1 << w) - 1
+        digits = []
+        for _ in self.A:
+            digit = (ckey + half & mask) - half  # balanced: in [-half, half)
+            digits.append(digit)
+            ckey = (ckey - digit) >> w
+        return tuple(reversed(digits))
 
     def pack(self, mono: Monomial) -> int:
         if mono.degree() > self.bound:
@@ -399,8 +430,8 @@ class IntegerImages:
     psi_i is an integer polynomial over keys of `packing` (the m codomain
     variables to `bound` times the largest image degree, so images of domain
     monomials of total degree <= `bound` never overflow). `powers[i][k]`
-    caches psi_i^k for the run. `zero_fields` masks, in the keys of
-    `MonomialPacking(phi.n, bound)`, the fields of the variables whose image is zero.
+    caches psi_i^k for the run. `zero_fields` masks, in the keys of any
+    `MonomialPacking(phi.n, bound, A)`, the fields of the variables whose image is zero.
     """
 
     __slots__ = ("packing", "denominators", "powers", "zero_fields")

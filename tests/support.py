@@ -122,16 +122,16 @@ def raw_lift_sources(generators, packing: MonomialPacking) -> list[LiftSource]:
 
 
 def shared_levels(grading: GradingMatrix, top: int) -> dict:
-    """Levels 1..top enumerated with one packing, as the engine shares them."""
-    packing = MonomialPacking(grading.n, top)
+    """Levels 1..top enumerated with one graded packing, as the engine shares them."""
+    packing = MonomialPacking(grading.n, top, grading.A)
     return {d: enumerate_level(grading, d, packing) for d in range(1, top + 1)}
 
 
 def spy_certificates(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
     """Record (packed columns, result) for every call of the engine's mod-p certificate.
 
-    A run packs its columns with `MonomialPacking(phi.n, max_degree)`, the
-    packing `shared_levels(grading, max_degree)` uses.
+    A run packs its columns with `MonomialPacking(phi.n, max_degree, grading.A)`,
+    the packing `shared_levels(grading, max_degree)` uses.
     """
     calls = []
     certify = engine.certify_no_generators
@@ -661,9 +661,12 @@ def enumeration_suite(cases: int) -> int:
     for _ in range(cases):
         n = rng.randint(1, 5)
         degree = rng.randint(1, 4)
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 0.5:
+            # entries up to 2, or extreme ones, from 7 to 16, around the powers of two
+            top = 2 if kind < 0.3 else rng.randint(7, 16)
             rows = [[1] * n] + [
-                [rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 2))
+                [rng.randint(-top, top) for _ in range(n)] for _ in range(rng.randint(0, 2))
             ]
             grading = grading_from_rows(rows, n, weight=[1] * n)
             expected = math.comb(n + degree - 1, degree)
@@ -674,11 +677,15 @@ def enumeration_suite(cases: int) -> int:
         level = enumerate_level(grading, degree)
         assert level.monomial_count == expected
         keys = list(level.components)
-        betas = [level.beta(key) for key in keys]
+        betas = [level.packing.beta(key) for key in keys]
         assert keys == sorted(keys) and betas == sorted(betas)
         for beta, basis in zip(betas, level.components.values()):
             for mono in unpacked(level, basis):
                 assert multidegree_of(grading, mono) == beta
+        if grading.positive_weight == [1] * n:
+            # x_j^degree lies in the level, so some field reaches degree * max |A|
+            span = degree * max(abs(a) for row in grading.A for a in row)
+            assert any(abs(b) == span for beta in betas for b in beta)
         checked += 1
     return checked
 

@@ -282,7 +282,7 @@ def test_zero_first_image_is_a_linear_generator(monkeypatch):
     t = Polynomial.variable(1, 0)
     phi = RingMap([Polynomial(1), t, t], m=1, domain_names=["x", "y", "z"])
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
-    lone = (MonomialPacking(3, 3).pack(x.leading()[0]),)
+    lone = (MonomialPacking(3, 3, grading_for_map(phi).A).pack(x.leading()[0]),)
     for options in ({}, {"prime": 3}, {"prescreen": False}):
         calls.clear()
         result = components_of_kernel(phi, 3, **options)
@@ -345,7 +345,7 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
             for key, basis in level.components.items():
                 _, lift_rank = trim_basis(basis, index.get(key, []), {})
                 full = nullspace_primitive(assembled_rows(phi, unpacked(level, basis)), len(basis))
-                assert len(full) == found[degree, level.beta(key)] + lift_rank
+                assert len(full) == found[degree, level.packing.beta(key)] + lift_rank
 
 
 def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
@@ -437,7 +437,7 @@ def test_every_component_is_certified_or_solved(gr24, monkeypatch):
         if ok:
             certified[bool(rank_p)] += 1
             assert nullspace_primitive(assembled_rows(gr24, unpacked(level, columns)), len(columns)) == []
-            assert not found[degree, level.beta(key)]
+            assert not found[degree, level.packing.beta(key)]
     assert len({component_of[columns[0]] for columns, _ in calls}) == len(calls)
     stats = result.level_stats
     assert certified[False] == sum(st.skipped_matroid for st in stats)
@@ -453,24 +453,23 @@ def test_verify_rejects_inhomogeneous_and_misgraded_generators(gr24, tmp_path, m
     images = IntegerImages(gr24, 2)
     key, basis = next((key, basis) for key, basis in level.components.items() if len(basis) == 3)
     other_key, other = next((k, b[0]) for k, b in level.components.items() if k != key)
-    other = level.packing.pairs(other)
-    columns = list(map(level.packing.pairs, basis))
-    expanded = images.expand(columns)
+    packing, columns = level.packing, list(basis)
+    expanded = images.expand(map(packing.pairs, columns))
     vec = [1, -1, 1]  # the Pluecker quadric
-    engine._verify_generator(expanded, vec, columns, key, level)
-    foreign = images.expand([other])
-    engine._verify_generator(expanded + foreign, vec + [0], columns + [other], key, level)
+    engine._verify_generator(expanded, vec, columns, key, packing)
+    foreign = images.expand([packing.pairs(other)])
+    engine._verify_generator(expanded + foreign, vec + [0], columns + [other], key, packing)
     with pytest.raises(EngineInvariantError, match="outside component"):
-        engine._verify_generator(expanded, vec, [other] + columns[1:], key, level)
+        engine._verify_generator(expanded, vec, [other] + columns[1:], key, packing)
     with pytest.raises(EngineInvariantError, match="outside component"):
-        engine._verify_generator(expanded, vec, columns, other_key, level)
+        engine._verify_generator(expanded, vec, columns, other_key, packing)
     with pytest.raises(EngineInvariantError, match="does not map to zero"):
-        engine._verify_generator(expanded, [1, -1, 2], columns, key, level)
+        engine._verify_generator(expanded, [1, -1, 2], columns, key, packing)
 
     verify = engine._verify_generator
 
-    def misgraded(images, vec, columns, key, level):
-        verify(images, vec, columns, key + 1, level)
+    def misgraded(images, vec, columns, key, packing):
+        verify(images, vec, columns, key + 1, packing)
 
     monkeypatch.setattr(engine, "_verify_generator", misgraded)
     path = tmp_path / "gr24.map"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -50,7 +52,7 @@ def test_grassmannian_level_one_singletons(gr24):
     assert level.monomial_count == 6 and len(level.components) == 6
     p12 = mono_by_names(gr24, {"p12": 1})
     beta = multidegree_of(grading, p12)
-    by_beta = {level.beta(key): basis for key, basis in level.components.items()}
+    by_beta = {level.packing.beta(key): basis for key, basis in level.components.items()}
     assert by_beta[beta] == (level.packing.pack(p12),)
 
 
@@ -60,7 +62,7 @@ def test_lookup_unknown_beta(gr24):
     levels = shared_levels(grading, 3)
     run = components_of_kernel(gr24, 2)
     index = push_index(lift_sources(run.generators, levels[3].packing), levels[3], levels)
-    assert levels[3].beta_bias not in levels[3].components  # beta = 0
+    assert 0 not in levels[3].components  # beta = 0
     assert set(index) <= set(levels[3].components)
     assert sum(len(gammas) for lifts in index.values() for _, _, gammas in lifts) == 6
 
@@ -76,7 +78,7 @@ def test_single_variable_level():
 def test_component_order_and_member_order(cusp):
     grading = grading_for_map(cusp)
     level = enumerate_level(grading, 2)
-    betas = [level.beta(key) for key in level.components]
+    betas = [level.packing.beta(key) for key in level.components]
     assert list(level.components) == sorted(level.components) and betas == sorted(betas)
     for basis in level.components.values():
         keys = [grlex_key(m) for m in unpacked(level, basis)]
@@ -90,7 +92,7 @@ def test_cusp_levels_collapse_to_one_component(cusp):
     level = enumerate_level(grading, 2)
     assert len(level.components) == 1
     assert level.monomial_count == 6
-    assert [level.beta(key) for key in level.components] == [(4,)]
+    assert [level.packing.beta(key) for key in level.components] == [(4,)]
 
 
 def test_sunlet_level_two_counts(sunlet):
@@ -142,7 +144,7 @@ def test_packed_order_mixes_total_degrees():
     t = Polynomial.variable(1, 0)
     grading = grading_for_map(RingMap([t, t**2, t**3], m=1))
     assert grading.positive_weight == [1, 2, 3]
-    packing = MonomialPacking(3, 12)
+    packing = MonomialPacking(3, 12, grading.A)
     for degree in range(1, 13):
         level = enumerate_level(grading, degree, packing)
         degrees = {m.degree() for basis in level.components.values() for m in unpacked(level, basis)}
@@ -153,6 +155,55 @@ def test_packed_order_mixes_total_degrees():
     assert level.packing.width == 9
     assert level.monomial_count == 7651
     _assert_packed_order_is_grlex(level)
+
+
+def test_packed_beta_at_the_field_extremes():
+    # |beta_k| reaches bound * max |A| = 15 with both signs: the signed fields
+    # decode exactly, keys add, and key order is beta-lexicographic, then graded-lex
+    A = [[3, -3, 0], [-3, 1, 3]]
+    packing = MonomialPacking(3, 5, A)
+    assert packing.beta_width == 5
+    monos = [
+        Monomial(enumerate(exps))
+        for exps in itertools.product(range(6), repeat=3)
+        if sum(exps) <= 5
+    ]
+    keys = {mono: packing.pack(mono) for mono in monos}
+    betas = {mono: multidegree_of(GradingMatrix(A, 3, None), mono) for mono in monos}
+    assert {b for beta in betas.values() for b in beta} >= {15, -15}
+    for a in monos:
+        assert packing.beta(keys[a] >> packing.beta_shift) == betas[a]
+        assert packing.pairs(keys[a]) == a.exps
+        for b in monos:
+            if betas[a] != betas[b]:
+                assert (keys[a] < keys[b]) == (betas[a] < betas[b])
+            else:
+                assert (keys[a] < keys[b]) == (grlex_key(a) > grlex_key(b))
+            if a.degree() + b.degree() <= 5:
+                assert packing.pack(a * b) == keys[a] + keys[b]
+
+
+def test_packing_without_the_grading_is_refused(gr24):
+    # keys without the grading's fields would merge the whole level into one component
+    grading = grading_for_map(gr24)
+    enumerate_level(grading, 2, MonomialPacking(grading.n, 2, grading.A))
+    other = [row[::-1] for row in grading.A]
+    for packing in (MonomialPacking(grading.n, 2), MonomialPacking(grading.n, 2, other)):
+        with pytest.raises(ValueError, match="not the grading's"):
+            enumerate_level(grading, 2, packing)
+
+
+def test_level_memory_peak(sunlet):
+    # a level holds its sorted keys, component keys and run bounds, nothing per component
+    grading = grading_for_map(sunlet)
+    tracemalloc.start()
+    try:
+        level = enumerate_level(grading, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert level.monomial_count == 45760 and len(level.components) == 25152
+    assert peak <= 5.0e6
 
 
 def test_pack_unpack_round_trip():

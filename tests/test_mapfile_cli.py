@@ -4,10 +4,11 @@ import hashlib
 import json
 import re
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from implicitize import parse_map, parse_map_file
+from implicitize import cli, parse_map, parse_map_file
 from implicitize.mapfile import (
     MAX_COEFFICIENT_BITS,
     MAX_PRODUCTS,
@@ -230,6 +231,30 @@ def test_cli_report_stage_seconds(tmp_path):
         assert tuple(seconds) == stages
         assert all(v >= 0 for v in seconds.values())
         assert sum(seconds.values()) <= level["seconds"] + 1e-9
+
+
+def test_cli_report_peak_rss(tmp_path, monkeypatch, capsys):
+    # the report gives the process's own peak RSS in MB; stdout does not change
+    report_path = tmp_path / "report.json"
+    code, map_json, _ = run_cli(["examples", "cusp"])
+    code, plain, _ = run_cli(["run", "-d", "2"], stdin_text=map_json)
+    code, out, _ = run_cli(["run", "-d", "2", "--report", str(report_path)], stdin_text=map_json)
+    assert code == 0 and out == plain
+    assert 1 < json.loads(report_path.read_text())["peak_rss_mb"] < 10_000
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    for platform, maxrss in (("linux", 50 * 1024), ("darwin", 50 * 1024 * 1024)):
+        usage = SimpleNamespace(ru_maxrss=maxrss)
+        monkeypatch.setattr(cli, "resource", SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage))
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        assert cli._peak_rss_mb() == 50.0
+    # without the `resource` module the field is left out
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "resource", None)
+    path = tmp_path / "cusp.json"
+    path.write_text(map_json, encoding="utf-8")
+    assert cli.main(["run", "--map", str(path), "-d", "2", "--report", str(report_path)]) == 0
+    assert capsys.readouterr().out == plain
+    assert "peak_rss_mb" not in json.loads(report_path.read_text())
 
 
 GENERIC_CUBICS_SHA256 = "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45"

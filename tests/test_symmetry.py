@@ -126,7 +126,7 @@ def test_orbits_match_brute_force():
         assert len(moves) == len(phi.symmetries)
         for level in shared_levels(grading, top).values():
             keys = list(level.components)
-            position = {level.beta(key): k for k, key in enumerate(keys)}
+            position = {level.packing.beta(key): k for k, key in enumerate(keys)}
             parent = list(range(len(position)))
 
             def root(k):
@@ -212,9 +212,10 @@ def test_orbit_statuses(monkeypatch):
         found = {(g.weighted_degree, g.beta) for g in result.generators}
         for stats, (degree, level) in zip(result.level_stats, levels.items()):
             members = [key for key, rep in first[degree].items() if rep != key]
-            open_members = [key for key in members if (degree, level.beta(first[degree][key])) in found]
+            beta = level.packing.beta
+            open_members = [key for key in members if (degree, beta(first[degree][key])) in found]
             assert stats.certified_by_symmetry == len(members) - len(open_members)
-            assert all((degree, level.beta(key)) in found for key in open_members)
+            assert all((degree, level.packing.beta(key)) in found for key in open_members)
         # the 15 quadrics lie in one orbit of 15 components
         assert len(found) == 15 and result.level_stats[1].solved >= 15
         assert result.level_stats[1].solved == 15 or not prescreen
