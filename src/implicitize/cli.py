@@ -10,9 +10,11 @@ to the degree bound, prints them to stdout (text or JSON), and prints a
 per-level summary table to stderr. With a non-standard positive weight the
 bound applies to the weighted degree; the `--report` JSON says whether the
 all-ones weight was used. Before any exact trim or solve, each component is
-trimmed mod `--prime` and screened by the rank mod the same prime of the
-integer images of the columns left; full rank certifies that it has no new
-generators, and every prime is valid. Nothing is random: `--seed` is
+trimmed mod `--prime` and screened: by pairwise distinct leading monomials
+of the columns left, under fixed monomial orders, or else by the rank mod
+the same prime of their integer images; either certifies that it has no new
+generators (`certified_by_leading_terms` in the report counts the first),
+and every prime is valid. Nothing is random: `--seed` is
 accepted, echoed in the report and has no effect. Components that a symmetry
 declared in the map carries onto each other form an orbit, and only its
 first member, in canonical order, is screened: when it has no new
@@ -154,6 +156,7 @@ def _report_payload(result: GeneratorSet, args, wall: float) -> dict:
                 "skipped_matroid": st.skipped_matroid,
                 "skipped_prescreen": st.skipped_prescreen,
                 "certified_by_symmetry": st.certified_by_symmetry,
+                "certified_by_leading_terms": st.certified_by_leading_terms,
                 "solved": st.solved,
                 "generators": st.generators,
                 "seconds": round(st.seconds, 3),

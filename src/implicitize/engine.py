@@ -1,20 +1,30 @@
 """Degree-by-degree computation of minimal kernel generators.
 
-For each weighted degree i up to the bound, the engine enumerates the level,
-groups its components into orbits under the map's declared symmetries, then
-handles its components one at a time, in canonical beta order:
+For each weighted degree i up to the bound, the engine builds the level from
+the levels below it (`enumerate_level`), groups its components into orbits
+under the map's declared symmetries, then handles its components one at a
+time, in canonical beta order:
 
-    trim mod p against lower-degree generators -> certify mod p -> exact
-    trim -> assemble the component's integer rows -> nullspace_primitive ->
-    verify
+    trim mod p against lower-degree generators -> certify (leading terms,
+    then rank mod p) -> exact trim -> assemble the component's integer rows
+    -> nullspace_primitive -> verify
+
+With the certificate on, a component of one monomial with no zero-image
+variable never enters that loop: its image is a product of nonzero images,
+and no lift lands on it, so it is counted certified in bulk, with no call,
+timer or member tuple. A level pays per orbit and per real certificate, not
+per component.
 
 A symmetry x_i -> +-x_sigma(i) with phi o sigma = tau o phi maps ker phi onto
 itself and, when it fixes the positive weight, the ideal of the lower-degree
 generators too, so it carries each component onto one with as many new
-minimal generators. Only the first member of an orbit is certified; when it
-has no new generators, the others are settled without trim or certificate.
-When it has some, every member skips the certificate and is solved exactly,
-for its own canonical generators, and must find as many.
+minimal generators. The moves are closed into a group once per run
+(`symmetry_group`); a small group carries each orbit's first member by all
+its elements, a large one is walked by its moves (`orbits`). Only the first
+member of an orbit is certified; when it has no new generators, the others
+are settled without trim, certificate or member tuple. When it has some,
+every member skips the certificate and is solved exactly, for its own
+canonical generators, and must find as many.
 
 Until a generator is emitted, monomials are ints of one run-wide
 `MonomialPacking` built with the grading's A, so `key >> beta_shift` is the
@@ -36,8 +46,10 @@ their coefficient rows (`lift_sources`), which spans what they span with
 distinct leading monomials, so the trim's elimination has far fewer
 collisions. Emitted generators are untouched.
 
-The certificate proves the images psi^alpha of c columns independent when
-they have rank c mod p (`certify_no_generators`). It first reads the
+The certificate proves the images psi^alpha of c columns independent
+(`certify_no_generators`): exactly, when their leading monomials under one of
+a few fixed monomial orders are pairwise distinct, which needs no expansion;
+otherwise when they have rank c mod p. It first reads the
 columns C_p left by a trim mod p: the lift rows L of a component, with pivot
 columns P_p over GF(p) and r_p = |P_p|, span U inside the component's kernel
 W. Then r_p <= rank_Q(L) = dim U <= dim W, and a full-rank certificate on
@@ -59,7 +71,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from math import prod
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .enumeration import DegreeLevel, enumerate_level
 from .grading import GradingMatrix, NoPositiveWeightError, grading_for_map
@@ -88,6 +100,7 @@ class LevelStats(NamedTuple):
     skipped_matroid: int  # certified, with nothing trimmed
     skipped_prescreen: int  # certified after a non-empty trim
     certified_by_symmetry: int  # settled by its orbit's representative
+    certified_by_leading_terms: int  # of the two skipped counts, certified by distinct leading monomials
     solved: int
     generators: int
     seconds: float
@@ -190,29 +203,63 @@ def symmetry_moves(grading: GradingMatrix, symmetries: list[Symmetry]) -> list[l
     return moves
 
 
-def orbits(level: DegreeLevel, moves: list[list[int]]) -> dict[int, int]:
+GROUP_CAP = 64  # the largest symmetry group whose elements `orbits` carries components by
+
+
+def symmetry_group(moves: list[list[int]]) -> list[tuple[int, ...]] | None:
+    """The elements of the group the moves generate, identity excluded; None past GROUP_CAP.
+
+    The moves are closed under composition once per run, stopping as soon as
+    more than GROUP_CAP permutations are known.
+    """
+    if not moves:
+        return []
+    identity = tuple(range(len(moves[0])))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        reached = []
+        for g in frontier:
+            for sigma in moves:
+                h = tuple([sigma[i] for i in g])
+                if h not in group:
+                    group.add(h)
+                    reached.append(h)
+                    if len(group) > GROUP_CAP:
+                        return None
+        frontier = reached
+    group.discard(identity)
+    return sorted(group)
+
+
+def orbits(level: DegreeLevel, moves: list[list[int]], group: list | None) -> dict[int, int]:
     """The packed beta of the first member of each component's orbit.
 
     Only components with more than one monomial are keyed: transports preserve
     component size, so a lone component is its own orbit. The leading member
-    x^alpha of each visited component is carried by sigma to x^sigma(alpha),
-    whose packed beta is sum_i alpha_i `packing.beta_units[sigma(i)]`, so
-    transporting a component costs a few multiply-adds and one dict lookup;
-    a component not yet visited is found by bisection of `ckeys`, and its size
-    read from `starts`. A transported beta that is not a component of the same
-    size, or that lies in another orbit, is an EngineInvariantError: moves that
-    permute the variables and preserve the grading generate a finite group,
-    whose orbits are disjoint.
+    x^alpha of a component is decoded once and carried by sigma to
+    x^sigma(alpha), whose packed beta is sum_i alpha_i
+    `packing.beta_units[sigma(i)]`, so a transport costs a few multiply-adds
+    and one dict lookup; a component first reached is found by bisection of
+    `ckeys`. `group` is `symmetry_group(moves)`: when it is known, the first
+    member of an orbit is carried by every element and reaches the whole
+    orbit at once, with one decode; otherwise the orbit is walked by the
+    moves, from every component it reaches. A transported beta that is not a
+    component of the same size, or that lies in another orbit, is an
+    EngineInvariantError: moves that permute the variables and preserve the
+    grading generate a finite group, whose orbits are disjoint.
     """
     keys, ckeys, starts = level.keys, level.ckeys, level.starts
-    units = [[level.packing.beta_units[t] for t in sigma] for sigma in moves]
+    walk = group is None
+    units = [[level.packing.beta_units[t] for t in sigma] for sigma in (moves if walk else group)]
     decode = level.packing.pairs
     first: dict[int, int] = {}
-    for k, start in enumerate(ckeys):
-        size = starts[k + 1] - starts[k]
-        if size == 1 or start in first:
+    for k in level.multiple():
+        start = ckeys[k]
+        if start in first:
             continue
         first[start] = start
+        size = starts[k + 1] - starts[k]
         stack = [k]
         while stack:
             pairs = decode(keys[starts[stack.pop() + 1] - 1])  # the leading member
@@ -228,7 +275,8 @@ def orbits(level: DegreeLevel, moves: list[list[int]]) -> dict[int, int]:
                 if rep is not None or not alike:  # not a component of this size, or in another orbit
                     raise EngineInvariantError("a symmetry carries a component out of its level")
                 first[ckeys[j]] = start  # the level's own int, not a copy
-                stack.append(j)
+                if walk:
+                    stack.append(j)
     return first
 
 
@@ -292,20 +340,27 @@ def certify_no_generators(
 ) -> tuple[bool, list[dict[int, int]] | None]:
     """(certified, images): True proves that the packed `columns` have independent images.
 
-    `packing` is the `MonomialPacking(phi.n, bound)` of `images`. A lone
-    column's image, a product of images, is nonzero unless the column sets
-    the field of a variable with zero image; it is not expanded (None).
-    Otherwise the c images psi^alpha = d^alpha phi(x^alpha) are expanded, and
-    returned for the exact solve, as R x c rows (`component_rows`). With
-    d^alpha > 0 they have the rank of the component's coefficient matrix, and
-    rank only drops from Q to GF(p), so rank c mod p proves a trivial kernel
-    at every prime, dividing a denominator or not. R < c rows cannot reach
-    rank c and are not eliminated.
+    `packing` is the `MonomialPacking(phi.n, bound)` of `images`. Leading terms
+    come first, with no expansion: under a monomial order, the leading
+    monomial of psi^alpha is sum_i alpha_i LM(psi_i), with a nonzero
+    coefficient, so c columns whose leading monomials are pairwise distinct
+    under one of `images.leading_keys()`'s orders have independent images
+    over Q, whatever the prime (returned images None). A lone column is the
+    one-column case. Columns that touch a variable with zero image are not
+    tried. Otherwise the c images psi^alpha = d^alpha phi(x^alpha) are
+    expanded, and returned for the exact solve, as R x c rows
+    (`component_rows`). With d^alpha > 0 they have the rank of the
+    component's coefficient matrix, and rank only drops from Q to GF(p), so
+    rank c mod p proves a trivial kernel at every prime, dividing a
+    denominator or not. R < c rows cannot reach rank c and are not eliminated.
     """
     c = len(columns)
-    if c == 1 and not columns[0] & images.zero_fields:
-        return True, None
-    expanded = images.expand(map(packing.pairs, columns))
+    alphas = list(map(packing.pairs, columns))
+    if not any(column & images.zero_fields for column in columns):
+        for lead in images.leading_keys():
+            if len({sum([e * lead[i] for i, e in alpha]) for alpha in alphas}) == c:
+                return True, None
+    expanded = images.expand(alphas)
     rows = component_rows(expanded)
     return len(rows) >= c and len(rank_mod_p(rows, prime, c)) == c, expanded
 
@@ -358,14 +413,16 @@ def components_of_kernel(
     generators: list[Generator] = []
     level_stats: list[LevelStats] = []
     moves = symmetry_moves(grading, phi.symmetries)
+    group = symmetry_group(moves)
     levels: dict[int, DegreeLevel] = {}
+    grouped: dict = {}  # the lower levels that enumerate_level builds each level from
     sources: list[LiftSource] = []
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
         stages = dict.fromkeys(STAGES, 0.0)
-        level = levels[degree] = enumerate_level(grading, degree, packing)
+        level = levels[degree] = enumerate_level(grading, degree, packing, grouped=grouped)
         stages["enumerate"] = time.perf_counter() - started
-        first = orbits(level, moves) if moves else {}
+        first = orbits(level, moves, group) if moves else {}
         stages["orbits"] = time.perf_counter() - started - stages["enumerate"]
         ticked = time.perf_counter()
         index = push_index(sources, level, levels)
@@ -377,12 +434,27 @@ def components_of_kernel(
         # otherwise every member goes straight to its own exact solve, which
         # must find as many generators
         unsettled: dict[int, int] = {}
-        skipped_m = skipped_p = by_symmetry = solved = 0
-        for key, basis in level.runs():
+        ckeys = level.ckeys
+        skipped_m = skipped_p = by_symmetry = by_leading = solved = 0
+        work: Sequence[int] = range(len(ckeys))
+        if prescreen:
+            # a lone monomial with no zero-image variable has a nonzero image,
+            # and no lift lands on it: a lift row with two or more terms lands
+            # on as many monomials of one component, and a one-term row lies in
+            # the kernel, so it has a zero-image variable, and so do its shifts
+            zero, keys, starts = images.zero_fields, level.keys, level.starts
+            if zero:
+                work = [k for k, size in enumerate(level.sizes()) if size > 1 or keys[starts[k]] & zero]
+            else:
+                work = level.multiple()
+            skipped_m = len(ckeys) - len(work)
+        for k in work:
+            key = ckeys[k]
             rep = first.get(key, key)
             if rep != key and rep not in unsettled:
                 by_symmetry += 1
                 continue
+            basis = level.members(k)
             lifts = index.get(key, [])
             screened = expanded = None  # the mod-p trim's columns, and their images
             if prescreen and rep == key:
@@ -398,6 +470,7 @@ def components_of_kernel(
                 if certified:
                     skipped_p += bool(rank_p)
                     skipped_m += not rank_p
+                    by_leading += expanded is None
                     continue
             ticked = time.perf_counter()
             columns, _ = trim_basis(basis, lifts, pivots)
@@ -426,7 +499,7 @@ def components_of_kernel(
             stages["kernel"] += solved_at - assembled
             stages["verify"] += time.perf_counter() - solved_at
         del first, unsettled
-        if skipped_m + skipped_p + by_symmetry + solved != len(level.ckeys):
+        if skipped_m + skipped_p + by_symmetry + solved != len(ckeys):
             raise EngineInvariantError("component statuses do not reconcile")
         new_generators.sort(
             key=lambda g: (
@@ -448,6 +521,7 @@ def components_of_kernel(
                 skipped_matroid=skipped_m,
                 skipped_prescreen=skipped_p,
                 certified_by_symmetry=by_symmetry,
+                certified_by_leading_terms=by_leading,
                 solved=solved,
                 generators=len(new_generators),
                 seconds=time.perf_counter() - started,

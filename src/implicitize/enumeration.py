@@ -2,25 +2,30 @@
 
 A level holds every exponent vector alpha >= 0 with a . alpha = i for the
 grading's positive weight a, partitioned into components by beta = A alpha.
-Enumeration is a depth-first knapsack over the variables. Each step adds one
-precomputed integer for the monomial: its packed key, in a `MonomialPacking`
-built with the grading's A, so that the key's top fields hold the packed
-beta. One sort of the level's keys then orders them by beta,
-lexicographically, and within one beta graded-lex. Each component is one run
-of the sorted keys, and `key >> beta_shift`, its packed beta, is its key: the
-packed betas of one packing add like the betas themselves, and their numeric
-order is lexicographic beta order. A level stores the sorted keys, the
-component keys and the run bounds, and nothing per component. Only
-`MonomialPacking.beta` turns a key back into a tuple.
+Levels are built by recurrence, each from the levels below it: the
+monomials of weighted degree d whose largest variable is v are x_v times
+those of degree d - w_v whose largest variable is at most v, a prefix of
+that level when it is kept grouped by largest variable. So each monomial is
+made once, with one addition of integers: keys are packed in a
+`MonomialPacking` built with the grading's A, so that the key's top fields
+hold the packed beta, and adding keys multiplies monomials. A run streams
+its levels 1..D through one `grouped` dict, and a group list is dropped as
+soon as no later level reads it. One sort of the level's keys then orders
+them by beta, lexicographically, and within one beta graded-lex. Each
+component is one run of the sorted keys, and `key >> beta_shift`, its
+packed beta, is its key: the packed betas of one packing add like the betas
+themselves, and their numeric order is lexicographic beta order. A level
+stores the sorted keys, the component keys and the run bounds, and nothing
+per component. Only `MonomialPacking.beta` turns a key back into a tuple.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
-from itertools import islice
+from itertools import compress, count, islice
+from operator import sub
 from typing import NamedTuple
 
 from .grading import GradingMatrix, NoPositiveWeightError
@@ -50,6 +55,18 @@ class DegreeLevel(NamedTuple):
         """A read-only view: packed beta -> members, as `runs` gives them."""
         return _Components(self)
 
+    def sizes(self) -> Iterator[int]:
+        """The number of members of each component, in canonical order."""
+        return map(sub, islice(self.starts, 1, None), self.starts)
+
+    def multiple(self) -> array:
+        """The indices of the components with more than one member, ascending."""
+        return array("q", compress(count(), map((1).__lt__, self.sizes())))
+
+    def members(self, k: int) -> tuple[int, ...]:
+        """The members of component k, graded-lex descending."""
+        return self.keys[self.starts[k] : self.starts[k + 1]][::-1]
+
     def runs(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(packed beta, members) per component in canonical order, members graded-lex descending."""
         keys = self.keys
@@ -76,11 +93,15 @@ class _Components(Mapping):
         k = bisect_left(level.ckeys, ckey)
         if k == len(level.ckeys) or level.ckeys[k] != ckey:
             raise KeyError(ckey)
-        return level.keys[level.starts[k] : level.starts[k + 1]][::-1]
+        return level.members(k)
 
 
 def enumerate_level(
-    grading: GradingMatrix, degree: int, packing: MonomialPacking | None = None
+    grading: GradingMatrix,
+    degree: int,
+    packing: MonomialPacking | None = None,
+    *,
+    grouped: dict | None = None,
 ) -> DegreeLevel:
     """Every monomial of the given weighted degree, sorted into components by multidegree.
 
@@ -89,6 +110,11 @@ def enumerate_level(
     sized for this degree; a run shares one sized for its degree bound, and
     so one key layout. The packing must carry the grading's A, or its keys
     could not tell the components apart.
+
+    `grouped` streams a run's levels: it holds the lower levels grouped by
+    largest variable, as earlier calls with the same packing left them, and
+    this call adds its own unless it is at the packing's bound. Without it,
+    the levels below are built here and dropped.
     """
     if grading.positive_weight is None:
         raise NoPositiveWeightError("enumeration requires a positive weight")
@@ -102,39 +128,46 @@ def enumerate_level(
     if packing.A != tuple(map(tuple, grading.A)):
         raise ValueError("the packing's multidegree fields are not the grading's")
     units = packing.units
+    keep = grouped is not None and degree < packing.bound
+    if grouped is None:
+        grouped = {}
+    if not grouped:
+        grouped[0] = ([0], [1] * n)  # the monomial 1 lies below every variable
+    elif max(grouped) >= degree:
+        raise ValueError("a stream's levels must ascend")
+    reach = max(weights)
 
-    # suffix_gcd[v] divides every weight reachable using variables >= v
-    suffix_gcd = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        suffix_gcd[v] = math.gcd(weights[v], suffix_gcd[v + 1])
-
-    found: list[int] = []
-
-    def descend(start: int, remaining: int, key: int):
-        if remaining == 0:
-            found.append(key)
-            return
-        if start >= n or remaining % suffix_gcd[start]:
-            return
-        for v in range(start, n):
-            w, unit, mono = weights[v], units[v], key
-            for rest in range(remaining - w, -1, -w):
-                mono += unit
-                descend(v + 1, rest, mono)
-
-    descend(0, degree, 0)
-    del descend  # it refers to itself: free the level's list now, not at the next gc
-
-    found.sort()
-    keys = tuple(found)
+    # the monomials of degree d whose largest variable is v are x_v times those
+    # of degree d - w_v whose largest variable is at most v: a prefix of that
+    # level's groups, so every monomial is made once, with one addition
+    for d in range(max(grouped) + 1, degree + 1):
+        found: list[int] = []
+        ends = []
+        for v, unit in enumerate(units):
+            lower = grouped.get(d - weights[v])
+            if lower is not None:
+                below, bounds = lower
+                found += [key + unit for key in below[: bounds[v]]]
+            ends.append(len(found))
+        grouped.pop(d - reach, None)  # no later level reads it
+        if d < degree or keep:
+            grouped[d] = (found, ends)
+    if keep:
+        keys = tuple(sorted(found))
+    else:  # no later level reads any group: sort this one in place
+        grouped.clear()
+        found.sort()
+        keys = tuple(found)
     del found
     shift = packing.beta_shift
     ckeys: list[int] = []
     starts = array("q")
+    add_ckey, add_start, last = ckeys.append, starts.append, None
     for k, key in enumerate(keys):
         ckey = key >> shift
-        if not ckeys or ckey != ckeys[-1]:
-            ckeys.append(ckey)
-            starts.append(k)
-    starts.append(len(keys))
+        if ckey != last:
+            add_ckey(ckey)
+            add_start(k)
+            last = ckey
+    add_start(len(keys))
     return DegreeLevel(degree, keys, tuple(ckeys), starts, packing)

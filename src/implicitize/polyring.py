@@ -11,6 +11,9 @@ and the top fields carry the monomial's multidegree.
 Both its certificate and its exact solve read the images as integer
 polynomials (`IntegerImages`), the one place their denominators are cleared,
 and expand each column x^alpha to psi^alpha = d^alpha phi(x^alpha) (`expand`).
+The certificate first compares leading monomials instead: under a monomial
+order, that of psi^alpha is the sum of alpha_i times the packed key of
+psi_i's (`IntegerImages.leading_keys`), so it needs no expansion.
 """
 
 from __future__ import annotations
@@ -413,6 +416,11 @@ class RingMap:
         return f"RingMap(n={self.n}, m={self.m})"
 
 
+# The weight of codomain variable j in each of the leading-term certificate's
+# orders: the zero weight is graded-lex order, the others scatter the variables
+LEADING_WEIGHTS = (lambda j: 0, lambda j: (5 * j + 3) % 8, lambda j: j % 5, lambda j: j**3 % 11)
+
+
 def _times(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     """Product of two integer polynomials over packed monomial keys."""
     out: dict[int, int] = {}
@@ -432,9 +440,12 @@ class IntegerImages:
     monomials of total degree <= `bound` never overflow). `powers[i][k]`
     caches psi_i^k for the run. `zero_fields` masks, in the keys of any
     `MonomialPacking(phi.n, bound, A)`, the fields of the variables whose image is zero.
+    `leading_keys` gives the leading monomial of each psi_i under a few fixed
+    monomial orders, built at its first call, so that a run whose
+    certificate never sees two columns pays nothing for it.
     """
 
-    __slots__ = ("packing", "denominators", "powers", "zero_fields")
+    __slots__ = ("packing", "denominators", "powers", "zero_fields", "_leading")
 
     def __init__(self, phi: RingMap, bound: int):
         degree = max((mono.degree() for f in phi.images for mono in f.terms), default=0)
@@ -447,6 +458,28 @@ class IntegerImages:
         ]
         domain = MonomialPacking(phi.n, bound)
         self.zero_fields = sum(domain.mask << domain.shifts[i] for i, f in enumerate(phi.images) if not f)
+        self._leading: list[list[int]] | None = None
+
+    def leading_keys(self) -> list[list[int]]:
+        """Per fixed monomial order, the packed key of each psi_i's leading monomial (0 when psi_i = 0).
+
+        The orders compare codomain monomials by w . exponent, ties broken by
+        packed key, for each weight w of `LEADING_WEIGHTS`, largest first and
+        smallest first; the zero weight gives graded-lex order and its
+        reverse. Each is compatible with multiplication, so the leading
+        monomial of psi^alpha is sum_i alpha_i of these keys. Built at the
+        first call.
+        """
+        if self._leading is None:
+            pairs = self.packing.pairs
+            terms = [[(key, pairs(key)) for key in psi[1]] for psi in self.powers]
+            self._leading = []
+            for weight in LEADING_WEIGHTS:
+                w = [weight(j) for j in range(self.packing.n)]
+                ranked = [[(sum([w[j] * e for j, e in exps]), key) for key, exps in image] for image in terms]
+                self._leading.append([max(r)[1] if r else 0 for r in ranked])
+                self._leading.append([min(r)[1] if r else 0 for r in ranked])
+        return self._leading
 
     def power(self, i: int, k: int) -> dict[int, int]:
         table = self.powers[i]

@@ -27,6 +27,7 @@ from implicitize import (
     RingMap,
     domain_grading,
     enumerate_level,
+    grading_for_map,
 )
 from implicitize import engine
 from implicitize.engine import LiftSource, component_rows
@@ -125,6 +126,42 @@ def shared_levels(grading: GradingMatrix, top: int) -> dict:
     """Levels 1..top enumerated with one graded packing, as the engine shares them."""
     packing = MonomialPacking(grading.n, top, grading.A)
     return {d: enumerate_level(grading, d, packing) for d in range(1, top + 1)}
+
+
+def reference_keys(grading: GradingMatrix, degree: int, packing: MonomialPacking) -> list[int]:
+    """The packed keys of every monomial of weighted degree `degree`, ascending.
+
+    A depth-first oracle for `enumerate_level`: each variable's exponent in
+    turn, up to what the remaining degree allows, each monomial packed on its own.
+    """
+    weights = grading.positive_weight
+    found = []
+
+    def descend(v: int, remaining: int, exps: list):
+        if v == len(weights):
+            if remaining == 0:
+                found.append(packing.pack(Monomial(exps)))
+            return
+        for e in range(remaining // weights[v] + 1):
+            descend(v + 1, remaining - e * weights[v], exps + [(v, e)])
+
+    descend(0, degree, [])
+    return sorted(found)
+
+
+def bulk_certified(phi: RingMap, top: int) -> list[tuple[int, int]]:
+    """(weighted degree, packed key) of every one-monomial component, up to `top`, with no zero-image variable.
+
+    These are the components that a run with the certificate on certifies in
+    one count, with no certificate call; keys are those of `shared_levels`.
+    """
+    zero = {i for i, f in enumerate(phi.images) if not f}
+    return [
+        (degree, basis[0])
+        for degree, level in shared_levels(grading_for_map(phi), top).items()
+        for basis in level.components.values()
+        if len(basis) == 1 and not zero & {i for i, _ in level.packing.pairs(basis[0])}
+    ]
 
 
 def spy_certificates(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
@@ -671,11 +708,19 @@ def enumeration_suite(cases: int) -> int:
             grading = grading_from_rows(rows, n, weight=[1] * n)
             expected = math.comb(n + degree - 1, degree)
         else:
-            weights = [rng.randint(1, 3) for _ in range(n)]
+            # weights 2-3 only leave some levels empty, level 1 among them
+            weights = [rng.randint(1 if kind < 0.75 else 2, 3) for _ in range(n)]
             grading = grading_from_rows([weights], n, weight=weights)
             expected = weighted_count_oracle(weights, degree)
         level = enumerate_level(grading, degree)
         assert level.monomial_count == expected
+        assert list(level.keys) == reference_keys(grading, degree, level.packing)
+        # streamed with one packing, as a run builds its levels
+        packing, grouped = MonomialPacking(n, degree, grading.A), {}
+        for d in range(1, degree + 1):
+            streamed = enumerate_level(grading, d, packing, grouped=grouped)
+            assert list(streamed.keys) == reference_keys(grading, d, packing)
+        assert not grouped  # the top level keeps no groups
         keys = list(level.components)
         betas = [level.packing.beta(key) for key in keys]
         assert keys == sorted(keys) and betas == sorted(betas)

@@ -33,6 +33,7 @@ from implicitize.polyring import IntegerImages
 from support import (
     GR24_QUADRIC_COMPONENT,
     assembled_rows,
+    bulk_certified,
     counts_by_degree,
     generic_cubics_map,
     mono_by_names,
@@ -414,7 +415,8 @@ def test_error_paths():
 
 def test_every_component_is_certified_or_solved(gr24, monkeypatch):
     # each component is certified or solved; the certificate sees exactly the
-    # columns of the mod-p trim, and a certified component has no new generators
+    # columns of the mod-p trim, lone components are certified without it,
+    # and a certified component has no new generators
     calls = spy_certificates(monkeypatch)
     result = components_of_kernel(gr24, 3)
     levels = shared_levels(grading_for_map(gr24), 3)
@@ -439,6 +441,14 @@ def test_every_component_is_certified_or_solved(gr24, monkeypatch):
             assert nullspace_primitive(assembled_rows(gr24, unpacked(level, columns)), len(columns)) == []
             assert not found[degree, level.packing.beta(key)]
     assert len({component_of[columns[0]] for columns, _ in calls}) == len(calls)
+    bulk = bulk_certified(gr24, 3)
+    assert bulk and not set(bulk) & {component_of[columns[0]] for columns, _ in calls}
+    for degree, key in bulk:
+        level = levels[degree]
+        assert not indexes[degree].get(key >> level.packing.beta_shift)  # no lift lands on it
+        assert nullspace_primitive(assembled_rows(gr24, unpacked(level, [key])), 1) == []
+        assert not found[degree, level.packing.beta(key >> level.packing.beta_shift)]
+        certified[False] += 1
     stats = result.level_stats
     assert certified[False] == sum(st.skipped_matroid for st in stats)
     assert certified[True] == sum(st.skipped_prescreen for st in stats)

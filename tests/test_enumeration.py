@@ -26,8 +26,10 @@ from support import (
     grading_from_rows,
     mono_by_names,
     multidegree_of,
+    reference_keys,
     shared_levels,
     unpacked,
+    weighted_count_oracle,
 )
 
 
@@ -249,3 +251,29 @@ def test_packing_bound_widens_or_refuses():
     level = enumerate_level(grading, 300)
     assert level.packing.bound == 300
     assert level.monomial_count == math.comb(302, 2)
+
+
+def test_streamed_levels_match_and_drop_their_groups(sunlet):
+    # a run's levels, each built from the groups of the ones below, equal the
+    # levels built on their own; a group list goes once no later level reads it
+    grading = grading_for_map(sunlet)
+    packing = MonomialPacking(grading.n, 3, grading.A)
+    grouped: dict = {}
+    for degree in (1, 2, 3):
+        streamed = enumerate_level(grading, degree, packing, grouped=grouped)
+        alone = enumerate_level(grading, degree, packing)
+        assert streamed == alone
+        assert set(grouped) == ({degree} if degree < 3 else set())
+    with pytest.raises(ValueError, match="ascend"):
+        grouped[3] = ([], [0] * grading.n)
+        enumerate_level(grading, 2, packing, grouped=grouped)
+    # weights 2 and 3: level 1 is empty, and each level reads the three below it
+    weighted = grading_from_rows([[2, 3, 3]], 3, weight=[2, 3, 3])
+    packing = MonomialPacking(3, 7, weighted.A)
+    grouped = {}
+    for degree in range(1, 8):
+        level = enumerate_level(weighted, degree, packing, grouped=grouped)
+        assert list(level.keys) == reference_keys(weighted, degree, packing)
+        assert level.monomial_count == weighted_count_oracle([2, 3, 3], degree)
+        assert max(grouped, default=degree) - min(grouped, default=degree) < 3
+    assert enumerate_level(weighted, 1).monomial_count == 0

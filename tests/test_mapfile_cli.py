@@ -233,6 +233,25 @@ def test_cli_report_stage_seconds(tmp_path):
         assert sum(seconds.values()) <= level["seconds"] + 1e-9
 
 
+def test_cli_report_leading_term_counts(tmp_path):
+    # certified_by_leading_terms is deterministic, in the JSON only, and 0
+    # without the certificate; stdout and the stderr table do not change
+    _, map_json, _ = run_cli(["examples", "sunlet-k3p"])
+    report_path = tmp_path / "report.json"
+    counts, tables, outs = {}, set(), set()
+    for flags, hashseed in (([], "0"), ([], "1"), (["--no-prescreen"], "0")):
+        args = ["run", "-d", "3", "--report", str(report_path), *flags]
+        code, out, err = run_cli(args, stdin_text=map_json, hashseed=hashseed)
+        assert code == 0 and "leading" not in err
+        outs.add(out)
+        tables.add(tuple(tuple(line.split()[:8]) for line in err.splitlines()[:4]))
+        levels = json.loads(report_path.read_text())["levels"]
+        counts[tuple(flags), hashseed] = [level["certified_by_leading_terms"] for level in levels]
+    assert counts == {((), "0"): [0, 31, 935], ((), "1"): [0, 31, 935], (("--no-prescreen",), "0"): [0, 0, 0]}
+    assert len(outs) == 1 and len(tables) == 2  # the two default runs print the same table
+    assert hashlib.sha256(outs.pop().encode()).hexdigest() == SUNLET_D3_SHA256
+
+
 def test_cli_report_peak_rss(tmp_path, monkeypatch, capsys):
     # the report gives the process's own peak RSS in MB; stdout does not change
     report_path = tmp_path / "report.json"
@@ -257,6 +276,7 @@ def test_cli_report_peak_rss(tmp_path, monkeypatch, capsys):
     assert "peak_rss_mb" not in json.loads(report_path.read_text())
 
 
+SUNLET_D3_SHA256 = "36ebbe60cf4b6736a199b162a4e1530b9fd6f1ece66d1cd58effc8e5a5d6d100"
 GENERIC_CUBICS_SHA256 = "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45"
 RATIONAL_QUADRICS_SHA256 = "bb6839887e7c308c969caf225ea142733a419b633d21bb77124c55d33265ea9d"
 

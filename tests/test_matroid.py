@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 
-from implicitize import DEFAULT_PRIME, MonomialPacking, components_of_kernel, engine
+from implicitize import DEFAULT_PRIME, Monomial, MonomialPacking, Polynomial, RingMap, components_of_kernel, engine
+from implicitize import sunlet_k3p_symmetries
 from implicitize.linalg import nullspace_primitive
 from implicitize.polyring import IntegerImages
 
 from support import (
     assembled_rows,
+    bulk_certified,
     dense_quartics_map,
     generic_cubics_map,
     random_monomial_map,
@@ -46,10 +48,13 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp, monkeypatch):
             packing = MonomialPacking(phi.n, degree)
             denominators = IntegerImages(phi, degree).denominators
             passed = [columns for columns, ok in calls if ok]
-            assert len(passed) == sum(
+            # lone components are certified in one count, with no call
+            bulk = [(key,) for _, key in bulk_certified(phi, degree)]
+            assert not set(bulk) & {columns for columns, _ in calls}
+            assert len(passed) + len(bulk) == sum(
                 stats.skipped_matroid + stats.skipped_prescreen for stats in result.level_stats
             )
-            for columns in passed:
+            for columns in passed + bulk:
                 certified += 1
                 monomials = list(map(packing.monomial, columns))
                 rows = assembled_rows(phi, monomials)
@@ -103,3 +108,95 @@ def test_certificate_needs_as_many_rows_as_columns(monkeypatch):
     assert [(len(columns), ok) for columns, ok in calls] == [(8, True), (36, False), (59, False)]
     assert ncols == [8]
     assert [stats.solved for stats in result.level_stats] == [0, 1, 1]
+
+
+def _spy_routes(monkeypatch) -> list[tuple[tuple[int, ...], bool, bool]]:
+    """(packed columns, certified, certified by leading terms) per certificate call."""
+    calls = []
+    certify = engine.certify_no_generators
+
+    def spy(columns, *args):
+        certified, expanded = certify(columns, *args)
+        calls.append((tuple(columns), certified, certified and expanded is None))
+        return certified, expanded
+
+    monkeypatch.setattr(engine, "certify_no_generators", spy)
+    return calls
+
+
+def test_leading_term_certificates_are_sound(gr24, gr25, cusp, monkeypatch):
+    # every component certified by distinct leading monomials is re-solved to
+    # an empty kernel, at every prime; the report counts exactly these
+    calls = _spy_routes(monkeypatch)
+    rng = random.Random(424242)
+    maps = [(gr24, 3), (gr25, 3), (cusp, 3), (rational_quadrics_map(), 3), (dense_quartics_map(1), 2)]
+    maps += [
+        (random_monomial_map(rng, rng.randint(2, 6), rng.randint(2, 4), rng.randint(1, 3)), 3)
+        for _ in range(3)
+    ]
+    for prime in (3, 5, 7, 101, DEFAULT_PRIME):
+        leading = 0
+        for phi, degree in maps:
+            calls.clear()
+            result = components_of_kernel(phi, degree, prime=prime)
+            packing = MonomialPacking(phi.n, degree)
+            settled = [columns for columns, _, by_leading in calls if by_leading]
+            assert len(settled) == sum(stats.certified_by_leading_terms for stats in result.level_stats)
+            for columns in settled:
+                monomials = list(map(packing.monomial, columns))
+                assert nullspace_primitive(assembled_rows(phi, monomials), len(monomials)) == []
+            leading += len(settled)
+        assert leading, prime
+
+
+def test_zero_image_columns_skip_leading_terms(monkeypatch):
+    # a column with a zero-image variable has image 0: no order may certify it
+    s, t = (Polynomial.variable(2, j) for j in range(2))
+    phi = RingMap([s, t, Polynomial(2), s * t, s + t])
+    images = IntegerImages(phi, 3)
+    packing = MonomialPacking(phi.n, 3)
+    pack = lambda *exps: packing.pack(Monomial(exps))  # noqa: E731
+    for columns in ([pack((2, 1))], [pack((0, 1), (2, 1))], [pack((0, 1)), pack((2, 1))], [pack((2, 3))]):
+        certified, expanded = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
+        assert not certified and expanded is not None
+    # the same columns without the zero-image variable are certified by leading terms
+    assert engine.certify_no_generators([pack((0, 1)), pack((1, 1))], images, packing, 3) == (True, None)
+    calls = _spy_routes(monkeypatch)
+    zero = images.zero_fields
+    for prescreen in (True, False):
+        components_of_kernel(phi, 3, prescreen=prescreen)
+    touched = [by_leading for columns, _, by_leading in calls if any(c & zero for c in columns)]
+    assert touched and not any(touched)
+
+
+def test_colliding_leading_terms_fall_back_to_rank():
+    # t0 + t1 and t0 - t1 share their support, so their leading monomials, and
+    # those of all their products, collide under every order; their images are
+    # independent all the same, and rank mod p certifies them
+    t0, t1 = (Polynomial.variable(2, j) for j in range(2))
+    phi = RingMap([t0 + t1, t0 - t1])
+    images = IntegerImages(phi, 2)
+    assert all(lead[0] == lead[1] for lead in images.leading_keys())
+    packing = MonomialPacking(phi.n, 2)
+    pack = lambda *exps: packing.pack(Monomial(exps))  # noqa: E731
+    for columns in ([pack((0, 1)), pack((1, 1))], [pack((0, 2)), pack((0, 1), (1, 1)), pack((1, 2))]):
+        certified, expanded = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
+        assert certified and expanded == images.expand(map(packing.pairs, columns))
+    result = components_of_kernel(phi, 2)
+    assert result.generators == []
+    assert [(st.components, st.skipped_matroid, st.certified_by_leading_terms) for st in result.level_stats] == [
+        (1, 1, 0),
+        (1, 1, 0),
+    ]
+
+
+def test_leading_term_decisions_repeat(sunlet, monkeypatch):
+    # fixed orders: two runs, and two fresh image tables, decide alike
+    calls = _spy_routes(monkeypatch)
+    phi = sunlet.with_symmetries(sunlet_k3p_symmetries())
+    components_of_kernel(phi, 3)
+    first = list(calls)
+    calls.clear()
+    components_of_kernel(phi, 3)
+    assert calls == first and sum(by_leading for _, _, by_leading in first) == 31 + 935
+    assert IntegerImages(sunlet, 3).leading_keys() == IntegerImages(sunlet, 3).leading_keys()

@@ -20,7 +20,7 @@ from implicitize import (
     grassmannian_symmetries,
     sunlet_k3p_symmetries,
 )
-from implicitize.engine import orbits, symmetry_moves
+from implicitize.engine import GROUP_CAP, orbits, symmetry_group, symmetry_moves
 from implicitize.linalg import nullspace_primitive
 from implicitize.mapfile import MapParseError, emit_map_json, emit_map_text, parse_map
 
@@ -119,11 +119,19 @@ def test_invariant_failures_exit_4(tmp_path, monkeypatch, capsys):
 def test_orbits_match_brute_force():
     # orbits from transporting every member monomial, its exponents relabelled
     # and its beta recomputed from the grading: each component must land
-    # exactly on one component, and orbits are the connected classes
-    for phi, top in ((_symmetric(6), 4), (_symmetric(), 2)):
+    # exactly on one component, and orbits are the connected classes. Groups
+    # of at most GROUP_CAP elements (S_4, and the sunlet's 12) carry each
+    # orbit by their elements; S_5 and S_6 are walked by their moves
+    cases = ((_symmetric(4), 3, 24), (_symmetric(5), 3, 120), (_symmetric(6), 4, 720), (_symmetric(), 2, 12))
+    for phi, top, order in cases:
         grading = grading_for_map(phi)
         moves = symmetry_moves(grading, phi.symmetries)
         assert len(moves) == len(phi.symmetries)
+        group = symmetry_group(moves)
+        if order <= GROUP_CAP:
+            assert len(group) + 1 == order and len(set(group)) == len(group)
+        else:
+            assert group is None
         for level in shared_levels(grading, top).values():
             keys = list(level.components)
             position = {level.packing.beta(key): k for k, key in enumerate(keys)}
@@ -144,7 +152,8 @@ def test_orbits_match_brute_force():
                     assert images == set(unpacked(level, level.components[keys[position[target]]]))
                     a, b = sorted((root(k), root(position[target])))
                     parent[b] = a
-            first = orbits(level, moves)
+            first = orbits(level, moves, group)
+            assert orbits(level, moves, None) == first  # the walk agrees
             assert set(first) == {key for key, basis in level.components.items() if len(basis) > 1}
             assert all(first[key] == keys[root(k)] for k, key in enumerate(keys) if key in first)
 
@@ -193,7 +202,7 @@ def test_orbit_statuses(monkeypatch):
     grading = grading_for_map(phi)
     levels = shared_levels(grading, 4)
     moves = symmetry_moves(grading, phi.symmetries)
-    first = {degree: orbits(level, moves) for degree, level in levels.items()}
+    first = {degree: orbits(level, moves, symmetry_group(moves)) for degree, level in levels.items()}
     component_of = {
         mono: (degree, key)
         for degree, level in levels.items()
