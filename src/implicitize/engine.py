@@ -2,15 +2,20 @@
 
 For each weighted degree i up to the bound, the engine builds the level from
 the levels below it (`enumerate_level`), groups its components into orbits
-under the map's declared symmetries, then handles its components one at a
-time, in canonical beta order:
+under the map's declared symmetries, then settles its components one at a
+time, in canonical beta order; `settle` takes each through
 
     trim mod p against lower-degree generators -> certify (leading terms,
     then rank mod p) -> exact trim -> assemble the component's integer rows
     -> nullspace_primitive -> verify
 
+and returns its status, the `LevelStats` count the level loop tallies it in
+(`STATUSES`): certified (`skipped_matroid`, `skipped_prescreen`), settled
+by its orbit (`certified_by_symmetry`) or `solved`: its exact kernel ran,
+also on no column, so `solved` counts the exact kernels.
+
 With the certificate on, a component of one monomial with no zero-image
-variable never enters that loop: its image is a product of nonzero images,
+variable never reaches `settle`: its image is a product of nonzero images,
 and no lift lands on it, so it is counted certified in bulk, with no call,
 timer or member tuple. A level pays per orbit and per real certificate, not
 per component.
@@ -59,11 +64,11 @@ matrix is needed. Only when that fails does the exact trim run, then the
 exact solve, which reuses the certificate's psi^alpha when its columns are
 C_p. When they differ, the component goes straight to the exact solve, so
 each is certified at most once and a prime that drops the lift rank costs
-work, never an answer. An empty C_p means r_p is every column, so the exact
-trim is empty too. No prime changes the output, and nothing is random.
-Each kernel vector is verified on the images and the packed beta
-(`_verify_generator`). A component leaves behind only its generators and one
-count in its level's `LevelStats`.
+work, never an answer. An empty C_p means r_p is every column: the lift rows
+span the whole component, so U = W with no certificate (`skipped_prescreen`).
+No prime changes the output, and nothing is random. Each kernel vector is
+verified on the images and the packed beta (`_verify_generator`). A
+component leaves behind only its generators and its status.
 """
 
 from __future__ import annotations
@@ -101,13 +106,14 @@ class LevelStats(NamedTuple):
     skipped_prescreen: int  # certified after a non-empty trim
     certified_by_symmetry: int  # settled by its orbit's representative
     certified_by_leading_terms: int  # of the two skipped counts, certified by distinct leading monomials
-    solved: int
+    solved: int  # ran the exact kernel
     generators: int
     seconds: float
     stage_seconds: dict[str, float]  # keyed by STAGES, summed over components
 
 
 STAGES = ("enumerate", "orbits", "trim", "certify", "assemble", "kernel", "verify")
+STATUSES = ("skipped_matroid", "skipped_prescreen", "certified_by_symmetry", "solved")  # one per component
 
 
 class GeneratorSet(NamedTuple):
@@ -401,9 +407,7 @@ def components_of_kernel(
         raise ValueError("degree bound must be >= 1")
     grading = grading_for_map(phi)
     if grading.positive_weight is None:
-        raise NoPositiveWeightError(
-            "the grading admits no strictly positive weight vector"
-        )
+        raise NoPositiveWeightError("the grading admits no strictly positive weight vector")
     # rank mod a composite can over-count: a product of nonzero pivots can vanish
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
@@ -417,16 +421,63 @@ def components_of_kernel(
     levels: dict[int, DegreeLevel] = {}
     grouped: dict = {}  # the lower levels that enumerate_level builds each level from
     sources: list[LiftSource] = []
+
+    def lap(stage: str, since: float) -> float:
+        """Add the seconds since `since` to `stage` of the current level; return now."""
+        now = time.perf_counter()
+        stages[stage] += now - since
+        return now
+
+    def settle(k: int) -> str:
+        """Settle component k of the current level; its generators join `new_generators`."""
+        key = ckeys[k]
+        rep = first.get(key, key)
+        if rep != key and rep not in unsettled:
+            return "certified_by_symmetry"
+        basis = level.members(k)
+        lifts = index.get(key, [])
+        screened = expanded = None  # the mod-p trim's columns, and their images
+        now = time.perf_counter()
+        if prescreen and rep == key:
+            screened, rank_p = trim_basis(basis, lifts, modular, prime)
+            now = lap("trim", now)
+            if not screened:  # rank mod p is every column, so the lift rows span it
+                return "skipped_prescreen"
+            certified, expanded = certify_no_generators(screened, images, packing, prime)
+            now = lap("certify", now)
+            if certified:
+                tally["certified_by_leading_terms"] += expanded is None
+                return "skipped_prescreen" if rank_p else "skipped_matroid"
+        columns, _ = trim_basis(basis, lifts, pivots)
+        now = lap("trim", now)
+        alphas = [packing.pairs(c) for c in columns]
+        if columns != screened:  # no certificate expanded these columns
+            expanded = images.expand(alphas)
+        rows = component_rows(expanded)
+        now = lap("assemble", now)
+        vectors = nullspace_primitive(rows, len(columns))
+        now = lap("kernel", now)
+        found = len(vectors)
+        if (found or rep != key) and unsettled.setdefault(rep, found) != found:
+            raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")
+        scales = [prod(images.denominators[i] ** e for i, e in alpha) for alpha in alphas]
+        for vec in vectors:
+            _verify_generator(expanded, vec, columns, key, packing)
+            coeffs = normalize_primitive([v * d for v, d in zip(vec, scales)])
+            poly = Polynomial(phi.n, {packing.monomial(c): v for c, v in zip(columns, coeffs) if v})
+            new_generators.append(Generator(poly, packing.beta(key), degree))
+        lap("verify", now)
+        return "solved"
+
     for degree in range(1, max_degree + 1):
         started = time.perf_counter()
         stages = dict.fromkeys(STAGES, 0.0)
         level = levels[degree] = enumerate_level(grading, degree, packing, grouped=grouped)
-        stages["enumerate"] = time.perf_counter() - started
+        now = lap("enumerate", started)
         first = orbits(level, moves, group) if moves else {}
-        stages["orbits"] = time.perf_counter() - started - stages["enumerate"]
-        ticked = time.perf_counter()
+        now = lap("orbits", now)
         index = push_index(sources, level, levels)
-        stages["trim"] = time.perf_counter() - ticked
+        lap("trim", now)
         pivots: dict = {}  # trim_basis's, for this level: exact
         modular: dict = {}  # and mod p
         new_generators: list[Generator] = []
@@ -435,7 +486,7 @@ def components_of_kernel(
         # must find as many generators
         unsettled: dict[int, int] = {}
         ckeys = level.ckeys
-        skipped_m = skipped_p = by_symmetry = by_leading = solved = 0
+        tally = dict.fromkeys((*STATUSES, "certified_by_leading_terms"), 0)
         work: Sequence[int] = range(len(ckeys))
         if prescreen:
             # a lone monomial with no zero-image variable has a nonzero image,
@@ -447,59 +498,11 @@ def components_of_kernel(
                 work = [k for k, size in enumerate(level.sizes()) if size > 1 or keys[starts[k]] & zero]
             else:
                 work = level.multiple()
-            skipped_m = len(ckeys) - len(work)
+            tally["skipped_matroid"] = len(ckeys) - len(work)
         for k in work:
-            key = ckeys[k]
-            rep = first.get(key, key)
-            if rep != key and rep not in unsettled:
-                by_symmetry += 1
-                continue
-            basis = level.members(k)
-            lifts = index.get(key, [])
-            screened = expanded = None  # the mod-p trim's columns, and their images
-            if prescreen and rep == key:
-                ticked = time.perf_counter()
-                screened, rank_p = trim_basis(basis, lifts, modular, prime)
-                trimmed = time.perf_counter()
-                stages["trim"] += trimmed - ticked
-                if not screened:  # rank mod p is full, so the exact rank is too
-                    solved += 1
-                    continue
-                certified, expanded = certify_no_generators(screened, images, packing, prime)
-                stages["certify"] += time.perf_counter() - trimmed
-                if certified:
-                    skipped_p += bool(rank_p)
-                    skipped_m += not rank_p
-                    by_leading += expanded is None
-                    continue
-            ticked = time.perf_counter()
-            columns, _ = trim_basis(basis, lifts, pivots)
-            trimmed = time.perf_counter()
-            stages["trim"] += trimmed - ticked
-            solved += 1
-            if not columns and rep == key:
-                continue  # an orbit member is still solved, so that its count is checked
-            alphas = [packing.pairs(c) for c in columns]
-            if columns != screened:  # no certificate expanded these columns
-                expanded = images.expand(alphas)
-            rows = component_rows(expanded)
-            assembled = time.perf_counter()
-            vectors = nullspace_primitive(rows, len(columns))
-            solved_at = time.perf_counter()
-            found = len(vectors)
-            if (found or rep != key) and unsettled.setdefault(rep, found) != found:
-                raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")
-            scales = [prod(images.denominators[i] ** e for i, e in alpha) for alpha in alphas]
-            for vec in vectors:
-                _verify_generator(expanded, vec, columns, key, packing)
-                coeffs = normalize_primitive([v * d for v, d in zip(vec, scales)])
-                poly = Polynomial(phi.n, {packing.monomial(c): v for c, v in zip(columns, coeffs) if v})
-                new_generators.append(Generator(poly, packing.beta(key), degree))
-            stages["assemble"] += assembled - trimmed
-            stages["kernel"] += solved_at - assembled
-            stages["verify"] += time.perf_counter() - solved_at
+            tally[settle(k)] += 1
         del first, unsettled
-        if skipped_m + skipped_p + by_symmetry + solved != len(ckeys):
+        if sum(tally[status] for status in STATUSES) != len(ckeys):
             raise EngineInvariantError("component statuses do not reconcile")
         new_generators.sort(
             key=lambda g: (
@@ -510,22 +513,18 @@ def components_of_kernel(
         )
         generators.extend(new_generators)
         if degree < max_degree:
-            ticked = time.perf_counter()
+            now = time.perf_counter()
             sources.extend(lift_sources(new_generators, packing))
-            stages["trim"] += time.perf_counter() - ticked
+            lap("trim", now)
         level_stats.append(
             LevelStats(
                 weighted_degree=degree,
                 monomials=level.monomial_count,
-                components=len(level.ckeys),
-                skipped_matroid=skipped_m,
-                skipped_prescreen=skipped_p,
-                certified_by_symmetry=by_symmetry,
-                certified_by_leading_terms=by_leading,
-                solved=solved,
+                components=len(ckeys),
                 generators=len(new_generators),
                 seconds=time.perf_counter() - started,
                 stage_seconds=stages,
+                **tally,
             )
         )
     return GeneratorSet(generators, level_stats, grading)

@@ -44,9 +44,6 @@ class GradingMatrix(NamedTuple):
     def rank(self) -> int:
         return len(self.A)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [tuple(row[j] for row in self.A) for j in range(self.n)]
-
 
 def build_constraints(phi: RingMap) -> list[list[int]]:
     """One integer row per (variable, image monomial) pair.

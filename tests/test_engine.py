@@ -293,6 +293,34 @@ def test_zero_first_image_is_a_linear_generator(monkeypatch):
         assert [certified for columns, certified in calls if columns == lone] == expected
 
 
+def test_solved_counts_exact_kernels(monkeypatch):
+    # `solved` means that the exact kernel ran: a component that the mod-p
+    # trim empties is spanned by its lift rows and certified, and one whose
+    # exact trim is empty still runs the kernel, on no column
+    kernels = []
+    kernel = engine.nullspace_primitive
+
+    def spy_kernel(rows, ncols):
+        kernels.append(ncols)
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(engine, "nullspace_primitive", spy_kernel)
+    a, b = (Polynomial.variable(2, i) for i in range(2))
+    phi = RingMap([a**2, Polynomial(2), a * b, b**2], m=2, domain_names=["x", "y", "z", "w"])
+    found = {}
+    for prescreen in (True, False):
+        kernels.clear()
+        result = components_of_kernel(phi, 3, prescreen=prescreen)
+        assert sum(st.solved for st in result.level_stats) == len(kernels), prescreen
+        assert kernels.count(0) == (0 if prescreen else 13)  # exact trims left no column
+        found[prescreen] = [(g.poly, g.beta, g.weighted_degree) for g in result.generators]
+        if prescreen:
+            counts = [(st.skipped_matroid, st.skipped_prescreen, st.solved) for st in result.level_stats]
+            assert counts == [(3, 0, 1), (4, 4, 1), (4, 12, 0)]
+    assert found[True] == found[False]
+    assert [f for f, _, _ in found[True]] == [poly_by_names(phi, {"y": 1}), poly_by_names(phi, {"x*w": 1, "z^2": -1})]
+
+
 def test_weighted_degree_bound_semantics():
     # x -> t^2, y -> t^3: the kernel generator x^3 - y^2 has weighted degree 6
     t = Polynomial.variable(1, 0)

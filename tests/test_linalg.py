@@ -4,6 +4,7 @@ import ast
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 from implicitize import (
@@ -253,7 +254,8 @@ def test_linalg_is_a_leaf_module():
 
 def test_no_module_imports_dataclasses():
     # records are NamedTuples: no run pays for importing dataclasses (and
-    # inspect); and nothing draws random numbers, so every run is deterministic
+    # inspect); and nothing draws random numbers, so every run is deterministic;
+    # and the package needs nothing outside the standard library
     package = pathlib.Path(linalg.__file__).parent
     sources = sorted(package.glob("*.py"))
     assert len(sources) > 5
@@ -262,8 +264,10 @@ def test_no_module_imports_dataclasses():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+                absolute = [] if node.level else names
             elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                names = absolute = [alias.name for alias in node.names]
             else:
                 continue
             assert not {"dataclasses", "random"} & set(names), source.name
+            assert {name.split(".")[0] for name in absolute} <= sys.stdlib_module_names, source.name
