@@ -66,6 +66,18 @@ C_p. When they differ, the component goes straight to the exact solve, so
 each is certified at most once and a prime that drops the lift rank costs
 work, never an answer. An empty C_p means r_p is every column: the lift rows
 span the whole component, so U = W with no certificate (`skipped_prescreen`).
+
+A failed certificate still shortens the exact trim. Its elimination takes
+the columns smallest first, so the leading run of its pivots is a tail T:
+the last t columns of C_p, independent mod p and so over Q, with t capped so
+that T is also the last t members of the component. A kernel vector
+whose leading column lies in T is supported on T, so it is zero; every lift
+row, and every row of its echelon form, is a kernel vector, so no exact
+pivot lies in T. The pivots of a column prefix are the prefix of the
+pivots, so the exact trim drops the lift entries in T and finds the same
+columns and lift rank (`trim_basis`'s `tail`). A prime that finds a shorter
+tail costs work, never an answer. Orbit members solved for their own
+generators, and runs without the certificate, trim in full.
 No prime changes the output, and nothing is random. Each kernel vector is
 verified on the images and the packed beta (`_verify_generator`). A
 component leaves behind only its generators and its status.
@@ -238,13 +250,16 @@ def symmetry_group(moves: list[list[int]]) -> list[tuple[int, ...]] | None:
     return sorted(group)
 
 
-def orbits(level: DegreeLevel, moves: list[list[int]], group: list | None) -> dict[int, int]:
+def orbits(
+    level: DegreeLevel, multiple: Sequence[int], moves: list[list[int]], group: list | None
+) -> dict[int, int]:
     """The packed beta of the first member of each component's orbit.
 
-    Only components with more than one monomial are keyed: transports preserve
-    component size, so a lone component is its own orbit. The leading member
-    x^alpha of a component is decoded once and carried by sigma to
-    x^sigma(alpha), whose packed beta is sum_i alpha_i
+    Only the components with more than one monomial are keyed, those listed
+    in `multiple` (`level.multiple()`, built once per level by the caller):
+    transports preserve component size, so a lone component is its own
+    orbit. The leading member x^alpha of a component is decoded once and
+    carried by sigma to x^sigma(alpha), whose packed beta is sum_i alpha_i
     `packing.beta_units[sigma(i)]`, so a transport costs a few multiply-adds
     and one dict lookup; a component first reached is found by bisection of
     `ckeys`. `group` is `symmetry_group(moves)`: when it is known, the first
@@ -260,7 +275,7 @@ def orbits(level: DegreeLevel, moves: list[list[int]], group: list | None) -> di
     units = [[level.packing.beta_units[t] for t in sigma] for sigma in (moves if walk else group)]
     decode = level.packing.pairs
     first: dict[int, int] = {}
-    for k in level.multiple():
+    for k in multiple:
         start = ckeys[k]
         if start in first:
             continue
@@ -287,7 +302,7 @@ def orbits(level: DegreeLevel, moves: list[list[int]], group: list | None) -> di
 
 
 def trim_basis(
-    basis: tuple[int, ...], lifts: list, pivots: dict, prime: int | None = None
+    basis: tuple[int, ...], lifts: list, pivots: dict, prime: int | None = None, tail: int = 0
 ) -> tuple[list[int], int]:
     """Columns of a component that can still support new minimal generators.
 
@@ -299,6 +314,14 @@ def trim_basis(
     reads first. `pivots` caches the pivot columns of lift rows, keyed by
     coefficients and column positions (symmetric maps repeat them); a cache
     holds one kind of pivots, exact or mod one prime.
+
+    `tail` counts the last members of `basis` whose images are independent
+    (`certify_no_generators`). The lift rows are kernel vectors, so no pivot
+    lies among those members: a row of the echelon form with its leading
+    column there would be a kernel vector supported on independent columns.
+    The elimination drops their entries, and the pivots of the remaining
+    column prefix are all the pivots, so the result, and the cache entry,
+    are those of the full rows.
     """
     if not lifts:
         return list(basis), 0
@@ -317,10 +340,13 @@ def trim_basis(
             for coeffs, cols in key
             for i in range(0, len(cols), len(coeffs))
         )
+        cut = len(basis) - tail
+        if tail:
+            rows = ({j: v for j, v in row.items() if j < cut} for row in rows)
         if prime:
             taken = set(rank_mod_p(rows, prime))
         else:
-            taken = {c for c, _ in echelon(rows, len(basis))}
+            taken = {c for c, _ in echelon(rows, cut)}
         pivots[key] = taken
     return [m for idx, m in enumerate(basis) if idx not in taken], len(taken)
 
@@ -342,9 +368,9 @@ def component_rows(images: list[dict[int, int]]) -> list[dict[int, int]]:
 
 
 def certify_no_generators(
-    columns: list[int], images: IntegerImages, packing: MonomialPacking, prime: int
-) -> tuple[bool, list[dict[int, int]] | None]:
-    """(certified, images): True proves that the packed `columns` have independent images.
+    columns: list[int], images: IntegerImages, packing: MonomialPacking, prime: int, trailing: int = 0
+) -> tuple[bool, list[dict[int, int]] | None, int]:
+    """(certified, images, tail): True proves that the packed `columns` have independent images.
 
     `packing` is the `MonomialPacking(phi.n, bound)` of `images`. Leading terms
     come first, with no expansion: under a monomial order, the leading
@@ -358,17 +384,33 @@ def certify_no_generators(
     (`component_rows`). With d^alpha > 0 they have the rank of the
     component's coefficient matrix, and rank only drops from Q to GF(p), so
     rank c mod p proves a trivial kernel at every prime, dividing a
-    denominator or not. R < c rows cannot reach rank c and are not eliminated.
+    denominator or not.
+
+    `tail` is how many of the last `trailing` columns are proven
+    independent: all of them on success. The elimination takes the columns
+    last first, which leaves the rank unchanged; when it falls short, the
+    leading run 0, 1, ..., t - 1 of its pivots shows the last t columns
+    independent mod p, and so over Q. R < c rows cannot reach rank c, so
+    they are eliminated only for the tail, when `trailing` asks for one.
     """
     c = len(columns)
     alphas = list(map(packing.pairs, columns))
     if not any(column & images.zero_fields for column in columns):
         for lead in images.leading_keys():
             if len({sum([e * lead[i] for i, e in alpha]) for alpha in alphas}) == c:
-                return True, None
+                return True, None, trailing
     expanded = images.expand(alphas)
-    rows = component_rows(expanded)
-    return len(rows) >= c and len(rank_mod_p(rows, prime, c)) == c, expanded
+    rows = component_rows(expanded[::-1])
+    if len(rows) >= c:
+        pivots = rank_mod_p(rows, prime, c)
+        if len(pivots) == c:
+            return True, expanded, trailing
+    elif trailing:
+        pivots = rank_mod_p(rows, prime)
+    else:
+        return False, expanded, 0
+    run = next((t for t, pivot in enumerate(pivots) if pivot != t), len(pivots))
+    return False, expanded, min(run, trailing)
 
 
 def _verify_generator(images: list, vec: list[int], columns: list[int], key: int, packing: MonomialPacking):
@@ -421,6 +463,7 @@ def components_of_kernel(
     levels: dict[int, DegreeLevel] = {}
     grouped: dict = {}  # the lower levels that enumerate_level builds each level from
     sources: list[LiftSource] = []
+    zero = images.zero_fields
 
     def lap(stage: str, since: float) -> float:
         """Add the seconds since `since` to `stage` of the current level; return now."""
@@ -437,18 +480,24 @@ def components_of_kernel(
         basis = level.members(k)
         lifts = index.get(key, [])
         screened = expanded = None  # the mod-p trim's columns, and their images
+        tail = 0  # the last members of basis with independent images
         now = time.perf_counter()
         if prescreen and rep == key:
             screened, rank_p = trim_basis(basis, lifts, modular, prime)
             now = lap("trim", now)
             if not screened:  # rank mod p is every column, so the lift rows span it
                 return "skipped_prescreen"
-            certified, expanded = certify_no_generators(screened, images, packing, prime)
+            # only an exact trim reads the tail, which must be the last members of basis
+            trailing = 0
+            if lifts:
+                shared = zip(reversed(basis), reversed(screened))
+                trailing = next((j for j, (b, c) in enumerate(shared) if b != c), len(screened))
+            certified, expanded, tail = certify_no_generators(screened, images, packing, prime, trailing)
             now = lap("certify", now)
             if certified:
                 tally["certified_by_leading_terms"] += expanded is None
                 return "skipped_prescreen" if rank_p else "skipped_matroid"
-        columns, _ = trim_basis(basis, lifts, pivots)
+        columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
         now = lap("trim", now)
         alphas = [packing.pairs(c) for c in columns]
         if columns != screened:  # no certificate expanded these columns
@@ -474,7 +523,10 @@ def components_of_kernel(
         stages = dict.fromkeys(STAGES, 0.0)
         level = levels[degree] = enumerate_level(grading, degree, packing, grouped=grouped)
         now = lap("enumerate", started)
-        first = orbits(level, moves, group) if moves else {}
+        # the components of more than one member: orbits key them, and the
+        # certificate works on them when no variable has a zero image
+        multiple = level.multiple() if moves or (prescreen and not zero) else None
+        first = orbits(level, multiple, moves, group) if moves else {}
         now = lap("orbits", now)
         index = push_index(sources, level, levels)
         lap("trim", now)
@@ -493,11 +545,11 @@ def components_of_kernel(
             # and no lift lands on it: a lift row with two or more terms lands
             # on as many monomials of one component, and a one-term row lies in
             # the kernel, so it has a zero-image variable, and so do its shifts
-            zero, keys, starts = images.zero_fields, level.keys, level.starts
+            keys, starts = level.keys, level.starts
             if zero:
                 work = [k for k, size in enumerate(level.sizes()) if size > 1 or keys[starts[k]] & zero]
             else:
-                work = level.multiple()
+                work = multiple
             tally["skipped_matroid"] = len(ckeys) - len(work)
         for k in work:
             tally[settle(k)] += 1

@@ -174,9 +174,9 @@ def spy_certificates(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
     certify = engine.certify_no_generators
 
     def spy(columns, *args):
-        certified, expanded = certify(columns, *args)
-        calls.append((tuple(columns), certified))
-        return certified, expanded
+        result = certify(columns, *args)
+        calls.append((tuple(columns), result[0]))
+        return result
 
     monkeypatch.setattr(engine, "certify_no_generators", spy)
     return calls

@@ -190,8 +190,8 @@ def test_fallback_under_small_primes(monkeypatch):
     events = []
     trim, kernel = engine.trim_basis, engine.nullspace_primitive
 
-    def spy_trim(basis, lifts, pivots, prime=None):
-        columns, rank = trim(basis, lifts, pivots, prime)
+    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
+        columns, rank = trim(basis, lifts, pivots, prime, tail)
         events.append(("trim", basis, prime, rank))
         return columns, rank
 
@@ -218,6 +218,32 @@ def test_fallback_under_small_primes(monkeypatch):
                     if not prime and following == ("kernel",):
                         dropped_and_solved += ranks[basis].get(True, rank) < rank
     assert dropped_and_solved
+
+
+def test_trim_cut_at_the_tail_is_sound(monkeypatch):
+    # an exact trim that drops the certificate's independent tail finds the
+    # columns and lift rank of an uncut trim of the same lift rows, at every prime
+    cut = []
+    trim = engine.trim_basis
+
+    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
+        result = trim(basis, lifts, pivots, prime, tail)
+        if tail:
+            cut.append(tail)
+            assert result == trim(basis, lifts, {}, prime, tail) == trim(basis, lifts, {}, prime)
+        return result
+
+    monkeypatch.setattr(engine, "trim_basis", spy_trim)
+    maps = [(generic_cubics_map(seed), 3) for seed in range(2, 6)] + [(rational_quadrics_map(), 4)]
+    tails = []
+    for phi, top in maps:
+        for prime in (2, 3, 5, 101, DEFAULT_PRIME):
+            cut.clear()
+            components_of_kernel(phi, top, prime=prime)
+            tails.append(sum(cut))
+    # each cubic map's level 3 keeps a tail of 54 or 55 of its 120 columns at
+    # the larger primes; the quadrics cut only at 2 and 3
+    assert tails == [32, 20, 55, 55, 55, 53, 18, 55, 55, 55, 20, 0, 54, 55, 55, 46, 45, 54, 55, 55, 1, 1, 0, 0, 0]
 
 
 def test_each_component_is_certified_at_most_once(monkeypatch):

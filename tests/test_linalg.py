@@ -110,10 +110,10 @@ def test_prescreen_examples(gr24):
     assert _certified(trimmed, images, packing, 101) is True
     assert _certified(quadric[:2], images, packing, 101) is True
     # the images come back for the exact solve to reuse
-    _, expanded = certify_no_generators(quadric, images, packing, 101)
+    _, expanded, _ = certify_no_generators(quadric, images, packing, 101)
     assert expanded == images.expand(map(packing.pairs, quadric))
     # one column with a nonzero image needs no elimination and no expansion
-    assert certify_no_generators(quadric[:1], images, packing, 101) == (True, None)
+    assert certify_no_generators(quadric[:1], images, packing, 101) == (True, None, 0)
 
 
 def test_prescreen_zero_image_column():

@@ -91,23 +91,55 @@ def test_skip_neutral_on_outputs(gr24):
 
 def test_certificate_needs_as_many_rows_as_columns(monkeypatch):
     # images that touch fewer codomain monomials than there are columns cannot
-    # be independent: no elimination runs
+    # be independent: the certificate runs no elimination for them, and they
+    # are eliminated only for the independent tail of a component with lift rows
     ncols = []
+    shapes = []  # (rows, columns touched) of every elimination mod p
     rank_mod_p = engine.rank_mod_p
 
     def spy(rows, p, given=None):
+        rows = list(rows)
+        shapes.append((len(rows), 1 + max((j for row in rows for j in row), default=-1)))
         if given is not None:
             ncols.append(given)
         return rank_mod_p(rows, p, given)
 
     monkeypatch.setattr(engine, "rank_mod_p", spy)
     calls = spy_certificates(monkeypatch)
+    tails = []
+    trim = engine.trim_basis
+
+    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
+        if not prime:
+            tails.append((len(basis), tail))
+        return trim(basis, lifts, pivots, prime, tail)
+
+    monkeypatch.setattr(engine, "trim_basis", spy_trim)
     result = components_of_kernel(generic_cubics_map(2), 3)
     # level 1 certifies its 8 columns over 10 cubics; levels 2 and 3 put 36
     # columns over 28 sextics and 59 over 55 nonics
     assert [(len(columns), ok) for columns, ok in calls] == [(8, True), (36, False), (59, False)]
     assert ncols == [8]
     assert [stats.solved for stats in result.level_stats] == [0, 1, 1]
+    # level 2 has no lift rows and eliminates nothing; level 3 trims its 64
+    # lift rows mod p, then eliminates its 55 x 59 images once, for a tail of
+    # 55 columns that its exact trim drops
+    assert shapes == [(10, 8), (64, 120), (55, 59)]
+    assert tails == [(36, 0), (120, 55)]
+
+
+def test_independent_tail_stops_at_a_dependent_column():
+    # columns x0, x1, x2, x3 with images (t2 [+ t3], t0 + t1, t1, t0): taken
+    # last first, x3 and x2 are independent and x1 depends on them, so the
+    # tail is 2 although x0 is independent again; with t3 the 4 x 4 rows reach
+    # the certificate's elimination, without it the 3 x 4 rows only the tail's
+    t = [Polynomial.variable(4, j) for j in range(4)]
+    packing = MonomialPacking(4, 1)
+    columns = [packing.pack(Monomial.variable(i)) for i in range(4)]
+    for top in (t[2] + t[3], t[2]):
+        images = IntegerImages(RingMap([top, t[0] + t[1], t[1], t[0]]), 1)
+        results = [engine.certify_no_generators(columns, images, packing, 101, trailing) for trailing in (0, 1, 4)]
+        assert [(certified, tail) for certified, _, tail in results] == [(False, 0), (False, 1), (False, 2)]
 
 
 def _spy_routes(monkeypatch) -> list[tuple[tuple[int, ...], bool, bool]]:
@@ -116,9 +148,9 @@ def _spy_routes(monkeypatch) -> list[tuple[tuple[int, ...], bool, bool]]:
     certify = engine.certify_no_generators
 
     def spy(columns, *args):
-        certified, expanded = certify(columns, *args)
+        result = certified, expanded, _ = certify(columns, *args)
         calls.append((tuple(columns), certified, certified and expanded is None))
-        return certified, expanded
+        return result
 
     monkeypatch.setattr(engine, "certify_no_generators", spy)
     return calls
@@ -157,10 +189,10 @@ def test_zero_image_columns_skip_leading_terms(monkeypatch):
     packing = MonomialPacking(phi.n, 3)
     pack = lambda *exps: packing.pack(Monomial(exps))  # noqa: E731
     for columns in ([pack((2, 1))], [pack((0, 1), (2, 1))], [pack((0, 1)), pack((2, 1))], [pack((2, 3))]):
-        certified, expanded = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
+        certified, expanded, _ = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
         assert not certified and expanded is not None
     # the same columns without the zero-image variable are certified by leading terms
-    assert engine.certify_no_generators([pack((0, 1)), pack((1, 1))], images, packing, 3) == (True, None)
+    assert engine.certify_no_generators([pack((0, 1)), pack((1, 1))], images, packing, 3) == (True, None, 0)
     calls = _spy_routes(monkeypatch)
     zero = images.zero_fields
     for prescreen in (True, False):
@@ -180,7 +212,7 @@ def test_colliding_leading_terms_fall_back_to_rank():
     packing = MonomialPacking(phi.n, 2)
     pack = lambda *exps: packing.pack(Monomial(exps))  # noqa: E731
     for columns in ([pack((0, 1)), pack((1, 1))], [pack((0, 2)), pack((0, 1), (1, 1)), pack((1, 2))]):
-        certified, expanded = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
+        certified, expanded, _ = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
         assert certified and expanded == images.expand(map(packing.pairs, columns))
     result = components_of_kernel(phi, 2)
     assert result.generators == []

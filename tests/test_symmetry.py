@@ -152,8 +152,8 @@ def test_orbits_match_brute_force():
                     assert images == set(unpacked(level, level.components[keys[position[target]]]))
                     a, b = sorted((root(k), root(position[target])))
                     parent[b] = a
-            first = orbits(level, moves, group)
-            assert orbits(level, moves, None) == first  # the walk agrees
+            first = orbits(level, level.multiple(), moves, group)
+            assert orbits(level, level.multiple(), moves, None) == first  # the walk agrees
             assert set(first) == {key for key, basis in level.components.items() if len(basis) > 1}
             assert all(first[key] == keys[root(k)] for k, key in enumerate(keys) if key in first)
 
@@ -202,7 +202,8 @@ def test_orbit_statuses(monkeypatch):
     grading = grading_for_map(phi)
     levels = shared_levels(grading, 4)
     moves = symmetry_moves(grading, phi.symmetries)
-    first = {degree: orbits(level, moves, symmetry_group(moves)) for degree, level in levels.items()}
+    group = symmetry_group(moves)
+    first = {degree: orbits(level, level.multiple(), moves, group) for degree, level in levels.items()}
     component_of = {
         mono: (degree, key)
         for degree, level in levels.items()
