@@ -20,9 +20,10 @@ declared in the map carries onto each other form an orbit, and only its
 first member, in canonical order, is screened: when it has no new
 generators, neither has any other member, and they are settled without
 trimming or screening (`certified_by_symmetry` in the report); otherwise
-every member is solved exactly. `--no-prescreen` turns the screen off and
-solves every orbit representative, and every member that has generators,
-exactly; it changes where the time goes, never the output.
+every member is solved exactly. `--no-prescreen` turns the screen off, by
+passing the engine `prime=None` in place of `--prime`, and solves every
+orbit representative, and every member that has generators, exactly; it
+changes where the time goes, never the output.
 The `--report` JSON echoes the options as given, and gives each level's
 seconds per stage (enumerate, orbits, trim, certify, assemble, kernel,
 verify) and the process's own peak resident set size, `peak_rss_mb`, where
@@ -38,7 +39,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 
 try:
     import resource
@@ -56,7 +56,7 @@ from .fixtures import (
 from .grading import NoPositiveWeightError
 from .linalg import is_prime
 from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
-from .polyring import DEFAULT_PRIME, RingMap, format_polynomial
+from .polyring import DEFAULT_PRIME, RingMap, format_polynomial, unlimited_int_digits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,19 +229,6 @@ def _report_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's int-to-decimal digit limit (3.10.7 on) for the block."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def _cmd_run(args) -> int:
     if args.max_degree < 1:
         print("error: --max-degree must be >= 1", file=sys.stderr)
@@ -256,11 +243,9 @@ def _cmd_run(args) -> int:
     # Exact coefficients may pass CPython's int-to-decimal limit (4300 digits)
     # when sorted and printed; the limit stays in force while parsing, where it
     # bounds the quadratic cost of reading huge literals.
-    with _unlimited_int_digits():
+    with unlimited_int_digits():
         started = time.perf_counter()
-        result = components_of_kernel(
-            phi, args.max_degree, prime=args.prime, prescreen=not args.no_prescreen
-        )
+        result = components_of_kernel(phi, args.max_degree, prime=None if args.no_prescreen else args.prime)
         wall = time.perf_counter() - started
 
         if args.output == "json":

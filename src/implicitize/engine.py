@@ -14,11 +14,11 @@ and returns its status, the `LevelStats` count the level loop tallies it in
 by its orbit (`certified_by_symmetry`) or `solved`: its exact kernel ran,
 also on no column, so `solved` counts the exact kernels.
 
-With the certificate on, a component of one monomial with no zero-image
-variable never reaches `settle`: its image is a product of nonzero images,
-and no lift lands on it, so it is counted certified in bulk, with no call,
-timer or member tuple. A level pays per orbit and per real certificate, not
-per component.
+With a `prime` (`prime=None` runs no mod-p work at all), a component of
+one monomial with no zero-image variable never reaches `settle`: its image
+is a product of nonzero images, and no lift lands on it, so it is counted
+certified in bulk, with no call, timer or member tuple. A level pays per
+orbit and per real certificate, not per component.
 
 A symmetry x_i -> +-x_sigma(i) with phi o sigma = tau o phi maps ker phi onto
 itself and, when it fixes the positive weight, the ideal of the lower-degree
@@ -77,7 +77,7 @@ pivot lies in T. The pivots of a column prefix are the prefix of the
 pivots, so the exact trim drops the lift entries in T and finds the same
 columns and lift rank (`trim_basis`'s `tail`). A prime that finds a shorter
 tail costs work, never an answer. Orbit members solved for their own
-generators, and runs without the certificate, trim in full.
+generators, and runs with `prime=None`, trim in full.
 No prime changes the output, and nothing is random. Each kernel vector is
 verified on the images and the packed beta (`_verify_generator`). A
 component leaves behind only its generators and its status.
@@ -95,7 +95,7 @@ from .grading import GradingMatrix, NoPositiveWeightError, grading_for_map
 from .linalg import echelon, is_prime, normalize_primitive, nullspace_primitive, rank_mod_p
 from .linalg import reduced_echelon
 from .polyring import DEFAULT_PRIME, IntegerImages, MonomialPacking, Polynomial
-from .polyring import RingMap, Symmetry, grlex_key
+from .polyring import RingMap, Symmetry, grlex_key, unlimited_int_digits
 
 
 class EngineInvariantError(RuntimeError):
@@ -433,17 +433,18 @@ def _verify_generator(images: list, vec: list[int], columns: list[int], key: int
 
 
 def components_of_kernel(
-    phi: RingMap, max_degree: int, *, prime: int = DEFAULT_PRIME, prescreen: bool = True
+    phi: RingMap, max_degree: int, *, prime: int | None = DEFAULT_PRIME
 ) -> GeneratorSet:
     """All minimal generators of ker(phi) of weighted degree <= max_degree.
 
     The weighted degree is taken against the grading's positive weight, which
     is the all-ones vector (plain total degree) whenever the row span allows
     it. Raises NoPositiveWeightError when no positive weight exists. `prime`
-    is the certificate's modulus. `prescreen=False` turns the certificate off:
+    is the one switch: the modulus of the mod-p trim and the certificate,
+    checked with `is_prime`, or None for none of that modular work, so that
     every orbit representative, and every member of an orbit whose
     representative has new generators, is solved exactly; the other members
-    are still settled by symmetry. Neither changes the output.
+    are still settled by symmetry. No setting changes the output.
     """
     if max_degree < 1:
         raise ValueError("degree bound must be >= 1")
@@ -451,7 +452,7 @@ def components_of_kernel(
     if grading.positive_weight is None:
         raise NoPositiveWeightError("the grading admits no strictly positive weight vector")
     # rank mod a composite can over-count: a product of nonzero pivots can vanish
-    if not is_prime(prime):
+    if prime is not None and not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     # a monomial's total degree is at most its weighted degree
     packing = MonomialPacking(phi.n, max_degree, grading.A)
@@ -482,7 +483,7 @@ def components_of_kernel(
         screened = expanded = None  # the mod-p trim's columns, and their images
         tail = 0  # the last members of basis with independent images
         now = time.perf_counter()
-        if prescreen and rep == key:
+        if prime and rep == key:
             screened, rank_p = trim_basis(basis, lifts, modular, prime)
             now = lap("trim", now)
             if not screened:  # rank mod p is every column, so the lift rows span it
@@ -525,7 +526,7 @@ def components_of_kernel(
         now = lap("enumerate", started)
         # the components of more than one member: orbits key them, and the
         # certificate works on them when no variable has a zero image
-        multiple = level.multiple() if moves or (prescreen and not zero) else None
+        multiple = level.multiple() if moves or (prime and not zero) else None
         first = orbits(level, multiple, moves, group) if moves else {}
         now = lap("orbits", now)
         index = push_index(sources, level, levels)
@@ -540,7 +541,7 @@ def components_of_kernel(
         ckeys = level.ckeys
         tally = dict.fromkeys((*STATUSES, "certified_by_leading_terms"), 0)
         work: Sequence[int] = range(len(ckeys))
-        if prescreen:
+        if prime:
             # a lone monomial with no zero-image variable has a nonzero image,
             # and no lift lands on it: a lift row with two or more terms lands
             # on as many monomials of one component, and a one-term row lies in
@@ -556,13 +557,14 @@ def components_of_kernel(
         del first, unsettled
         if sum(tally[status] for status in STATUSES) != len(ckeys):
             raise EngineInvariantError("component statuses do not reconcile")
-        new_generators.sort(
-            key=lambda g: (
-                g.beta,
-                grlex_key(g.poly.leading()[0]),
-                tuple(sorted((m.exps, str(c)) for m, c in g.poly.terms.items())),
+        with unlimited_int_digits():  # the sort compares coefficients as decimals
+            new_generators.sort(
+                key=lambda g: (
+                    g.beta,
+                    grlex_key(g.poly.leading()[0]),
+                    tuple(sorted((m.exps, str(c)) for m, c in g.poly.terms.items())),
+                )
             )
-        )
         generators.extend(new_generators)
         if degree < max_degree:
             now = time.perf_counter()

@@ -19,6 +19,8 @@ psi_i's (`IntegerImages.leading_keys`), so it needs no expansion.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -316,6 +318,24 @@ def format_polynomial(poly: Polynomial, names: Sequence[str] | None = None) -> s
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int-to-decimal digit limit (3.10.7 on) for the block.
+
+    Exact coefficients may pass CPython's default of 4,300 digits when they
+    are sorted or printed as decimals. The limit is interpreter-global, so
+    it is set here only, and restored as found when the block exits.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class Symmetry(NamedTuple):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -204,7 +206,7 @@ def test_fallback_under_small_primes(monkeypatch):
     dropped_and_solved = 0
     for phi, top in ((rational_quadrics_map(), 4), (generic_cubics_map(2), 3)):
         expected = None
-        for options in [{"prime": p} for p in (2, 3, 5, 7, 101, DEFAULT_PRIME)] + [{"prescreen": False}]:
+        for options in [{"prime": p} for p in (2, 3, 5, 7, 101, DEFAULT_PRIME, None)]:
             events.clear()
             result = components_of_kernel(phi, top, **options)
             found = [(g.poly, g.beta, g.weighted_degree) for g in result.generators]
@@ -310,12 +312,12 @@ def test_zero_first_image_is_a_linear_generator(monkeypatch):
     phi = RingMap([Polynomial(1), t, t], m=1, domain_names=["x", "y", "z"])
     x, y, z = (Polynomial.variable(3, i) for i in range(3))
     lone = (MonomialPacking(3, 3, grading_for_map(phi).A).pack(x.leading()[0]),)
-    for options in ({}, {"prime": 3}, {"prescreen": False}):
+    for options in ({}, {"prime": 3}, {"prime": None}):
         calls.clear()
         result = components_of_kernel(phi, 3, **options)
         assert [g.poly for g in result.generators] == [x, y - z]
         assert result.generators[0].weighted_degree == 1
-        expected = [False] if options.get("prescreen", True) else []
+        expected = [False] if options.get("prime", DEFAULT_PRIME) else []
         assert [certified for columns, certified in calls if columns == lone] == expected
 
 
@@ -336,7 +338,7 @@ def test_solved_counts_exact_kernels(monkeypatch):
     found = {}
     for prescreen in (True, False):
         kernels.clear()
-        result = components_of_kernel(phi, 3, prescreen=prescreen)
+        result = components_of_kernel(phi, 3, prime=DEFAULT_PRIME if prescreen else None)
         assert sum(st.solved for st in result.level_stats) == len(kernels), prescreen
         assert kernels.count(0) == (0 if prescreen else 13)  # exact trims left no column
         found[prescreen] = [(g.poly, g.beta, g.weighted_degree) for g in result.generators]
@@ -403,12 +405,15 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
                 assert len(full) == found[degree, level.packing.beta(key)] + lift_rank
 
 
-def test_prescreen_off_same_output(gr24, gr25, monkeypatch):
+def test_prescreen_off_same_output(gr24, gr25, cusp, monkeypatch):
+    # `prime` is the one switch: None runs no mod-p trim and no certificate
+    parameters = inspect.signature(components_of_kernel).parameters.values()
+    assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == ["prime"]
     calls = spy_certificates(monkeypatch)
-    for phi, options in ((gr24, {}), (gr25, {"prime": 101})):
+    for phi, options in ((gr24, {}), (gr25, {"prime": 101}), (cusp, {})):
         base = components_of_kernel(phi, 3, **options)
         calls.clear()
-        off = components_of_kernel(phi, 3, **options, prescreen=False)
+        off = components_of_kernel(phi, 3, prime=None)
         assert [(g.poly, g.beta) for g in base.generators] == [
             (g.poly, g.beta) for g in off.generators
         ]
@@ -451,9 +456,27 @@ def test_run_path_does_no_rational_image_work(monkeypatch):
     # expanding or evaluating an image takes Polynomial products, sums or powers
     for name in ("__mul__", "__add__", "__pow__"):
         monkeypatch.setattr(Polynomial, name, refuse)
-    for options in ({"prime": 5}, {"prescreen": False}):
-        result = components_of_kernel(phi, 3, **options)
+    for prime in (5, None):
+        result = components_of_kernel(phi, 3, prime=prime)
         assert [(g.poly, g.beta) for g in result.generators] == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-decimal digit limit")
+def test_long_coefficients_sort_under_the_digit_limit():
+    # the canonical generator order compares coefficients as decimals, and
+    # 7^6000 has over 5,000 digits, past CPython's default limit of 4,300:
+    # a library call lifts the limit for the sort and leaves it as it was
+    t = Polynomial.variable(1, 0)
+    phi = RingMap([t, Polynomial.variable(1, 0, 7**6000)], m=1, domain_names=["x", "y"])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = components_of_kernel(phi, 1)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    x, y = Polynomial.variable(2, 0, 7**6000), Polynomial.variable(2, 1)
+    assert [g.poly for g in result.generators] == [x - y]
 
 
 def test_error_paths():
@@ -578,9 +601,9 @@ def test_dropped_assembly_rows_are_caught(cusp, monkeypatch):
         return rows[: len(rows) // 2]
 
     monkeypatch.setattr(engine, "component_rows", dropped)
-    for prescreen in (True, False):
+    for prime in (DEFAULT_PRIME, None):
         with pytest.raises(EngineInvariantError):
-            components_of_kernel(cusp, 2, prescreen=prescreen)
+            components_of_kernel(cusp, 2, prime=prime)
 
 
 def test_corrupted_assembly_column_is_caught(gr24, tmp_path, monkeypatch, capsys):
@@ -596,9 +619,9 @@ def test_corrupted_assembly_column_is_caught(gr24, tmp_path, monkeypatch, capsys
         return rows
 
     monkeypatch.setattr(engine, "component_rows", copied)
-    for prescreen in (True, False):
+    for prime in (DEFAULT_PRIME, None):
         with pytest.raises(EngineInvariantError, match="does not map to zero"):
-            components_of_kernel(gr24, 2, prescreen=prescreen)
+            components_of_kernel(gr24, 2, prime=prime)
     path = tmp_path / "gr24.map"
     path.write_text(emit_map_text(gr24), encoding="utf-8")
     assert cli.main(["run", "--map", str(path), "-d", "2"]) == 4

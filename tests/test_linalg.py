@@ -271,3 +271,17 @@ def test_no_module_imports_dataclasses():
                 continue
             assert not {"dataclasses", "random"} & set(names), source.name
             assert {name.split(".")[0] for name in absolute} <= sys.stdlib_module_names, source.name
+
+
+def test_digit_limit_has_one_home():
+    # the int-to-decimal digit limit is interpreter-global: only the shared
+    # helper `polyring.unlimited_int_digits`, which restores it, may set it
+    package = pathlib.Path(linalg.__file__).parent
+    homes = set()
+    for source in sorted(package.glob("*.py")):
+        for top in ast.parse(source.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                names = {getattr(node, field, None) for field in ("attr", "id", "name")}
+                if "set_int_max_str_digits" in names:
+                    homes.add((source.name, getattr(top, "name", None)))
+    assert homes == {("polyring.py", "unlimited_int_digits")}

@@ -312,7 +312,7 @@ def _decimal(digits: str) -> int:
 
 
 def test_exact_answers_past_the_digit_limit_print():
-    # x^6 - 7^6000*y: a 5,072-digit coefficient, past CPython's default
+    # x^6 - 7^6000*y: a 5,071-digit coefficient, past CPython's default
     # 4,300-digit limit on converting ints to decimal
     text_map = "x = 7^1000*a\ny = a^6\n"
     code, out, _ = run_cli(["run", "-d", "6"], stdin_text=text_map)

@@ -82,7 +82,7 @@ def test_sunlet_skip_counts_pinned(sunlet):
 def test_skip_neutral_on_outputs(gr24):
     # certifying a component only skips its exact solve; generators are unchanged
     with_skip = components_of_kernel(gr24, 3)
-    without = components_of_kernel(gr24, 3, prescreen=False)
+    without = components_of_kernel(gr24, 3, prime=None)
     assert any(stats.skipped_matroid + stats.skipped_prescreen for stats in with_skip.level_stats)
     assert [(g.poly, g.beta) for g in with_skip.generators] == [
         (g.poly, g.beta) for g in without.generators
@@ -195,8 +195,8 @@ def test_zero_image_columns_skip_leading_terms(monkeypatch):
     assert engine.certify_no_generators([pack((0, 1)), pack((1, 1))], images, packing, 3) == (True, None, 0)
     calls = _spy_routes(monkeypatch)
     zero = images.zero_fields
-    for prescreen in (True, False):
-        components_of_kernel(phi, 3, prescreen=prescreen)
+    for prime in (DEFAULT_PRIME, None):
+        components_of_kernel(phi, 3, prime=prime)
     touched = [by_leading for columns, _, by_leading in calls if any(c & zero for c in columns)]
     assert touched and not any(touched)
 

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from implicitize import (
+    DEFAULT_PRIME,
     RingMap,
     Symmetry,
     cli,
@@ -210,9 +211,9 @@ def test_orbit_statuses(monkeypatch):
         for key, basis in level.components.items()
         for mono in basis
     }
-    for prescreen in (True, False):
+    for prime in (DEFAULT_PRIME, None):
         calls.clear()
-        result = components_of_kernel(phi, 4, prescreen=prescreen)
+        result = components_of_kernel(phi, 4, prime=prime)
         assert [(g.poly, g.beta) for g in result.generators] == [
             (g.poly, g.beta) for g in plain.generators
         ]
@@ -228,4 +229,4 @@ def test_orbit_statuses(monkeypatch):
             assert all((degree, level.packing.beta(key)) in found for key in open_members)
         # the 15 quadrics lie in one orbit of 15 components
         assert len(found) == 15 and result.level_stats[1].solved >= 15
-        assert result.level_stats[1].solved == 15 or not prescreen
+        assert result.level_stats[1].solved == 15 or prime is None
