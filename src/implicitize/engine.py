@@ -9,6 +9,8 @@ time, in canonical beta order; `settle` takes each through
     then rank mod p) -> exact trim -> assemble the component's integer rows
     -> nullspace_primitive -> verify
 
+(or, where no certificate can pass, an exact trim cut at a guessed tail,
+checked on the kernel it gives; see below)
 and returns its status, the `LevelStats` count the level loop tallies it in
 (`STATUSES`): certified (`skipped_matroid`, `skipped_prescreen`), settled
 by its orbit (`certified_by_symmetry`) or `solved`: its exact kernel ran,
@@ -78,6 +80,25 @@ pivots, so the exact trim drops the lift entries in T and finds the same
 columns and lift rank (`trim_basis`'s `tail`). A prime that finds a shorter
 tail costs work, never an answer. Orbit members solved for their own
 generators, and runs with `prime=None`, trim in full.
+
+A certificate that cannot pass is not run. When every image phi_i is
+homogeneous of degree d_i (`image_degrees`, once per run), the images of a
+component of codomain degree D = sum_i alpha_i d_i lie among the
+R = comb(m - 1 + D, m - 1) monomials of degree D in the m codomain
+variables. When R is below the component's size minus its lift rows, every
+C_p has more than R columns, so no certificate passes at any prime: the
+component skips the mod-p trim and the certificate, and its exact trim is
+cut at a guessed tail, its last R members, before the solve. A pivot of the
+full trim in the tail would be the leading column of an echelon row of the
+lift rows, which is a kernel vector on the cut columns, zero outside the
+tail. So when the kernel vectors restricted to the columns outside the tail
+are independent, no kernel vector lives on the tail alone, no pivot lies
+there, and the cut trim is exact. Otherwise the attempt is discarded and
+the component takes the path above, unchanged. The guessed trim stays out
+of the level's exact pivot cache, whose key ignores the tail: a failed
+guess filed there would hand its pivots to the fallback's trim. A component
+with no lift rows keeps every column and needs no guess. The guess runs at
+any `prime`, `None` included, and for orbit members too: it is exact work.
 No prime changes the output, and nothing is random. Each kernel vector is
 verified on the images and the packed beta (`_verify_generator`). A
 component leaves behind only its generators and its status.
@@ -87,7 +108,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from math import prod
+from math import comb, prod
 from typing import NamedTuple, Sequence
 
 from .enumeration import DegreeLevel, enumerate_level
@@ -321,7 +342,8 @@ def trim_basis(
     column there would be a kernel vector supported on independent columns.
     The elimination drops their entries, and the pivots of the remaining
     column prefix are all the pivots, so the result, and the cache entry,
-    are those of the full rows.
+    are those of the full rows. A guessed tail gives the pivots of the
+    prefix only, so its caller passes a cache of its own and checks them.
     """
     if not lifts:
         return list(basis), 0
@@ -413,6 +435,23 @@ def certify_no_generators(
     return False, expanded, min(run, trailing)
 
 
+def image_degrees(phi: RingMap) -> list[int] | None:
+    """The degree of each image phi_i (0 for a zero image), or None unless every image is homogeneous.
+
+    Then (d_1, ..., d_n) with t = (1, ..., 1) is a weight of the grading's
+    homogeneity space, so it lies in the row span of the grading matrix, and
+    every member x^alpha of a component has the same codomain degree
+    sum_i alpha_i d_i. None also when the codomain has no variables.
+    """
+    degrees = []
+    for f in phi.images:
+        found = {mono.degree() for mono in f.terms}
+        if len(found) > 1:
+            return None
+        degrees.append(found.pop() if found else 0)
+    return degrees if phi.m else None
+
+
 def _verify_generator(images: list, vec: list[int], columns: list[int], key: int, packing: MonomialPacking):
     """Check that sum_j vec_j images[j] = 0 exactly and that every term has the packed beta `key`.
 
@@ -465,12 +504,26 @@ def components_of_kernel(
     grouped: dict = {}  # the lower levels that enumerate_level builds each level from
     sources: list[LiftSource] = []
     zero = images.zero_fields
+    # with homogeneous images, the images of a component of codomain degree
+    # D >= min(degrees) lie among the comb(m - 1 + D, m - 1) monomials of degree D
+    m, degrees = phi.m, image_degrees(phi)
+    least_reach = comb(m - 1 + min(degrees), m - 1) if degrees else float("inf")
 
     def lap(stage: str, since: float) -> float:
         """Add the seconds since `since` to `stage` of the current level; return now."""
         now = time.perf_counter()
         stages[stage] += now - since
         return now
+
+    def solve(columns: list[int], expanded: list | None, since: float) -> tuple[list, list, list, float]:
+        """(alphas, images, kernel vectors, now) of packed columns; their images are expanded unless given."""
+        alphas = [packing.pairs(c) for c in columns]
+        if expanded is None:
+            expanded = images.expand(alphas)
+        rows = component_rows(expanded)
+        now = lap("assemble", since)
+        vectors = nullspace_primitive(rows, len(columns))
+        return alphas, expanded, vectors, lap("kernel", now)
 
     def settle(k: int) -> str:
         """Settle component k of the current level; its generators join `new_generators`."""
@@ -480,33 +533,41 @@ def components_of_kernel(
             return "certified_by_symmetry"
         basis = level.members(k)
         lifts = index.get(key, [])
-        screened = expanded = None  # the mod-p trim's columns, and their images
-        tail = 0  # the last members of basis with independent images
+        columns = None
         now = time.perf_counter()
-        if prime and rep == key:
-            screened, rank_p = trim_basis(basis, lifts, modular, prime)
+        if len(basis) > least_reach:
+            reach = comb(m - 1 + sum([degrees[i] * e for i, e in packing.pairs(basis[0])]), m - 1)
+            if reach < len(basis) - sum(len(gammas) for _, _, gammas in lifts):  # no certificate can pass
+                tail = reach if lifts else 0  # a guess: the images of the last members are independent
+                columns, _ = trim_basis(basis, lifts, {}, tail=tail)  # not `pivots`: its key ignores the tail
+                now = lap("trim", now)
+                alphas, expanded, vectors, now = solve(columns, None, now)
+                cut = len(columns) - tail
+                if tail and len(echelon([vec[:cut] for vec in vectors], cut)) < len(vectors):
+                    columns = None  # a kernel vector lives on the tail alone: the cut is not proven exact
+                now = lap("kernel", now)
+        if columns is None:
+            screened = expanded = None  # the mod-p trim's columns, and their images
+            tail = 0  # the last members of basis with independent images
+            if prime and rep == key:
+                screened, rank_p = trim_basis(basis, lifts, modular, prime)
+                now = lap("trim", now)
+                if not screened:  # rank mod p is every column, so the lift rows span it
+                    return "skipped_prescreen"
+                # only an exact trim reads the tail, which must be the last members of basis
+                trailing = 0
+                if lifts:
+                    shared = zip(reversed(basis), reversed(screened))
+                    trailing = next((j for j, (b, c) in enumerate(shared) if b != c), len(screened))
+                certified, expanded, tail = certify_no_generators(screened, images, packing, prime, trailing)
+                now = lap("certify", now)
+                if certified:
+                    tally["certified_by_leading_terms"] += expanded is None
+                    return "skipped_prescreen" if rank_p else "skipped_matroid"
+            columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
             now = lap("trim", now)
-            if not screened:  # rank mod p is every column, so the lift rows span it
-                return "skipped_prescreen"
-            # only an exact trim reads the tail, which must be the last members of basis
-            trailing = 0
-            if lifts:
-                shared = zip(reversed(basis), reversed(screened))
-                trailing = next((j for j, (b, c) in enumerate(shared) if b != c), len(screened))
-            certified, expanded, tail = certify_no_generators(screened, images, packing, prime, trailing)
-            now = lap("certify", now)
-            if certified:
-                tally["certified_by_leading_terms"] += expanded is None
-                return "skipped_prescreen" if rank_p else "skipped_matroid"
-        columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
-        now = lap("trim", now)
-        alphas = [packing.pairs(c) for c in columns]
-        if columns != screened:  # no certificate expanded these columns
-            expanded = images.expand(alphas)
-        rows = component_rows(expanded)
-        now = lap("assemble", now)
-        vectors = nullspace_primitive(rows, len(columns))
-        now = lap("kernel", now)
+            # reuse the certificate's images when it expanded these columns
+            alphas, expanded, vectors, now = solve(columns, expanded if columns == screened else None, now)
         found = len(vectors)
         if (found or rep != key) and unsettled.setdefault(rep, found) != found:
             raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")

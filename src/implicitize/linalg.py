@@ -2,8 +2,8 @@
 
 Integer rows go in, primitive integer vectors and ranks come out.
 `nullspace_primitive(rows, ncols)` is the one exact kernel call, shared by the
-engine's component solves and the grading's homogeneity space. Every exact
-elimination goes through `echelon`: forward elimination on sparse
+engine's component solves and the grading's homogeneity space. Every sparse
+exact elimination goes through `echelon`: forward elimination on sparse
 primitive integer rows (dicts keyed by column index). Every caller passes
 integer rows; each update row := (a/g)*row - (v/g)*pivot
 is followed by dividing out the row's content, so no common factor carries
@@ -13,7 +13,12 @@ right, so they are the leftmost independent columns whatever pivot row is
 chosen; rows are picked sparsest first, then by the smallest pivot, to limit
 fill-in and growth. Kernels come from integer back-substitution through the
 echelon form, one primitive vector per free column, so they equal the
-normalized kernel of the unique reduced row echelon form. `reduced_echelon`
+normalized kernel of the unique reduced row echelon form. A row set that is
+at least half nonzero, such as the image rows of a dense component, is
+eliminated by `nullspace_primitive` on dense lists instead, by fraction-free
+Bareiss elimination (`_bareiss`), which keeps `echelon`'s contract: the
+leftmost independent pivot columns, with primitive pivot rows; so the
+back-substitution and the kernel are the same. `reduced_echelon`
 back-eliminates the echelon form into integer rows of that reduced form.
 The one elimination over GF(p), `rank_mod_p`, inserts sparse rows one at a
 time and returns the pivot columns mod p: their count backs the engine's
@@ -109,15 +114,65 @@ def reduced_echelon(rows: Iterable[Mapping | Sequence], ncols: int) -> list[tupl
     return reduced
 
 
+def _bareiss(rows: list[list[int]], ncols: int) -> list[tuple[int, IntRow]]:
+    """`echelon` of dense integer rows of length ncols, by fraction-free Bareiss elimination.
+
+    Each remaining row holds its entries from the current column c on. A
+    pivot a in column c, over the previous pivot b, replaces every other row
+    r by (a*r - r[c]*pivot row) / b, dropping column c: the division is exact
+    (Sylvester's identity), so the entries stay integer minors and no gcd is
+    taken. Pivot columns advance left to right, so they are the leftmost
+    independent columns; a column with no nonzero entry is skipped, and rows
+    that have become zero are dropped there. Pivot rows are returned sparse
+    and primitive, like `echelon`'s.
+    """
+    pivots: list[tuple[int, IntRow]] = []
+    b = 1
+    for c in range(ncols):
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            rows = [row[1:] for row in rows if any(row)]
+            if not rows:
+                break
+            continue
+        prow = rows.pop(p)
+        a, rest = prow[0], prow[1:]
+        reduced = []
+        for row in rows:
+            v = row[0]
+            reduced.append([(a * x - v * y) // b for x, y in zip(row[1:], rest)])
+        rows = reduced
+        pivots.append((c, _primitive({c + j: x for j, x in enumerate(prow) if x})))
+        b = a
+    return pivots
+
+
+def _dense(row: Mapping | Sequence, ncols: int) -> list[int]:
+    """A sparse or dense row as a list of ncols entries."""
+    if isinstance(row, Mapping):
+        dense = [0] * ncols
+        for j, v in row.items():
+            dense[j] = v
+        return dense
+    return list(row) + [0] * (ncols - len(row))
+
+
 def nullspace_primitive(rows: Iterable[Mapping | Sequence], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the right kernel of integer rows, one vector per free column.
 
+    Rows that are at least half nonzero overall are eliminated densely
+    (`_bareiss`), others by `echelon`; both give the same pivot columns.
     Vector k has 1 in its free column and 0 in the other free columns before
     normalization; its pivot entries come from back-substitution, scaling the
     whole vector whenever a pivot does not divide its right-hand side. The
     result has content 1 and a positive first nonzero entry.
     """
-    pivots = echelon(rows, ncols)
+    rows = list(rows)
+    nonzero = sum(sum(map(bool, row.values() if isinstance(row, Mapping) else row)) for row in rows)
+    if 2 * nonzero >= len(rows) * ncols:
+        pivots = _bareiss([_dense(row, ncols) for row in rows], ncols)
+    else:
+        pivots = echelon(rows, ncols)
     taken = {c for c, _ in pivots}
     basis = []
     for f in range(ncols):
@@ -186,10 +241,19 @@ def rank_mod_p(rows: Iterable[Mapping | Sequence], p: int, ncols: int | None = N
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least odd composite that is a strong pseudoprime to every base above
+# (399,165,290,221 x 798,330,580,441): below it, the test decides
+_MR_DECIDES_BELOW = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64-bit inputs."""
+    """Deterministic Miller-Rabin for n below 318,665,857,834,031,151,167,461 (about 3.2 x 10^23).
+
+    The bases 2, ..., 37 decide primality only below that bound, so a larger
+    n raises ValueError rather than risk calling a composite prime.
+    """
+    if n >= _MR_DECIDES_BELOW:
+        raise ValueError(f"{n} is too large to test for primality: it must be below {_MR_DECIDES_BELOW}")
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -272,14 +272,15 @@ def _dense_exponents(mono, n: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _qq_rank(rows: list[dict], ncols: int) -> int:
+def _qq_rank(rows: list[dict], ncols: int, method: str = "auto") -> int:
+    """Rank over QQ by sympy's `DomainMatrix.rref`, with its `method` ("auto" lets sympy choose)."""
     from sympy import QQ
     from sympy.polys.matrices import DomainMatrix
 
     if not rows or not ncols:
         return 0
     nonzero = {i: row for i, row in enumerate(rows) if row}
-    return DomainMatrix(nonzero, (len(rows), ncols), QQ).rank()
+    return len(DomainMatrix(nonzero, (len(rows), ncols), QQ).rref(method=method)[1])
 
 
 def sympy_oracle_check(phi: RingMap, result, max_degree: int) -> dict[int, int]:
@@ -382,10 +383,12 @@ def sympy_oracle_check(phi: RingMap, result, max_degree: int) -> dict[int, int]:
             for exps, c in terms.items():
                 mapped += image(exps) * qq(c)
             assert mapped.is_zero, f"degree-{d} generator does not map to zero"
-        lower = _qq_rank(shifts, len(basis))
+        # generator rows carry long rationals, on which sympy's default
+        # fraction-free elimination can take minutes: eliminate them over QQ
+        lower = _qq_rank(shifts, len(basis), "GJ")
         assert len(here) == kernel_dim - lower, (d, len(here), kernel_dim, lower)
         spanned = shifts + [{column[exps]: qq(c) for exps, c in t.items()} for t in here]
-        assert _qq_rank(spanned, len(basis)) == kernel_dim, d
+        assert _qq_rank(spanned, len(basis), "GJ") == kernel_dim, d
         if kernel_dim - lower:
             counts[d] = kernel_dim - lower
     return counts

@@ -243,9 +243,94 @@ def test_trim_cut_at_the_tail_is_sound(monkeypatch):
             cut.clear()
             components_of_kernel(phi, top, prime=prime)
             tails.append(sum(cut))
-    # each cubic map's level 3 keeps a tail of 54 or 55 of its 120 columns at
-    # the larger primes; the quadrics cut only at 2 and 3
-    assert tails == [32, 20, 55, 55, 55, 53, 18, 55, 55, 55, 20, 0, 54, 55, 55, 46, 45, 54, 55, 55, 1, 1, 0, 0, 0]
+    # each cubic map's level 3 is cut at the guessed tail, its last 55 of 120
+    # columns, whatever the prime; the quadrics cut only at 2 and 3
+    assert tails == [55] * 20 + [1, 1, 0, 0, 0]
+
+
+def spy_levels(monkeypatch, *names: str) -> dict[str, list[int]]:
+    """The weighted degree of the level being settled at each call of the named engine functions."""
+    degree = [0]
+    calls: dict[str, list[int]] = {name: [] for name in names}
+    enumerate_level = engine.enumerate_level
+
+    def spy_enumerate(grading, level, *args, **kwargs):
+        degree[0] = level
+        return enumerate_level(grading, level, *args, **kwargs)
+
+    def spy(name):
+        original = getattr(engine, name)
+
+        def call(*args, **kwargs):
+            calls[name].append(degree[0])
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(engine, "enumerate_level", spy_enumerate)
+    for name in names:
+        monkeypatch.setattr(engine, name, spy(name))
+    return calls
+
+
+def run_summary(phi, top, prime):
+    """A run's generators and its level counts, without the seconds."""
+    result = components_of_kernel(phi, top, prime=prime)
+    return result.generators, [stats[:-2] for stats in result.level_stats]
+
+
+def test_component_no_certificate_can_pass_skips_it(monkeypatch):
+    # level 3 of the seed-2 cubics has 120 columns and 64 lift rows, but its
+    # images lie among the 55 nonics in s, t, u: no certificate can pass, so
+    # none runs, and the exact trim is cut at a guessed tail of 55 members
+    phi = generic_cubics_map(2)
+    primes = (2, 3, 5, 101, DEFAULT_PRIME, None)
+    calls = spy_levels(monkeypatch, "rank_mod_p", "certify_no_generators", "trim_basis")
+    guessed = {}
+    for prime in primes:
+        for name in calls:
+            calls[name].clear()
+        guessed[prime] = run_summary(phi, 3, prime)
+        assert 3 not in calls["rank_mod_p"] + calls["certify_no_generators"], prime
+        assert calls["trim_basis"].count(3) == 1, prime
+    assert all(generators == guessed[None][0] for generators, _ in guessed.values())
+    assert Counter(g.weighted_degree for g in guessed[None][0]) == {2: 8, 3: 4}
+    # with the bound switched off, each run settles level 3 as before, alike
+    monkeypatch.setattr(engine, "image_degrees", lambda phi: None)
+    for prime in primes:
+        calls["certify_no_generators"].clear()
+        assert run_summary(phi, 3, prime) == guessed[prime], prime
+        assert (3 in calls["certify_no_generators"]) == (prime is not None)
+
+
+def test_failed_tail_guess_falls_back(monkeypatch):
+    # x7 -> phi(x6), or phi(x5) + phi(x6), puts a lift row of x6 - x7 (or
+    # x5 + x6 - x7) on the guessed tail of level 3: the cut trim misses its
+    # pivot, a kernel vector lives on the tail alone, and the component is
+    # settled again as if no guess had been made
+    images = generic_cubics_map(2).images
+    trims = []
+    trim = engine.trim_basis
+
+    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
+        if not prime and len(basis) == 120:
+            trims.append(tail)
+        return trim(basis, lifts, pivots, prime, tail)
+
+    monkeypatch.setattr(engine, "trim_basis", spy_trim)
+    maps = [RingMap([*images[:7], last], m=3) for last in (images[6], images[5] + images[6])]
+    runs = {}
+    for k, phi in enumerate(maps):
+        for prime in (3, DEFAULT_PRIME, None):
+            trims.clear()
+            runs[k, prime] = run_summary(phi, 3, prime)
+            assert trims[0] == 55 and len(trims) == 2, prime  # the guess, then the fallback
+            assert Counter(g.weighted_degree for g in runs[k, prime][0]) == {1: 1, 3: 29}
+        assert sympy_oracle_check(phi, components_of_kernel(phi, 3), 3) == {1: 1, 3: 29}
+    # the same generators and level counts as runs that make no guess
+    monkeypatch.setattr(engine, "image_degrees", lambda phi: None)
+    for (k, prime), summary in runs.items():
+        assert run_summary(maps[k], 3, prime) == summary, prime
 
 
 def test_each_component_is_certified_at_most_once(monkeypatch):

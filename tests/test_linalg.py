@@ -7,13 +7,17 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+import sympy
+
 from implicitize import (
+    DEFAULT_PRIME,
     Monomial,
     MonomialPacking,
     Polynomial,
     RingMap,
 )
-from implicitize import linalg
+from implicitize import components_of_kernel, engine, linalg
 from implicitize.engine import certify_no_generators
 from implicitize.linalg import (
     echelon,
@@ -31,6 +35,7 @@ from support import (
     cleared,
     component_from_dense,
     dense_rank_oracle,
+    generic_cubics_map,
     linalg_suite,
     mono_by_names,
     random_rational_matrix,
@@ -229,9 +234,84 @@ def test_echelon_and_kernel_match_sympy_rref():
     assert len(sympy_rref_and_nullspace(big, 15)[0]) == 11
 
 
+def test_dense_kernel_matches_sympy_and_echelon(monkeypatch):
+    # rows at least half nonzero are eliminated by Bareiss over dense lists,
+    # with echelon's pivot columns and sympy's normalized kernel
+    dense = []
+    bareiss = linalg._bareiss
+
+    def spy_bareiss(rows, ncols):
+        dense.append(ncols)
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_bareiss", spy_bareiss)
+    rng = random.Random(25)
+    big = 2**200
+    cases = [
+        [[1, 2, 3], [2, 4, 6], [1, 1, 1]],  # rank 2
+        [[2, 2, 5, 5], [3, 3, 7, 7], [1, 1, 4, 4]],  # duplicate columns
+        [[0, 3, 0, 1, 2], [0, 1, 0, 4, 4], [0, 5, 0, 9, 1], [0, 2, 0, 2, 2]],  # zero columns: skipped pivots
+        [[1, 2, 3, 4], [0, 0, 0, 0], [5, 6, 7, 8], [2, 2, 2, 1]],  # a zero row
+        [[3, -6, 0, 9]],  # 1 x n
+        [[4], [-2], [6]],  # n x 1
+        [[0], [5], [-5]],
+        [[big, big - 1, 1], [big + 1, big, 2], [2 * big + 1, 2 * big - 1, 3]],  # rank 2, entries up to 2^200
+    ]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(1, min(nrows, ncols))
+        left = [[rng.randint(-big, big) for _ in range(rank)] for _ in range(nrows)]
+        right = [
+            [rng.choice((1, -1)) * rng.choice((rng.randint(1, 9), rng.randint(1, big))) for _ in range(ncols)]
+            for _ in range(rank)
+        ]
+        cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left])
+    level = []  # the seed-2 generic cubics' level-3 kernel: 55 image rows over 59 columns
+    solve = engine.nullspace_primitive
+
+    def spy_kernel(rows, ncols):
+        level.append(rows)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(engine, "nullspace_primitive", spy_kernel)
+    components_of_kernel(generic_cubics_map(2), 3)
+    cases.append([[row.get(j, 0) for j in range(59)] for row in level[-1]])
+    assert len(cases[-1]) == 55
+    dense.clear()
+    for rows in cases:
+        ncols = len(rows[0])
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert 2 * sum(map(len, sparse)) >= len(rows) * ncols
+        expected = [normalize_primitive(v) for v in sympy_nullspace(rows)]
+        assert nullspace_primitive(rows, ncols) == expected
+        assert nullspace_primitive(sparse, ncols) == expected
+        pivots = bareiss([list(row) for row in rows], ncols)
+        assert [c for c, _ in pivots] == [c for c, _ in echelon(sparse, ncols)]
+        assert all(math.gcd(*row.values()) == 1 and min(row) == c for c, row in pivots)
+    assert len(dense) == 2 * len(cases)
+    assert max(abs(v).bit_length() for rows in cases for row in rows for v in row) > 200
+
+
 def test_primes():
     assert is_prime(2) and is_prime(101) and is_prime(2**61 - 1)
     assert not is_prime(1) and not is_prime(2**61 + 1)
+
+
+def test_is_prime_agrees_with_a_sieve_and_refuses_what_it_cannot_decide():
+    assert is_prime(DEFAULT_PRIME)
+    sieve = [False, False] + [True] * (10**5 - 1)
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == [n for n, prime in enumerate(sieve) if prime]
+    # strong pseudoprimes to every base 2, ..., 37: the bases decide only below the first
+    for p, q in ((399_165_290_221, 798_330_580_441), (1_287_836_182_261, 2_575_672_364_521)):
+        with pytest.raises(ValueError, match="too large to test for primality"):
+            is_prime(p * q)
+    # just below the first one, the test still decides, as sympy does
+    below = range(318_665_857_834_031_151_167_401, 318_665_857_834_031_151_167_461, 2)
+    assert [n for n in below if is_prime(n)] == [n for n in below if sympy.isprime(n)]
+    assert is_prime(318_665_857_834_031_151_167_441)
 
 
 def test_rank_nullity_and_prescreen_soundness_randomized():

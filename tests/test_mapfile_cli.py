@@ -368,6 +368,9 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
     code, _, _ = run_cli(["run", "-d", "2", "--prime", "10"], stdin_text="x = t")
     assert code == 2
+    # a strong pseudoprime to bases 2, ..., 37, past what is_prime decides
+    code, out, err = run_cli(["run", "-d", "2", "--prime", "318665857834031151167461"], stdin_text="x = t")
+    assert code == 2 and out == "" and "too large to test for primality" in err
     for removed in (["--threads", "2"], ["--naive"], ["--no-trim"], ["--no-skip"]):
         code, _, _ = run_cli(["run", "-d", "2", *removed], stdin_text="x = t")
         assert code == 2

@@ -116,8 +116,21 @@ def test_certificate_needs_as_many_rows_as_columns(monkeypatch):
 
     monkeypatch.setattr(engine, "trim_basis", spy_trim)
     result = components_of_kernel(generic_cubics_map(2), 3)
-    # level 1 certifies its 8 columns over 10 cubics; levels 2 and 3 put 36
-    # columns over 28 sextics and 59 over 55 nonics
+    # level 1 certifies its 8 columns over 10 cubics; levels 2 and 3 have 36
+    # columns over 28 sextics and 120 columns, 64 lift rows, over 55 nonics:
+    # the engine sees that no certificate can pass and runs none, nor any
+    # elimination mod p; level 3's exact trim is cut at a guessed tail of 55
+    assert [(len(columns), ok) for columns, ok in calls] == [(8, True)]
+    assert ncols == [8]
+    assert [stats.solved for stats in result.level_stats] == [0, 1, 1]
+    assert shapes == [(10, 8)]
+    assert tails == [(36, 0), (120, 55)]
+    # without that bound, levels 2 and 3 put 36 columns over 28 sextics and
+    # 59 over 55 nonics
+    monkeypatch.setattr(engine, "image_degrees", lambda phi: None)
+    for spied in (calls, ncols, shapes, tails):
+        spied.clear()
+    result = components_of_kernel(generic_cubics_map(2), 3)
     assert [(len(columns), ok) for columns, ok in calls] == [(8, True), (36, False), (59, False)]
     assert ncols == [8]
     assert [stats.solved for stats in result.level_stats] == [0, 1, 1]
