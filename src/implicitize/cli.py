@@ -36,7 +36,9 @@ grading exists for the map, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 import time
 
@@ -301,5 +303,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The `implicit` command: `main`, with the cyclic collector off, then an exit with no teardown.
+
+    The engine leaves no reference cycles, and a run only the 136 objects of
+    its argparse parser, at any degree: the collector would scan the
+    engine's many objects for next to nothing, and the interpreter's
+    finalization would free them one by one just before the process ends.
+    stdout and stderr are flushed first; the report, grading and example
+    files are already closed. An exception, argparse's exit included, leaves
+    the usual way. In-process callers use `main`.
+    """
+    gc.disable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -10,7 +10,7 @@ time, in canonical beta order; `settle` takes each through
     -> nullspace_primitive -> verify
 
 (or, where no certificate can pass, an exact trim cut at a guessed tail,
-checked on the kernel it gives; see below)
+which the kernel must prove; see below)
 and returns its status, the `LevelStats` count the level loop tallies it in
 (`STATUSES`): certified (`skipped_matroid`, `skipped_prescreen`), settled
 by its orbit (`certified_by_symmetry`) or `solved`: its exact kernel ran,
@@ -27,11 +27,12 @@ itself and, when it fixes the positive weight, the ideal of the lower-degree
 generators too, so it carries each component onto one with as many new
 minimal generators. The moves are closed into a group once per run
 (`symmetry_group`); a small group carries each orbit's first member by all
-its elements, a large one is walked by its moves (`orbits`). Only the first
-member of an orbit is certified; when it has no new generators, the others
-are settled without trim, certificate or member tuple. When it has some,
-every member skips the certificate and is solved exactly, for its own
-canonical generators, and must find as many.
+its elements, a large one is walked by its moves, each component reached
+carrying on the exponents that reached it (`orbits`): one decode per orbit
+either way. Only the first member of an orbit is certified; when it has no
+new generators, the others are settled without trim, certificate or member
+tuple. When it has some, every member skips the certificate and is solved
+exactly, for its own canonical generators, and must find as many.
 
 Until a generator is emitted, monomials are ints of one run-wide
 `MonomialPacking` built with the grading's A, so `key >> beta_shift` is the
@@ -87,18 +88,17 @@ component of codomain degree D = sum_i alpha_i d_i lie among the
 R = comb(m - 1 + D, m - 1) monomials of degree D in the m codomain
 variables. When R is below the component's size minus its lift rows, every
 C_p has more than R columns, so no certificate passes at any prime: the
-component skips the mod-p trim and the certificate, and its exact trim is
-cut at a guessed tail, its last R members, before the solve. A pivot of the
-full trim in the tail would be the leading column of an echelon row of the
-lift rows, which is a kernel vector on the cut columns, zero outside the
-tail. So when the kernel vectors restricted to the columns outside the tail
-are independent, no kernel vector lives on the tail alone, no pivot lies
-there, and the cut trim is exact. Otherwise the attempt is discarded and
-the component takes the path above, unchanged. The guessed trim stays out
-of the level's exact pivot cache, whose key ignores the tail: a failed
-guess filed there would hand its pivots to the fallback's trim. A component
-with no lift rows keeps every column and needs no guess. The guess runs at
-any `prime`, `None` included, and for orbit members too: it is exact work.
+component skips the mod-p trim and the certificate, guesses that its last
+R members have independent images, and cuts its exact trim at that tail.
+A pivot of the full trim in the tail would lead an echelon row of the lift
+rows, a kernel vector on the cut columns that is zero outside the tail. So
+when the kernel vectors restricted to the columns outside the tail are
+independent, the cut trim is exact; otherwise the component is settled
+again with no guess, on the path above. A component with no lift rows
+keeps every column and needs no guess. The guess runs at any `prime`,
+`None` included, and for orbit members too: it is exact work. A level has
+one pivot cache per kind, exact or mod p, keyed by the rows and the column
+prefix eliminated, so a guessed prefix's pivots never answer another trim.
 No prime changes the output, and nothing is random. Each kernel vector is
 verified on the images and the packed beta (`_verify_generator`). A
 component leaves behind only its generators and its status.
@@ -279,22 +279,23 @@ def orbits(
     Only the components with more than one monomial are keyed, those listed
     in `multiple` (`level.multiple()`, built once per level by the caller):
     transports preserve component size, so a lone component is its own
-    orbit. The leading member x^alpha of a component is decoded once and
-    carried by sigma to x^sigma(alpha), whose packed beta is sum_i alpha_i
-    `packing.beta_units[sigma(i)]`, so a transport costs a few multiply-adds
-    and one dict lookup; a component first reached is found by bisection of
-    `ckeys`. `group` is `symmetry_group(moves)`: when it is known, the first
-    member of an orbit is carried by every element and reaches the whole
-    orbit at once, with one decode; otherwise the orbit is walked by the
-    moves, from every component it reaches. A transported beta that is not a
-    component of the same size, or that lies in another orbit, is an
-    EngineInvariantError: moves that permute the variables and preserve the
-    grading generate a finite group, whose orbits are disjoint.
+    orbit. The leading member x^alpha of an orbit's first component is
+    decoded once and carried by sigma to x^sigma(alpha), whose packed beta
+    is sum_i alpha_i `packing.beta_units[sigma(i)]`: a transport costs a few
+    multiply-adds and one dict lookup, and a component first reached is
+    found by bisection of `ckeys`. `group` is `symmetry_group(moves)`: when
+    known, its elements carry the first member to the whole orbit at once;
+    otherwise the moves walk the orbit, each component reached passing on
+    the exponents that reached it (any member of a component lands in the
+    same component). A transported beta that is not a component of the same
+    size, or that lies in another orbit, is an EngineInvariantError: moves
+    that permute the variables and preserve the grading generate a finite
+    group, whose orbits are disjoint.
     """
     keys, ckeys, starts = level.keys, level.ckeys, level.starts
     walk = group is None
-    units = [[level.packing.beta_units[t] for t in sigma] for sigma in (moves if walk else group)]
-    decode = level.packing.pairs
+    perms = moves if walk else group
+    units = [[level.packing.beta_units[t] for t in sigma] for sigma in perms]
     first: dict[int, int] = {}
     for k in multiple:
         start = ckeys[k]
@@ -302,10 +303,10 @@ def orbits(
             continue
         first[start] = start
         size = starts[k + 1] - starts[k]
-        stack = [k]
+        stack = [level.packing.pairs(keys[starts[k + 1] - 1])]  # the leading member's exponents
         while stack:
-            pairs = decode(keys[starts[stack.pop() + 1] - 1])  # the leading member
-            for moved in units:
+            pairs = stack.pop()
+            for sigma, moved in zip(perms, units):
                 key = 0
                 for i, e in pairs:
                     key += e * moved[i]
@@ -318,7 +319,7 @@ def orbits(
                     raise EngineInvariantError("a symmetry carries a component out of its level")
                 first[ckeys[j]] = start  # the level's own int, not a copy
                 if walk:
-                    stack.append(j)
+                    stack.append([(sigma[i], e) for i, e in pairs])
     return first
 
 
@@ -332,37 +333,38 @@ def trim_basis(
     lift rank). Generator coefficients are primitive integers, so the lift
     rows are too. With a `prime`, the pivot columns and the rank are those of
     the lift rows mod p (`rank_mod_p`): the mod-p trim that the certificate
-    reads first. `pivots` caches the pivot columns of lift rows, keyed by
-    coefficients and column positions (symmetric maps repeat them); a cache
-    holds one kind of pivots, exact or mod one prime.
+    reads first. `pivots` caches the pivot columns of lift rows, keyed by the
+    columns the elimination reads and the rows' coefficients and column
+    positions (symmetric maps repeat them); a cache holds one kind of
+    pivots, exact or mod one prime.
 
-    `tail` counts the last members of `basis` whose images are independent
-    (`certify_no_generators`). The lift rows are kernel vectors, so no pivot
-    lies among those members: a row of the echelon form with its leading
-    column there would be a kernel vector supported on independent columns.
-    The elimination drops their entries, and the pivots of the remaining
-    column prefix are all the pivots, so the result, and the cache entry,
-    are those of the full rows. A guessed tail gives the pivots of the
-    prefix only, so its caller passes a cache of its own and checks them.
+    `tail` counts the last members of `basis` left out of the elimination,
+    which gives the pivots of the column prefix before them. When the
+    tail's images are independent, those are all the pivots: the lift rows
+    are kernel vectors, and an echelon row leading in the tail would be a
+    kernel vector supported on independent columns. A tail proven so
+    (`certify_no_generators`) gives the full rows' pivots; a guessed one is
+    checked by the caller on the kernel.
     """
     if not lifts:
         return list(basis), 0
     position = {mono: idx for idx, mono in enumerate(basis)}
+    cut = len(basis) - tail
     try:
-        key = tuple(
+        lift_rows = tuple(
             (coeffs, tuple([position[gamma + m] for gamma in gammas for m in monos]))
             for monos, coeffs, gammas in lifts
         )
     except KeyError as missing:
         raise EngineInvariantError(f"lift monomial {missing} escapes its component") from None
+    key = (tail and cut, lift_rows)  # 0: the whole basis
     taken = pivots.get(key)
     if taken is None:
         rows = (
             dict(zip(cols[i : i + len(coeffs)], coeffs))
-            for coeffs, cols in key
+            for coeffs, cols in lift_rows
             for i in range(0, len(cols), len(coeffs))
         )
-        cut = len(basis) - tail
         if tail:
             rows = ({j: v for j, v in row.items() if j < cut} for row in rows)
         if prime:
@@ -515,17 +517,7 @@ def components_of_kernel(
         stages[stage] += now - since
         return now
 
-    def solve(columns: list[int], expanded: list | None, since: float) -> tuple[list, list, list, float]:
-        """(alphas, images, kernel vectors, now) of packed columns; their images are expanded unless given."""
-        alphas = [packing.pairs(c) for c in columns]
-        if expanded is None:
-            expanded = images.expand(alphas)
-        rows = component_rows(expanded)
-        now = lap("assemble", since)
-        vectors = nullspace_primitive(rows, len(columns))
-        return alphas, expanded, vectors, lap("kernel", now)
-
-    def settle(k: int) -> str:
+    def settle(k: int, guess: bool = True) -> str:
         """Settle component k of the current level; its generators join `new_generators`."""
         key = ckeys[k]
         rep = first.get(key, key)
@@ -533,41 +525,46 @@ def components_of_kernel(
             return "certified_by_symmetry"
         basis = level.members(k)
         lifts = index.get(key, [])
-        columns = None
+        screened = expanded = None  # the mod-p trim's columns, and their images
+        hopeless = False  # no certificate can pass
+        guessed = 0  # how many last members of basis are guessed to have independent images
         now = time.perf_counter()
-        if len(basis) > least_reach:
+        if guess and len(basis) > least_reach:
             reach = comb(m - 1 + sum([degrees[i] * e for i, e in packing.pairs(basis[0])]), m - 1)
-            if reach < len(basis) - sum(len(gammas) for _, _, gammas in lifts):  # no certificate can pass
-                tail = reach if lifts else 0  # a guess: the images of the last members are independent
-                columns, _ = trim_basis(basis, lifts, {}, tail=tail)  # not `pivots`: its key ignores the tail
-                now = lap("trim", now)
-                alphas, expanded, vectors, now = solve(columns, None, now)
-                cut = len(columns) - tail
-                if tail and len(echelon([vec[:cut] for vec in vectors], cut)) < len(vectors):
-                    columns = None  # a kernel vector lives on the tail alone: the cut is not proven exact
-                now = lap("kernel", now)
-        if columns is None:
-            screened = expanded = None  # the mod-p trim's columns, and their images
-            tail = 0  # the last members of basis with independent images
-            if prime and rep == key:
-                screened, rank_p = trim_basis(basis, lifts, modular, prime)
-                now = lap("trim", now)
-                if not screened:  # rank mod p is every column, so the lift rows span it
-                    return "skipped_prescreen"
-                # only an exact trim reads the tail, which must be the last members of basis
-                trailing = 0
-                if lifts:
-                    shared = zip(reversed(basis), reversed(screened))
-                    trailing = next((j for j, (b, c) in enumerate(shared) if b != c), len(screened))
-                certified, expanded, tail = certify_no_generators(screened, images, packing, prime, trailing)
-                now = lap("certify", now)
-                if certified:
-                    tally["certified_by_leading_terms"] += expanded is None
-                    return "skipped_prescreen" if rank_p else "skipped_matroid"
-            columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
+            hopeless = reach < len(basis) - sum(len(gammas) for _, _, gammas in lifts)
+            guessed = reach if hopeless and lifts else 0
+        tail = guessed  # the same count, guessed or proven
+        if prime and rep == key and not hopeless:
+            screened, rank_p = trim_basis(basis, lifts, modular, prime)
             now = lap("trim", now)
-            # reuse the certificate's images when it expanded these columns
-            alphas, expanded, vectors, now = solve(columns, expanded if columns == screened else None, now)
+            if not screened:  # rank mod p is every column, so the lift rows span it
+                return "skipped_prescreen"
+            # only an exact trim reads the tail, which must be the last members of basis
+            trailing = 0
+            if lifts:
+                shared = zip(reversed(basis), reversed(screened))
+                trailing = next((j for j, (b, c) in enumerate(shared) if b != c), len(screened))
+            certified, expanded, tail = certify_no_generators(screened, images, packing, prime, trailing)
+            now = lap("certify", now)
+            if certified:
+                tally["certified_by_leading_terms"] += expanded is None
+                return "skipped_prescreen" if rank_p else "skipped_matroid"
+        columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
+        now = lap("trim", now)
+        alphas = [packing.pairs(c) for c in columns]
+        if columns != screened:  # else the certificate expanded these columns' images
+            expanded = images.expand(alphas)
+        rows = component_rows(expanded)
+        now = lap("assemble", now)
+        vectors = nullspace_primitive(rows, len(columns))
+        del rows  # a solve's largest object, freed before the check and a second settle
+        # a guessed cut is exact unless a kernel vector lives on the tail alone
+        cut = len(columns) - guessed
+        rejected = guessed and len(echelon([vec[:cut] for vec in vectors], cut)) < len(vectors)
+        now = lap("kernel", now)
+        if rejected:
+            del expanded, vectors  # the component is settled again, from its members
+            return settle(k, guess=False)
         found = len(vectors)
         if (found or rep != key) and unsettled.setdefault(rep, found) != found:
             raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")
@@ -642,4 +639,5 @@ def components_of_kernel(
                 **tally,
             )
         )
+    del settle  # it calls itself: a reference cycle through its cells, which hold the last level
     return GeneratorSet(generators, level_stats, grading)

@@ -609,14 +609,19 @@ def grading_from_rows(rows, n: int, weight=None) -> GradingMatrix:
 # --- CLI ----------------------------------------------------------------------
 
 
-def run_cli(args, stdin_text=None, hashseed="0"):
+def run_cli(args, stdin_text=None, hashseed="0", patch=None):
+    """(exit code, stdout, stderr) of `python -m implicitize ARGS`, after the code `patch` if given."""
     env = os.environ.copy()
     env["PYTHONHASHSEED"] = hashseed
+    env.pop("PYTHONUNBUFFERED", None)  # buffered stdout, as in a plain shell: the CLI must flush it
     # the child imports the same package the tests do, installed or not
     package_root = os.path.dirname(os.path.dirname(implicitize.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    command = ["-m", "implicitize"]
+    if patch is not None:
+        command = ["-c", f"{patch}\nimport runpy\nrunpy.run_module('implicitize', run_name='__main__')"]
     proc = subprocess.run(
-        [sys.executable, "-m", "implicitize", *args],
+        [sys.executable, *command, *args],
         input=stdin_text,
         capture_output=True,
         text=True,

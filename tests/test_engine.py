@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import random
@@ -164,6 +165,18 @@ def test_trim_pivot_cache_matches_fresh_elimination(gr25):
             lifts = index.get(beta, [])
             assert trim_basis(basis, lifts, pivots) == trim_basis(basis, lifts, {})
     assert 0 < len(pivots) < sum(1 for lifts in index.values() if lifts)
+
+
+def test_trim_pivot_cache_keeps_column_prefixes_apart():
+    # the lift row x11 - x12 has its pivot in a tail of two members: a trim cut
+    # there finds no pivot, and that must answer no trim of another prefix
+    lifts = [((11, 12), (1, -1), (0,))]
+    pivots: dict = {}
+    assert trim_basis((10, 11, 12), lifts, pivots, tail=2) == ([10, 11, 12], 0)
+    assert trim_basis((10, 11, 12), lifts, pivots) == ([10, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, pivots, tail=1) == ([10, 12], 1)
+    # the same rows and tail in a longer component leave a longer prefix
+    assert trim_basis((10, 11, 12, 13), lifts, pivots, tail=2) == ([10, 12, 13], 1)
 
 
 def test_reduced_lift_sources_trim_like_raw_generators(gr25):
@@ -331,6 +344,20 @@ def test_failed_tail_guess_falls_back(monkeypatch):
     monkeypatch.setattr(engine, "image_degrees", lambda phi: None)
     for (k, prime), summary in runs.items():
         assert run_summary(maps[k], 3, prime) == summary, prime
+
+
+def test_a_run_leaves_no_reference_cycles():
+    # the CLI turns the cyclic collector off, so a run, a rejected tail guess
+    # and its second settle included, must free everything by reference counts
+    images = generic_cubics_map(2).images
+    phi = RingMap([*images[:7], images[6]], m=3)
+    gc.disable()
+    try:
+        gc.collect()
+        assert counts_by_degree(components_of_kernel(phi, 3)) == {1: 1, 3: 29}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_each_component_is_certified_at_most_once(monkeypatch):

@@ -394,6 +394,20 @@ def test_cli_exit_codes(tmp_path):
         assert err == f"error: {args[0]} takes no size argument\n"
 
 
+def test_module_entry_exits_4_after_flushing():
+    # `python -m implicitize` leaves by os._exit: an internal error still exits
+    # 4, with the stdout and stderr written before it
+    patch = (
+        "from implicitize import engine\n"
+        "def fail(*args):\n"
+        "    print('partial', end='')\n"
+        "    raise engine.EngineInvariantError('planted')\n"
+        "engine._verify_generator = fail"
+    )
+    code, out, err = run_cli(["run", "-d", "2"], stdin_text="x = t^2\ny = t^2", patch=patch)
+    assert (code, out, err) == (4, "partial", "internal error: planted\n")
+
+
 def test_cli_toggle_flags():
     code, map_json, _ = run_cli(["examples", "cusp"])
     base = ["run", "-d", "2"]
