@@ -90,15 +90,16 @@ variables. When R is below the component's size minus its lift rows, every
 C_p has more than R columns, so no certificate passes at any prime: the
 component skips the mod-p trim and the certificate, guesses that its last
 R members have independent images, and cuts its exact trim at that tail.
-A pivot of the full trim in the tail would lead an echelon row of the lift
-rows, a kernel vector on the cut columns that is zero outside the tail. So
-when the kernel vectors restricted to the columns outside the tail are
-independent, the cut trim is exact; otherwise the component is settled
-again with no guess, on the path above. A component with no lift rows
-keeps every column and needs no guess. The guess runs at any `prime`,
+A pivot of the full trim in a tail, guessed or proven, would lead an
+echelon row of the lift rows, a kernel vector on the cut columns that is
+zero outside the tail. So when the kernel vectors restricted to the columns
+outside the tail are independent, the cut trim is exact, as a proven tail's
+always is; otherwise one more pass, an exact trim with no tail and its
+solve, settles the component, with no mod-p work. A component with no lift
+rows keeps every column and needs no guess. The guess runs at any `prime`,
 `None` included, and for orbit members too: it is exact work. A level has
-one pivot cache per kind, exact or mod p, keyed by the rows and the column
-prefix eliminated, so a guessed prefix's pivots never answer another trim.
+one pivot cache, keyed by the prime (None for exact), the rows and the
+column prefix eliminated, so a guessed prefix's pivots answer no other trim.
 No prime changes the output, and nothing is random. Each kernel vector is
 verified on the images and the packed beta (`_verify_generator`). A
 component leaves behind only its generators and its status.
@@ -334,17 +335,15 @@ def trim_basis(
     rows are too. With a `prime`, the pivot columns and the rank are those of
     the lift rows mod p (`rank_mod_p`): the mod-p trim that the certificate
     reads first. `pivots` caches the pivot columns of lift rows, keyed by the
-    columns the elimination reads and the rows' coefficients and column
-    positions (symmetric maps repeat them); a cache holds one kind of
-    pivots, exact or mod one prime.
+    prime (None for exact), the columns the elimination reads and the rows'
+    coefficients and column positions (symmetric maps repeat them).
 
     `tail` counts the last members of `basis` left out of the elimination,
     which gives the pivots of the column prefix before them. When the
     tail's images are independent, those are all the pivots: the lift rows
     are kernel vectors, and an echelon row leading in the tail would be a
-    kernel vector supported on independent columns. A tail proven so
-    (`certify_no_generators`) gives the full rows' pivots; a guessed one is
-    checked by the caller on the kernel.
+    kernel vector supported on independent columns. The caller checks the
+    tail on the kernel, whether guessed or proven (`certify_no_generators`).
     """
     if not lifts:
         return list(basis), 0
@@ -357,7 +356,7 @@ def trim_basis(
         )
     except KeyError as missing:
         raise EngineInvariantError(f"lift monomial {missing} escapes its component") from None
-    key = (tail and cut, lift_rows)  # 0: the whole basis
+    key = (prime, tail and cut, lift_rows)  # 0: the whole basis
     taken = pivots.get(key)
     if taken is None:
         rows = (
@@ -517,8 +516,11 @@ def components_of_kernel(
         stages[stage] += now - since
         return now
 
-    def settle(k: int, guess: bool = True) -> str:
-        """Settle component k of the current level; its generators join `new_generators`."""
+    def settle(k: int) -> str:
+        """Settle component k of the current level; its generators join `new_generators`.
+
+        A refuted tail costs one more exact pass, with no tail and no mod-p work.
+        """
         key = ckeys[k]
         rep = first.get(key, key)
         if rep != key and rep not in unsettled:
@@ -526,16 +528,14 @@ def components_of_kernel(
         basis = level.members(k)
         lifts = index.get(key, [])
         screened = expanded = None  # the mod-p trim's columns, and their images
-        hopeless = False  # no certificate can pass
-        guessed = 0  # how many last members of basis are guessed to have independent images
+        reach = hopeless = 0  # hopeless: no certificate can pass
         now = time.perf_counter()
-        if guess and len(basis) > least_reach:
+        if len(basis) > least_reach:
             reach = comb(m - 1 + sum([degrees[i] * e for i, e in packing.pairs(basis[0])]), m - 1)
             hopeless = reach < len(basis) - sum(len(gammas) for _, _, gammas in lifts)
-            guessed = reach if hopeless and lifts else 0
-        tail = guessed  # the same count, guessed or proven
+        tail = reach if hopeless and lifts else 0  # the last members of basis with independent images
         if prime and rep == key and not hopeless:
-            screened, rank_p = trim_basis(basis, lifts, modular, prime)
+            screened, rank_p = trim_basis(basis, lifts, pivots, prime)
             now = lap("trim", now)
             if not screened:  # rank mod p is every column, so the lift rows span it
                 return "skipped_prescreen"
@@ -549,22 +549,22 @@ def components_of_kernel(
             if certified:
                 tally["certified_by_leading_terms"] += expanded is None
                 return "skipped_prescreen" if rank_p else "skipped_matroid"
-        columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
-        now = lap("trim", now)
-        alphas = [packing.pairs(c) for c in columns]
-        if columns != screened:  # else the certificate expanded these columns' images
-            expanded = images.expand(alphas)
-        rows = component_rows(expanded)
-        now = lap("assemble", now)
-        vectors = nullspace_primitive(rows, len(columns))
-        del rows  # a solve's largest object, freed before the check and a second settle
-        # a guessed cut is exact unless a kernel vector lives on the tail alone
-        cut = len(columns) - guessed
-        rejected = guessed and len(echelon([vec[:cut] for vec in vectors], cut)) < len(vectors)
-        now = lap("kernel", now)
-        if rejected:
-            del expanded, vectors  # the component is settled again, from its members
-            return settle(k, guess=False)
+        for tail in (tail, 0):  # a refuted tail gets one more pass, with none
+            columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
+            now = lap("trim", now)
+            alphas = [packing.pairs(c) for c in columns]
+            if columns != screened:  # else the certificate expanded these columns' images
+                expanded = images.expand(alphas)
+            rows = component_rows(expanded)
+            now = lap("assemble", now)
+            vectors = nullspace_primitive(rows, len(columns))
+            del rows  # a solve's largest object, freed before the check and a second pass
+            # the tail is refuted when a kernel vector lives on it alone, which a proven tail rules out
+            cut = len(columns) - tail
+            refuted = tail and len(echelon([vec[:cut] for vec in vectors], cut)) < len(vectors)
+            now = lap("kernel", now)
+            if not refuted:
+                break
         found = len(vectors)
         if (found or rep != key) and unsettled.setdefault(rep, found) != found:
             raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")
@@ -589,8 +589,7 @@ def components_of_kernel(
         now = lap("orbits", now)
         index = push_index(sources, level, levels)
         lap("trim", now)
-        pivots: dict = {}  # trim_basis's, for this level: exact
-        modular: dict = {}  # and mod p
+        pivots: dict = {}  # trim_basis's, for this level, exact and mod p
         new_generators: list[Generator] = []
         # an orbit's first member settles it when it has no new generators;
         # otherwise every member goes straight to its own exact solve, which
@@ -639,5 +638,4 @@ def components_of_kernel(
                 **tally,
             )
         )
-    del settle  # it calls itself: a reference cycle through its cells, which hold the last level
     return GeneratorSet(generators, level_stats, grading)

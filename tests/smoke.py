@@ -1,18 +1,22 @@
-"""Smoke check of `implicit run`: the stdout sha256 of three pinned runs.
+"""Smoke check of `implicit run`: the stdout sha256 of four pinned runs.
 
     python3 tests/smoke.py
 
 Standard library only, so it runs on a bare interpreter before any test
 dependency is installed. It runs `python -m implicitize`, with this
 checkout's `src/` and the interpreter that runs the script, on the 4-sunlet
-K3P at `-d 3`, Gr(2,8) at `-d 4` and the seed-2 generic cubics of
-`perfbench/gen_cubics.py` at `-d 3`, and compares each stdout's sha256 with
-its pinned value. Exits 0 when all three match, 1 otherwise.
+K3P at `-d 3`, Gr(2,8) at `-d 4`, the seed-2 generic cubics of
+`perfbench/gen_cubics.py` at `-d 3`, and the same cubics with x7's image
+replaced by x6's at `-d 3`, and compares each stdout's sha256 with its
+pinned value. The last map has the linear generator x6 - x7, whose shifts
+refute the engine's guessed tail at level 3, so it runs the one-pass
+fallback. Exits 0 when all four match, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -24,10 +28,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from gen_cubics import write_map  # noqa: E402
 
+FAILING_GUESS = "cubics seed 2, x7 -> x6"
+
 PINNED = {
     "sunlet-k3p -d 3": "36ebbe60cf4b6736a199b162a4e1530b9fd6f1ece66d1cd58effc8e5a5d6d100",
     "grassmannian 8 -d 4": "95a45dd6261b016cab772d3a9d21c97883a95384a9658401bac2002144494d00",
     "cubics seed 2 -d 3": "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45",
+    f"{FAILING_GUESS} -d 3": "3602a109a9e1198c709106a700c6ac54919d46c52101c131e81666357ee52219",
 }
 
 
@@ -49,6 +56,12 @@ def main() -> int:
             implicit("examples", *example, "-o", maps[name])
         maps["cubics seed 2"] = os.path.join(work, "cubics.json")
         write_map(2, maps["cubics seed 2"])
+        with open(maps["cubics seed 2"], encoding="utf-8") as handle:
+            cubics = json.load(handle)
+        cubics["images"][7] = cubics["images"][6]
+        maps[FAILING_GUESS] = os.path.join(work, "failing-guess.json")
+        with open(maps[FAILING_GUESS], "w", encoding="utf-8") as handle:
+            json.dump(cubics, handle)
         for run, pinned in PINNED.items():
             name, degree = run.split(" -d ")
             digest = hashlib.sha256(implicit("run", "--map", maps[name], "-d", degree)).hexdigest()

@@ -585,6 +585,24 @@ def generic_cubics_map(seed: int) -> RingMap:
     )
 
 
+def refuted_guess_maps() -> list[RingMap]:
+    """The seed-2 generic cubics with x7's image replaced by phi(x6), phi(x5) + phi(x6) or 2 phi(x4) - 3/7 phi(x5) + phi(x6).
+
+    Each map has one linear generator, and the shifts of it put a pivot of
+    level 3's full exact trim among the component's last 55 members, the
+    tail that the degree bound guesses independent: the kernel refutes the
+    guess. The last relation is dense, with four terms.
+    """
+    phi = generic_cubics_map(2)
+    images = phi.images
+    scaled = [Polynomial.constant(3, c) * f for c, f in ((2, images[4]), (Fraction(-3, 7), images[5]))]
+    lasts = (images[6], images[5] + images[6], scaled[0] + scaled[1] + images[6])
+    return [
+        RingMap([*images[:7], last], m=3, domain_names=phi.domain_names, codomain_names=phi.codomain_names)
+        for last in lasts
+    ]
+
+
 def dense_quartics_map(seed: int) -> RingMap:
     """Ten quartics in a, b, c, d, each over all 35 quartic monomials, integer coefficients in [-9, 9] (0 -> 1).
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import inspect
 import json
 import random
@@ -44,12 +45,17 @@ from support import (
     random_monomial_map,
     rational_quadrics_map,
     raw_lift_sources,
+    refuted_guess_maps,
     reference_beta,
     shared_levels,
     spy_certificates,
     sympy_oracle_check,
     unpacked,
 )
+
+
+# stdout of `implicit run -d 3` on refuted_guess_maps()[2]
+DENSE_RELATION_D3_SHA256 = "2f74b2e6aa7dca6af41cd020d37c0485335f8d03e7dda2b6e1364a6c879973ea"
 
 
 def pluecker_quadric(gr24):
@@ -177,6 +183,18 @@ def test_trim_pivot_cache_keeps_column_prefixes_apart():
     assert trim_basis((10, 11, 12), lifts, pivots, tail=1) == ([10, 12], 1)
     # the same rows and tail in a longer component leave a longer prefix
     assert trim_basis((10, 11, 12, 13), lifts, pivots, tail=2) == ([10, 12, 13], 1)
+
+
+def test_trim_pivot_cache_keeps_primes_apart():
+    # 3 x10 + x11 leads at x10 over Q but at x11 mod 3: one cache holds the
+    # pivots of each kind, and each trim gets its own
+    lifts = [((10, 11), (3, 1), (0,))]
+    pivots: dict = {}
+    assert trim_basis((10, 11, 12), lifts, pivots, 3) == ([10, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, pivots) == ([11, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, pivots, 5) == ([11, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, pivots, 3) == ([10, 12], 1)
+    assert len(pivots) == 3
 
 
 def test_reduced_lift_sources_trim_like_raw_generators(gr25):
@@ -317,11 +335,10 @@ def test_component_no_certificate_can_pass_skips_it(monkeypatch):
 
 
 def test_failed_tail_guess_falls_back(monkeypatch):
-    # x7 -> phi(x6), or phi(x5) + phi(x6), puts a lift row of x6 - x7 (or
-    # x5 + x6 - x7) on the guessed tail of level 3: the cut trim misses its
-    # pivot, a kernel vector lives on the tail alone, and the component is
-    # settled again as if no guess had been made
-    images = generic_cubics_map(2).images
+    # a linear generator (x6 - x7, x5 + x6 - x7, or a dense one) puts a lift
+    # row's pivot on the guessed tail of level 3: the cut trim misses it, a
+    # kernel vector lives on the tail alone, and the component gets exactly
+    # one more pass, an exact trim with no tail and its solve, with no mod-p work
     trims = []
     trim = engine.trim_basis
 
@@ -331,13 +348,16 @@ def test_failed_tail_guess_falls_back(monkeypatch):
         return trim(basis, lifts, pivots, prime, tail)
 
     monkeypatch.setattr(engine, "trim_basis", spy_trim)
-    maps = [RingMap([*images[:7], last], m=3) for last in (images[6], images[5] + images[6])]
+    calls = spy_levels(monkeypatch, "rank_mod_p", "certify_no_generators")
+    maps = refuted_guess_maps()
     runs = {}
     for k, phi in enumerate(maps):
         for prime in (3, DEFAULT_PRIME, None):
-            trims.clear()
+            for spied in (trims, *calls.values()):
+                spied.clear()
             runs[k, prime] = run_summary(phi, 3, prime)
-            assert trims[0] == 55 and len(trims) == 2, prime  # the guess, then the fallback
+            assert trims == [55, 0], prime  # the guess, then the pass with no tail
+            assert 3 not in calls["rank_mod_p"] + calls["certify_no_generators"], prime
             assert Counter(g.weighted_degree for g in runs[k, prime][0]) == {1: 1, 3: 29}
         assert sympy_oracle_check(phi, components_of_kernel(phi, 3), 3) == {1: 1, 3: 29}
     # the same generators and level counts as runs that make no guess
@@ -346,11 +366,26 @@ def test_failed_tail_guess_falls_back(monkeypatch):
         assert run_summary(maps[k], 3, prime) == summary, prime
 
 
+def test_refuted_dense_relation_keeps_the_output(tmp_path, monkeypatch, capsys):
+    # the stdout of the dense relation's map is pinned, and the same when the
+    # degree bound is off and no tail is guessed
+    path = tmp_path / "dense.map"
+    path.write_text(emit_map_text(refuted_guess_maps()[2]), encoding="utf-8")
+
+    def stdout():
+        assert cli.main(["run", "--map", str(path), "-d", "3"]) == 0
+        return capsys.readouterr().out
+
+    out = stdout()
+    assert hashlib.sha256(out.encode()).hexdigest() == DENSE_RELATION_D3_SHA256
+    monkeypatch.setattr(engine, "image_degrees", lambda phi: None)
+    assert stdout() == out
+
+
 def test_a_run_leaves_no_reference_cycles():
-    # the CLI turns the cyclic collector off, so a run, a rejected tail guess
-    # and its second settle included, must free everything by reference counts
-    images = generic_cubics_map(2).images
-    phi = RingMap([*images[:7], images[6]], m=3)
+    # the CLI turns the cyclic collector off, so a run, a refuted tail guess
+    # and its second pass included, must free everything by reference counts
+    phi = refuted_guess_maps()[0]
     gc.disable()
     try:
         gc.collect()
