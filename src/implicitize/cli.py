@@ -23,7 +23,9 @@ trimming or screening (`certified_by_symmetry` in the report); otherwise
 every member is solved exactly. `--no-prescreen` turns the screen off, by
 passing the engine `prime=None` in place of `--prime`, and solves every
 orbit representative, and every member that has generators, exactly; it
-changes where the time goes, never the output.
+changes where the time goes, never the output. A component of one monomial
+with no zero-image variable has no generators and is counted certified in
+bulk (`skipped_matroid`) at every setting, `--no-prescreen` included.
 The `--report` JSON echoes the options as given, and gives each level's
 seconds per stage (enumerate, orbits, trim, certify, assemble, kernel,
 verify) and the process's own peak resident set size, `peak_rss_mb`, where
@@ -57,7 +59,7 @@ from .fixtures import (
 )
 from .grading import NoPositiveWeightError
 from .linalg import is_prime
-from .mapfile import MapParseError, emit_map_json, emit_map_text, parse_map, parse_map_file
+from .mapfile import MapParseError, emit_map_json, emit_map_text, json_terms, parse_map, parse_map_file
 from .polyring import DEFAULT_PRIME, RingMap, format_polynomial, unlimited_int_digits
 
 
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     run.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="prime for mod-p work")
     run.add_argument(
-        "--no-prescreen", action="store_true", help="unscreened: solve exactly what symmetry leaves"
+        "--no-prescreen", action="store_true", help="no mod-p work; lone components still count in bulk"
     )
     run.add_argument("--output", choices=("text", "json"), default="text")
     run.add_argument("--grading-out", help="write the grading matrix to this path")
@@ -114,20 +116,15 @@ def _generators_text(result: GeneratorSet, phi: RingMap) -> str:
 
 
 def _generators_json(result: GeneratorSet, phi: RingMap, max_degree: int) -> str:
-    gens = []
-    for gen in result.generators:
-        terms = []
-        for mono, coeff in gen.poly.sorted_terms():
-            exps = {phi.domain_names[i]: e for i, e in mono.exps}
-            terms.append([coeff.numerator, coeff.denominator, exps])
-        gens.append(
-            {
-                "degree": gen.weighted_degree,
-                "multidegree": list(gen.beta),
-                "text": format_polynomial(gen.poly, phi.domain_names),
-                "terms": terms,
-            }
-        )
+    gens = [
+        {
+            "degree": gen.weighted_degree,
+            "multidegree": list(gen.beta),
+            "text": format_polynomial(gen.poly, phi.domain_names),
+            "terms": json_terms(gen.poly, phi.domain_names),
+        }
+        for gen in result.generators
+    ]
     payload = {
         "max_degree": max_degree,
         "generator_count": len(result.generators),

@@ -16,11 +16,11 @@ and returns its status, the `LevelStats` count the level loop tallies it in
 by its orbit (`certified_by_symmetry`) or `solved`: its exact kernel ran,
 also on no column, so `solved` counts the exact kernels.
 
-With a `prime` (`prime=None` runs no mod-p work at all), a component of
-one monomial with no zero-image variable never reaches `settle`: its image
-is a product of nonzero images, and no lift lands on it, so it is counted
-certified in bulk, with no call, timer or member tuple. A level pays per
-orbit and per real certificate, not per component.
+At every setting of `prime`, None included, a component of one monomial
+with no zero-image variable never reaches `settle`: its image is a product
+of nonzero images, and no lift lands on it, so it has no generator and is
+counted certified in bulk, with no call, timer or member tuple. A level pays
+per orbit and per real certificate, not per component.
 
 A symmetry x_i -> +-x_sigma(i) with phi o sigma = tau o phi maps ker phi onto
 itself and, when it fixes the positive weight, the ideal of the lower-degree
@@ -482,9 +482,9 @@ def components_of_kernel(
     it. Raises NoPositiveWeightError when no positive weight exists. `prime`
     is the one switch: the modulus of the mod-p trim and the certificate,
     checked with `is_prime`, or None for none of that modular work, so that
-    every orbit representative, and every member of an orbit whose
-    representative has new generators, is solved exactly; the other members
-    are still settled by symmetry. No setting changes the output.
+    every component is solved exactly except the lone ones counted in bulk
+    and the orbit members settled by symmetry, which both happen at every
+    setting. No setting changes the output.
     """
     if max_degree < 1:
         raise ValueError("degree bound must be >= 1")
@@ -582,9 +582,7 @@ def components_of_kernel(
         stages = dict.fromkeys(STAGES, 0.0)
         level = levels[degree] = enumerate_level(grading, degree, packing, grouped=grouped)
         now = lap("enumerate", started)
-        # the components of more than one member: orbits key them, and the
-        # certificate works on them when no variable has a zero image
-        multiple = level.multiple() if moves or (prime and not zero) else None
+        multiple = level.multiple()  # the components of more than one member, which orbits key
         first = orbits(level, multiple, moves, group) if moves else {}
         now = lap("orbits", now)
         index = push_index(sources, level, levels)
@@ -597,18 +595,15 @@ def components_of_kernel(
         unsettled: dict[int, int] = {}
         ckeys = level.ckeys
         tally = dict.fromkeys((*STATUSES, "certified_by_leading_terms"), 0)
-        work: Sequence[int] = range(len(ckeys))
-        if prime:
-            # a lone monomial with no zero-image variable has a nonzero image,
-            # and no lift lands on it: a lift row with two or more terms lands
-            # on as many monomials of one component, and a one-term row lies in
-            # the kernel, so it has a zero-image variable, and so do its shifts
+        # a lone monomial with no zero-image variable has a nonzero image, and
+        # no lift lands on it: a lift row with two or more terms lands on as
+        # many monomials of one component, and a one-term row lies in the
+        # kernel, so it has a zero-image variable, and so do its shifts
+        work: Sequence[int] = multiple
+        if zero:
             keys, starts = level.keys, level.starts
-            if zero:
-                work = [k for k, size in enumerate(level.sizes()) if size > 1 or keys[starts[k]] & zero]
-            else:
-                work = multiple
-            tally["skipped_matroid"] = len(ckeys) - len(work)
+            work = [k for k, size in enumerate(level.sizes()) if size > 1 or keys[starts[k]] & zero]
+        tally["skipped_matroid"] = len(ckeys) - len(work)
         for k in work:
             tally[settle(k)] += 1
         del first, unsettled

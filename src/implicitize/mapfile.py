@@ -202,18 +202,19 @@ def parse_map_json(text: str) -> RingMap:
     return _ring_map(images, domain, codomain, symmetries)
 
 
+def json_terms(poly: Polynomial, names: Sequence[str]) -> list:
+    """The JSON term list of `poly`: `[numerator, denominator, {name: exponent}]` per term, sorted."""
+    return [
+        [coeff.numerator, coeff.denominator, {names[i]: e for i, e in mono.exps}]
+        for mono, coeff in poly.sorted_terms()
+    ]
+
+
 def emit_map_json(phi: RingMap) -> str:
-    images = []
-    for image in phi.images:
-        terms = []
-        for mono, coeff in image.sorted_terms():
-            exps = {phi.codomain_names[i]: e for i, e in mono.exps}
-            terms.append([coeff.numerator, coeff.denominator, exps])
-        images.append(terms)
     payload = {
         "domain_vars": phi.domain_names,
         "codomain_vars": phi.codomain_names,
-        "images": images,
+        "images": [json_terms(image, phi.codomain_names) for image in phi.images],
     }
     if phi.symmetries:
         payload["symmetries"] = [

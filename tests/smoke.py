@@ -1,4 +1,4 @@
-"""Smoke check of `implicit run`: the stdout sha256 of four pinned runs.
+"""Smoke check of `implicit run`: the stdout sha256 of five pinned runs.
 
     python3 tests/smoke.py
 
@@ -7,10 +7,13 @@ dependency is installed. It runs `python -m implicitize`, with this
 checkout's `src/` and the interpreter that runs the script, on the 4-sunlet
 K3P at `-d 3`, Gr(2,8) at `-d 4`, the seed-2 generic cubics of
 `perfbench/gen_cubics.py` at `-d 3`, and the same cubics with x7's image
-replaced by x6's at `-d 3`, and compares each stdout's sha256 with its
-pinned value. The last map has the linear generator x6 - x7, whose shifts
-refute the engine's guessed tail at level 3, so it runs the one-pass
-fallback. Exits 0 when all four match, 1 otherwise.
+replaced by x6's at `-d 3`, and the 4-sunlet once more with
+`--no-prescreen`, and compares each stdout's sha256 with its pinned value.
+The fourth map has the linear generator x6 - x7, whose shifts refute the
+engine's guessed tail at level 3, so it runs the one-pass fallback. The
+last run takes the engine's `prime=None` path, with no modular work, and
+must print what the default prime prints. Exits 0 when all five match, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ PINNED = {
     "grassmannian 8 -d 4": "95a45dd6261b016cab772d3a9d21c97883a95384a9658401bac2002144494d00",
     "cubics seed 2 -d 3": "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45",
     f"{FAILING_GUESS} -d 3": "3602a109a9e1198c709106a700c6ac54919d46c52101c131e81666357ee52219",
+    "sunlet-k3p -d 3 --no-prescreen": "36ebbe60cf4b6736a199b162a4e1530b9fd6f1ece66d1cd58effc8e5a5d6d100",
 }
 
 
@@ -63,8 +67,8 @@ def main() -> int:
         with open(maps[FAILING_GUESS], "w", encoding="utf-8") as handle:
             json.dump(cubics, handle)
         for run, pinned in PINNED.items():
-            name, degree = run.split(" -d ")
-            digest = hashlib.sha256(implicit("run", "--map", maps[name], "-d", degree)).hexdigest()
+            name, flags = run.split(" -d ")  # the degree, then any further flags
+            digest = hashlib.sha256(implicit("run", "--map", maps[name], "-d", *flags.split())).hexdigest()
             verdict = "ok" if digest == pinned else f"FAILED (pinned {pinned})"
             failed += digest != pinned
             print(f"{run}: {digest} {verdict}")

@@ -152,8 +152,9 @@ def reference_keys(grading: GradingMatrix, degree: int, packing: MonomialPacking
 def bulk_certified(phi: RingMap, top: int) -> list[tuple[int, int]]:
     """(weighted degree, packed key) of every one-monomial component, up to `top`, with no zero-image variable.
 
-    These are the components that a run with the certificate on certifies in
-    one count, with no certificate call; keys are those of `shared_levels`.
+    These are the components that a run certifies in one count, at every
+    prime and with `prime=None`, with no certificate call; keys are those of
+    `shared_levels`.
     """
     zero = {i for i, f in enumerate(phi.images) if not f}
     return [

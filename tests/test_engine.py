@@ -553,19 +553,27 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
 
 
 def test_prescreen_off_same_output(gr24, gr25, cusp, monkeypatch):
-    # `prime` is the one switch: None runs no mod-p trim and no certificate
+    # `prime` is the one switch: None runs no mod-p trim and no certificate,
+    # but still counts the lone components in bulk and solves the rest
     parameters = inspect.signature(components_of_kernel).parameters.values()
     assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == ["prime"]
-    calls = spy_certificates(monkeypatch)
+    calls = spy_levels(monkeypatch, "rank_mod_p", "certify_no_generators")
     for phi, options in ((gr24, {}), (gr25, {"prime": 101}), (cusp, {})):
         base = components_of_kernel(phi, 3, **options)
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         off = components_of_kernel(phi, 3, prime=None)
         assert [(g.poly, g.beta) for g in base.generators] == [
             (g.poly, g.beta) for g in off.generators
         ]
-        assert all(stats.solved == stats.components for stats in off.level_stats)
-        assert calls == []
+        lone = Counter(degree for degree, _ in bulk_certified(phi, 3))  # from the levels alone
+        assert not phi.symmetries
+        for stats in off.level_stats:
+            assert stats.skipped_matroid == lone[stats.weighted_degree]
+            assert stats.solved == stats.components - stats.skipped_matroid
+            assert stats.skipped_prescreen == stats.certified_by_symmetry == 0
+            assert stats.certified_by_leading_terms == 0
+        assert calls == {"rank_mod_p": [], "certify_no_generators": []}
 
 
 def test_small_prime_still_exact(gr24):

@@ -38,7 +38,7 @@ def test_skipped_components_truly_trivial(gr24, gr25, cusp, monkeypatch):
         for _ in range(3)
     ]
     lone = unit_free = 0
-    for prime in (3, 5, 7, 101, DEFAULT_PRIME):
+    for prime in (3, 5, 7, 101, DEFAULT_PRIME, None):  # None: the bulk count, with no certificate
         certified = 0
         for phi, degree in maps:
             calls.clear()
