@@ -48,11 +48,13 @@ multidegree. Trimming runs whenever lower-degree generators exist: without it
 the kernel would also hold their multiples, which are not minimal. Trimming
 at level i reads only generators from levels < i, through a push index that
 files their shifts under the components they land on, so components within a
-level never interact. When a level is done, its generators become lift
-sources once: per (weighted degree, beta), the reduced row echelon basis of
-their coefficient rows (`lift_sources`), which spans what they span with
-distinct leading monomials, so the trim's elimination has far fewer
-collisions. Emitted generators are untouched.
+level never interact. A solved component is finished where it is solved:
+its generators are sorted and appended to the run's, and below the degree
+bound they also become lift sources, the reduced row echelon basis of their
+coefficient rows (`lift_sources`), which spans what they span with distinct
+leading monomials, so the trim's elimination has far fewer collisions.
+Components are settled in canonical beta order, so appending keeps the
+run's order. Emitted generators are untouched.
 
 The certificate proves the images psi^alpha of c columns independent
 (`certify_no_generators`): exactly, when their leading monomials under one of
@@ -102,7 +104,8 @@ one pivot cache, keyed by the prime (None for exact), the rows and the
 column prefix eliminated, so a guessed prefix's pivots answer no other trim.
 No prime changes the output, and nothing is random. Each kernel vector is
 verified on the images and the packed beta (`_verify_generator`). A
-component leaves behind only its generators and its status.
+component leaves behind only its generators, their lift sources and its
+status.
 """
 
 from __future__ import annotations
@@ -169,29 +172,21 @@ class LiftSource(NamedTuple):
     coeffs: tuple[int, ...]
 
 
-def lift_sources(generators: list[Generator], packing: MonomialPacking) -> list[LiftSource]:
-    """The generators as lift sources: per (weighted degree, beta), a reduced basis of their span.
+def lift_sources(degree: int, columns: list[int], rows: list[list[int]]) -> list[LiftSource]:
+    """A component's generators as lift sources: the reduced basis of their span.
 
-    A group's coefficient rows, over its monomials in component order
-    (graded-lex descending), are replaced by their reduced row echelon basis
-    (`reduced_echelon`). Shifting by a monomial keeps that order, so the lift
-    rows of a component span what the generators' shifts span, and trimming
-    keeps its pivot columns; but the rows now have distinct leading columns,
-    so far fewer of them collide during the elimination. A lone generator is
-    its own basis. Emitted generators are untouched.
+    `rows` are the generators' primitive coefficients over the packed
+    `columns`, graded-lex descending, and are replaced by their reduced row
+    echelon basis (`reduced_echelon`). Shifting by a monomial keeps that
+    order, so the lift rows of a component span what the generators' shifts
+    span, and trimming keeps its pivot columns; but the rows now have
+    distinct leading columns, so far fewer of them collide during the
+    elimination. A lone generator is its own basis.
     """
-    groups: dict[tuple, list[Generator]] = {}
-    for g in generators:
-        groups.setdefault((g.weighted_degree, g.beta), []).append(g)
-    sources = []
-    for (degree, _), group in groups.items():
-        packed = [{packing.pack(m): c.numerator for m, c in g.poly.terms.items()} for g in group]
-        columns = sorted({m for terms in packed for m in terms}, reverse=True)
-        position = {m: j for j, m in enumerate(columns)}
-        rows = [{position[m]: c for m, c in terms.items()} for terms in packed]
-        for _, row in reduced_echelon(rows, len(columns)):
-            sources.append(LiftSource(degree, tuple(columns[j] for j in row), tuple(row.values())))
-    return sources
+    return [
+        LiftSource(degree, tuple(columns[j] for j in row), tuple(row.values()))
+        for _, row in reduced_echelon(rows, len(columns))
+    ]
 
 
 def push_index(sources: list[LiftSource], level: DegreeLevel, levels: dict) -> dict:
@@ -517,9 +512,11 @@ def components_of_kernel(
         return now
 
     def settle(k: int) -> str:
-        """Settle component k of the current level; its generators join `new_generators`.
+        """Settle component k of the current level, to the end.
 
-        A refuted tail costs one more exact pass, with no tail and no mod-p work.
+        Its generators are sorted and appended to `generators` and, below the
+        degree bound, their reduced basis to `sources`. A refuted tail costs
+        one more exact pass, with no tail and no mod-p work.
         """
         key = ckeys[k]
         rep = first.get(key, key)
@@ -569,12 +566,22 @@ def components_of_kernel(
         if (found or rep != key) and unsettled.setdefault(rep, found) != found:
             raise EngineInvariantError(f"orbit members of {packing.beta(key)} differ in new generators")
         scales = [prod(images.denominators[i] ** e for i, e in alpha) for alpha in alphas]
+        polys, coefficients = [], []
         for vec in vectors:
             _verify_generator(expanded, vec, columns, key, packing)
             coeffs = normalize_primitive([v * d for v, d in zip(vec, scales)])
-            poly = Polynomial(phi.n, {packing.monomial(c): v for c, v in zip(columns, coeffs) if v})
-            new_generators.append(Generator(poly, packing.beta(key), degree))
-        lap("verify", now)
+            coefficients.append(coeffs)
+            polys.append(Polynomial(phi.n, {packing.monomial(c): v for c, v in zip(columns, coeffs) if v}))
+        polys.sort(
+            key=lambda f: (grlex_key(f.leading()[0]), sorted((m.exps, str(c)) for m, c in f.terms.items()))
+        )
+        if polys:  # a tuple beta is decoded only for a component with generators
+            beta = packing.beta(key)
+            generators.extend(Generator(f, beta, degree) for f in polys)
+        now = lap("verify", now)
+        if degree < max_degree:
+            sources.extend(lift_sources(degree, columns, coefficients))
+            lap("trim", now)
         return "solved"
 
     for degree in range(1, max_degree + 1):
@@ -588,7 +595,7 @@ def components_of_kernel(
         index = push_index(sources, level, levels)
         lap("trim", now)
         pivots: dict = {}  # trim_basis's, for this level, exact and mod p
-        new_generators: list[Generator] = []
+        before = len(generators)
         # an orbit's first member settles it when it has no new generators;
         # otherwise every member goes straight to its own exact solve, which
         # must find as many generators
@@ -604,30 +611,18 @@ def components_of_kernel(
             keys, starts = level.keys, level.starts
             work = [k for k, size in enumerate(level.sizes()) if size > 1 or keys[starts[k]] & zero]
         tally["skipped_matroid"] = len(ckeys) - len(work)
-        for k in work:
-            tally[settle(k)] += 1
+        with unlimited_int_digits():  # settle's sort compares coefficients as decimals
+            for k in work:
+                tally[settle(k)] += 1
         del first, unsettled
         if sum(tally[status] for status in STATUSES) != len(ckeys):
             raise EngineInvariantError("component statuses do not reconcile")
-        with unlimited_int_digits():  # the sort compares coefficients as decimals
-            new_generators.sort(
-                key=lambda g: (
-                    g.beta,
-                    grlex_key(g.poly.leading()[0]),
-                    tuple(sorted((m.exps, str(c)) for m, c in g.poly.terms.items())),
-                )
-            )
-        generators.extend(new_generators)
-        if degree < max_degree:
-            now = time.perf_counter()
-            sources.extend(lift_sources(new_generators, packing))
-            lap("trim", now)
         level_stats.append(
             LevelStats(
                 weighted_degree=degree,
                 monomials=level.monomial_count,
                 components=len(ckeys),
-                generators=len(new_generators),
+                generators=len(generators) - before,
                 seconds=time.perf_counter() - started,
                 stage_seconds=stages,
                 **tally,

@@ -1,4 +1,4 @@
-"""Smoke check of `implicit run`: the stdout sha256 of five pinned runs.
+"""Smoke check of `implicit run`: the stdout sha256 of six pinned runs.
 
     python3 tests/smoke.py
 
@@ -6,14 +6,16 @@ Standard library only, so it runs on a bare interpreter before any test
 dependency is installed. It runs `python -m implicitize`, with this
 checkout's `src/` and the interpreter that runs the script, on the 4-sunlet
 K3P at `-d 3`, Gr(2,8) at `-d 4`, the seed-2 generic cubics of
-`perfbench/gen_cubics.py` at `-d 3`, and the same cubics with x7's image
-replaced by x6's at `-d 3`, and the 4-sunlet once more with
+`perfbench/gen_cubics.py` at `-d 3` and at `-d 4`, the same cubics with
+x7's image replaced by x6's at `-d 3`, and the 4-sunlet once more with
 `--no-prescreen`, and compares each stdout's sha256 with its pinned value.
-The fourth map has the linear generator x6 - x7, whose shifts refute the
-engine's guessed tail at level 3, so it runs the one-pass fallback. The
-last run takes the engine's `prime=None` path, with no modular work, and
-must print what the default prime prints. Exits 0 when all five match, 1
-otherwise.
+The cubics have no generator of degree 4, so both of their runs print the
+same; the `-d 4` run's top level trims against lift sources built at two
+lower levels. The fifth map has the linear generator x6 - x7, whose shifts
+refute the engine's guessed tail at level 3, so it runs the one-pass
+fallback. The last run takes the engine's `prime=None` path, with no
+modular work, and must print what the default prime prints. Exits 0 when
+all six match, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ PINNED = {
     "sunlet-k3p -d 3": "36ebbe60cf4b6736a199b162a4e1530b9fd6f1ece66d1cd58effc8e5a5d6d100",
     "grassmannian 8 -d 4": "95a45dd6261b016cab772d3a9d21c97883a95384a9658401bac2002144494d00",
     "cubics seed 2 -d 3": "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45",
+    "cubics seed 2 -d 4": "b753b42dfcdf227af5cb80127555d55884427f1a8e10558dafae57d8fb29fe45",
     f"{FAILING_GUESS} -d 3": "3602a109a9e1198c709106a700c6ac54919d46c52101c131e81666357ee52219",
     "sunlet-k3p -d 3 --no-prescreen": "36ebbe60cf4b6736a199b162a4e1530b9fd6f1ece66d1cd58effc8e5a5d6d100",
 }

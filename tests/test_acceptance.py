@@ -17,7 +17,7 @@ from implicitize import (
     enumerate_level,
     grading_for_map,
 )
-from implicitize.engine import lift_sources, push_index, trim_basis
+from implicitize.engine import push_index, trim_basis
 from implicitize.linalg import nullspace_primitive
 from implicitize.mapfile import emit_map_json
 
@@ -32,6 +32,7 @@ from support import (
     poly_by_names,
     random_monomial_map,
     rational_quadrics_map,
+    raw_lift_sources,
     reference_beta,
     ring_laws_suite,
     run_cli,
@@ -122,7 +123,7 @@ def test_criterion_4_trim_golden(gr24):
         run = components_of_kernel(gr24, 2)
         levels = shared_levels(grading, 3)
         beta, basis = _component_by_reference(levels[3], (3, 1, 1, 2, -1))
-        sources = lift_sources(run.generators, levels[3].packing)
+        sources = raw_lift_sources(run.generators, levels[3].packing)
         columns, lift_rank = trim_basis(basis, push_index(sources, levels[3], levels)[beta], {})
         assert lift_rank == 1
         assert len(basis) - len(columns) == 1

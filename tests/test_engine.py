@@ -4,6 +4,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -24,8 +25,8 @@ from implicitize import (
 from implicitize import cli, engine
 from implicitize.engine import (
     EngineInvariantError,
+    LiftSource,
     component_rows,
-    lift_sources,
     push_index,
     trim_basis,
 )
@@ -38,6 +39,7 @@ from support import (
     GR24_QUADRIC_COMPONENT,
     assembled_rows,
     bulk_certified,
+    cleared,
     counts_by_degree,
     generic_cubics_map,
     mono_by_names,
@@ -50,6 +52,7 @@ from support import (
     shared_levels,
     spy_certificates,
     sympy_oracle_check,
+    sympy_rref_and_nullspace,
     unpacked,
 )
 
@@ -114,7 +117,7 @@ def test_trim_cubic_component(gr24):
         mono_by_names(gr24, {"p13": 1, "p24": 1, "p34": 1}),
         mono_by_names(gr24, {"p23": 1, "p14": 1, "p34": 1}),
     ]
-    lifts = push_index(lift_sources(run.generators, levels[3].packing), levels[3], levels)[beta]
+    lifts = push_index(raw_lift_sources(run.generators, levels[3].packing), levels[3], levels)[beta]
     assert [len(gammas) for _, _, gammas in lifts] == [1]  # p34 * quadric
     columns, lift_rank = trim_basis(basis, lifts, {})
     assert lift_rank == 1
@@ -146,7 +149,7 @@ def test_trim_without_compatible_degrees(cusp):
     # covers beta (6,), so a mismatched beta keeps the full basis
     level3 = levels[3]
     (beta3, basis3), = level3.components.items()
-    index = push_index(lift_sources(run.generators, level3.packing), level3, levels)
+    index = push_index(raw_lift_sources(run.generators, level3.packing), level3, levels)
     assert list(index) == [beta3]
     columns, lift_rank = trim_basis(basis3, index.get(beta3 + 1, []), {})
     assert lift_rank == 0 and columns == list(basis3)
@@ -155,7 +158,7 @@ def test_trim_without_compatible_degrees(cusp):
     # levels enumerated with different packings cannot be combined
     mixed = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
     with pytest.raises(ValueError):
-        push_index(lift_sources(run.generators, mixed[3].packing), mixed[3], mixed)
+        push_index(raw_lift_sources(run.generators, mixed[3].packing), mixed[3], mixed)
 
 
 def test_trim_pivot_cache_matches_fresh_elimination(gr25):
@@ -165,7 +168,7 @@ def test_trim_pivot_cache_matches_fresh_elimination(gr25):
     levels = shared_levels(grading, 4)
     pivots: dict = {}
     for degree in (3, 4):
-        sources = lift_sources(run.generators, levels[degree].packing)
+        sources = raw_lift_sources(run.generators, levels[degree].packing)
         index = push_index(sources, levels[degree], levels)
         for beta, basis in levels[degree].components.items():
             lifts = index.get(beta, [])
@@ -197,15 +200,59 @@ def test_trim_pivot_cache_keeps_primes_apart():
     assert len(pivots) == 3
 
 
-def test_reduced_lift_sources_trim_like_raw_generators(gr25):
+def received_sources(monkeypatch, phi, top):
+    """The run of phi to `top`, and the lift sources `push_index` receives at each level, by degree."""
+    received = {}
+    push = engine.push_index
+
+    def spy(sources, level, levels):
+        received[level.weighted_degree] = list(sources)  # the run appends to its list
+        return push(sources, level, levels)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "push_index", spy)
+        run = components_of_kernel(phi, top)
+    return run, received
+
+
+def test_lift_sources_are_reduced_bases(gr25, monkeypatch):
+    # each level reads, for every (degree, beta) below it, the rational
+    # reduced row echelon basis of its generators over their monomials in
+    # component order, made primitive with a positive pivot (sympy's rref)
+    reduced_groups = 0
+    for phi, top in ((gr25, 4), (rational_quadrics_map(), 4), (generic_cubics_map(2), 4)):
+        run, received = received_sources(monkeypatch, phi, top)
+        packing = MonomialPacking(phi.n, top, run.grading.A)
+        groups: dict = {}
+        for g in run.generators:
+            groups.setdefault((g.weighted_degree, g.beta), []).append(g)
+        expected = []
+        for (degree, _), group in groups.items():
+            packed = [{packing.pack(m): c for m, c in g.poly.terms.items()} for g in group]
+            columns = sorted({m for terms in packed for m in terms}, reverse=True)
+            rows = [[terms.get(m, 0) for m in columns] for terms in packed]
+            rref, _ = sympy_rref_and_nullspace(rows, len(columns))
+            basis = [[v // math.gcd(*ints) for v in ints] for ints in (cleared(row) for _, row in rref)]
+            reduced_groups += basis != rows  # a lone generator is its own basis
+            for ints in basis:
+                monos = tuple(m for m, v in zip(columns, ints) if v)
+                expected.append(LiftSource(degree, monos, tuple(v for v in ints if v)))
+        assert sorted(received) == list(range(1, top + 1))
+        for degree, sources in received.items():
+            assert sources == [s for s in expected if s.weighted_degree < degree]
+    assert reduced_groups
+
+
+def test_reduced_lift_sources_trim_like_raw_generators(gr25, monkeypatch):
     # a reduced basis of each (degree, beta) group spans what its generators
     # span, so trimming keeps its columns and its lift rank
     reduced_groups = 0
     for phi, top in ((gr25, 4), (rational_quadrics_map(), 4), (generic_cubics_map(2), 3)):
-        run = components_of_kernel(phi, top)
+        run, received = received_sources(monkeypatch, phi, top)
         levels = shared_levels(grading_for_map(phi), top)
         packing = levels[1].packing
-        reduced, raw = lift_sources(run.generators, packing), raw_lift_sources(run.generators, packing)
+        below = [g for g in run.generators if g.weighted_degree < top]
+        reduced, raw = received[top], raw_lift_sources(below, packing)
         assert len(reduced) == len(raw)
         reduced_groups += reduced != raw
         for level in levels.values():
@@ -545,7 +592,7 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
         found = Counter((g.weighted_degree, g.beta) for g in run.generators)
         levels = shared_levels(grading_for_map(phi), 3)
         for degree, level in levels.items():
-            index = push_index(lift_sources(run.generators, level.packing), level, levels)
+            index = push_index(raw_lift_sources(run.generators, level.packing), level, levels)
             for key, basis in level.components.items():
                 _, lift_rank = trim_basis(basis, index.get(key, []), {})
                 full = nullspace_primitive(assembled_rows(phi, unpacked(level, basis)), len(basis))
@@ -658,7 +705,7 @@ def test_every_component_is_certified_or_solved(gr24, monkeypatch):
         for key, basis in level.components.items()
         for mono in basis
     }
-    sources = lift_sources(result.generators, levels[1].packing)
+    sources = raw_lift_sources(result.generators, levels[1].packing)
     indexes = {d: push_index(sources, level, levels) for d, level in levels.items()}
     found = Counter((g.weighted_degree, g.beta) for g in result.generators)
     certified: Counter = Counter()

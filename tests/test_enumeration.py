@@ -17,7 +17,7 @@ from implicitize import (
     enumerate_level,
     grading_for_map,
 )
-from implicitize.engine import lift_sources, push_index
+from implicitize.engine import push_index
 from implicitize.grading import GradingMatrix, NoPositiveWeightError
 from implicitize.polyring import grlex_key
 
@@ -26,6 +26,7 @@ from support import (
     grading_from_rows,
     mono_by_names,
     multidegree_of,
+    raw_lift_sources,
     reference_keys,
     shared_levels,
     unpacked,
@@ -63,7 +64,7 @@ def test_lookup_unknown_beta(gr24):
     grading = grading_for_map(gr24)
     levels = shared_levels(grading, 3)
     run = components_of_kernel(gr24, 2)
-    index = push_index(lift_sources(run.generators, levels[3].packing), levels[3], levels)
+    index = push_index(raw_lift_sources(run.generators, levels[3].packing), levels[3], levels)
     assert 0 not in levels[3].components  # beta = 0
     assert set(index) <= set(levels[3].components)
     assert sum(len(gammas) for lifts in index.values() for _, _, gammas in lifts) == 6
