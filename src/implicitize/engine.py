@@ -99,13 +99,10 @@ outside the tail are independent, the cut trim is exact, as a proven tail's
 always is; otherwise one more pass, an exact trim with no tail and its
 solve, settles the component, with no mod-p work. A component with no lift
 rows keeps every column and needs no guess. The guess runs at any `prime`,
-`None` included, and for orbit members too: it is exact work. A level has
-one pivot cache, keyed by the prime (None for exact), the rows and the
-column prefix eliminated, so a guessed prefix's pivots answer no other trim.
-No prime changes the output, and nothing is random. Each kernel vector is
-verified on the images and the packed beta (`_verify_generator`). A
-component leaves behind only its generators, their lift sources and its
-status.
+`None` included, and for orbit members too: it is exact work. No prime
+changes the output, and nothing is random. Each kernel vector is verified
+on the images and the packed beta (`_verify_generator`). A component leaves
+behind only its generators, their lift sources and its status.
 """
 
 from __future__ import annotations
@@ -320,7 +317,7 @@ def orbits(
 
 
 def trim_basis(
-    basis: tuple[int, ...], lifts: list, pivots: dict, prime: int | None = None, tail: int = 0
+    basis: tuple[int, ...], lifts: list, prime: int | None = None, tail: int = 0
 ) -> tuple[list[int], int]:
     """Columns of a component that can still support new minimal generators.
 
@@ -329,9 +326,7 @@ def trim_basis(
     lift rank). Generator coefficients are primitive integers, so the lift
     rows are too. With a `prime`, the pivot columns and the rank are those of
     the lift rows mod p (`rank_mod_p`): the mod-p trim that the certificate
-    reads first. `pivots` caches the pivot columns of lift rows, keyed by the
-    prime (None for exact), the columns the elimination reads and the rows'
-    coefficients and column positions (symmetric maps repeat them).
+    reads first.
 
     `tail` counts the last members of `basis` left out of the elimination,
     which gives the pivots of the column prefix before them. When the
@@ -344,28 +339,15 @@ def trim_basis(
         return list(basis), 0
     position = {mono: idx for idx, mono in enumerate(basis)}
     cut = len(basis) - tail
-    try:
-        lift_rows = tuple(
-            (coeffs, tuple([position[gamma + m] for gamma in gammas for m in monos]))
+    try:  # every shift is looked up, the tail's too, before the cut drops it
+        rows = [
+            {j: c for m, c in zip(monos, coeffs) if (j := position[gamma + m]) < cut}
             for monos, coeffs, gammas in lifts
-        )
+            for gamma in gammas
+        ]
     except KeyError as missing:
         raise EngineInvariantError(f"lift monomial {missing} escapes its component") from None
-    key = (prime, tail and cut, lift_rows)  # 0: the whole basis
-    taken = pivots.get(key)
-    if taken is None:
-        rows = (
-            dict(zip(cols[i : i + len(coeffs)], coeffs))
-            for coeffs, cols in lift_rows
-            for i in range(0, len(cols), len(coeffs))
-        )
-        if tail:
-            rows = ({j: v for j, v in row.items() if j < cut} for row in rows)
-        if prime:
-            taken = set(rank_mod_p(rows, prime))
-        else:
-            taken = {c for c, _ in echelon(rows, cut)}
-        pivots[key] = taken
+    taken = set(rank_mod_p(rows, prime)) if prime else {c for c, _ in echelon(rows, cut)}
     return [m for idx, m in enumerate(basis) if idx not in taken], len(taken)
 
 
@@ -532,7 +514,7 @@ def components_of_kernel(
             hopeless = reach < len(basis) - sum(len(gammas) for _, _, gammas in lifts)
         tail = reach if hopeless and lifts else 0  # the last members of basis with independent images
         if prime and rep == key and not hopeless:
-            screened, rank_p = trim_basis(basis, lifts, pivots, prime)
+            screened, rank_p = trim_basis(basis, lifts, prime)
             now = lap("trim", now)
             if not screened:  # rank mod p is every column, so the lift rows span it
                 return "skipped_prescreen"
@@ -547,7 +529,7 @@ def components_of_kernel(
                 tally["certified_by_leading_terms"] += expanded is None
                 return "skipped_prescreen" if rank_p else "skipped_matroid"
         for tail in (tail, 0):  # a refuted tail gets one more pass, with none
-            columns, _ = trim_basis(basis, lifts, pivots, tail=tail)
+            columns, _ = trim_basis(basis, lifts, tail=tail)
             now = lap("trim", now)
             alphas = [packing.pairs(c) for c in columns]
             if columns != screened:  # else the certificate expanded these columns' images
@@ -594,7 +576,6 @@ def components_of_kernel(
         now = lap("orbits", now)
         index = push_index(sources, level, levels)
         lap("trim", now)
-        pivots: dict = {}  # trim_basis's, for this level, exact and mod p
         before = len(generators)
         # an orbit's first member settles it when it has no new generators;
         # otherwise every member goes straight to its own exact solve, which

@@ -124,7 +124,7 @@ def test_criterion_4_trim_golden(gr24):
         levels = shared_levels(grading, 3)
         beta, basis = _component_by_reference(levels[3], (3, 1, 1, 2, -1))
         sources = raw_lift_sources(run.generators, levels[3].packing)
-        columns, lift_rank = trim_basis(basis, push_index(sources, levels[3], levels)[beta], {})
+        columns, lift_rank = trim_basis(basis, push_index(sources, levels[3], levels)[beta])
         assert lift_rank == 1
         assert len(basis) - len(columns) == 1
         columns = unpacked(levels[3], columns)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import random
@@ -52,6 +53,7 @@ from support import (
     shared_levels,
     spy_certificates,
     sympy_oracle_check,
+    sympy_pivots_mod_p,
     sympy_rref_and_nullspace,
     unpacked,
 )
@@ -119,7 +121,7 @@ def test_trim_cubic_component(gr24):
     ]
     lifts = push_index(raw_lift_sources(run.generators, levels[3].packing), levels[3], levels)[beta]
     assert [len(gammas) for _, _, gammas in lifts] == [1]  # p34 * quadric
-    columns, lift_rank = trim_basis(basis, lifts, {})
+    columns, lift_rank = trim_basis(basis, lifts)
     assert lift_rank == 1
     columns = unpacked(levels[3], columns)
     assert columns == [
@@ -137,7 +139,7 @@ def test_trim_with_no_generators(gr24):
     levels = shared_levels(grading, 2)
     beta, basis = next(iter(levels[2].components.items()))
     assert push_index([], levels[2], levels) == {}
-    columns, lift_rank = trim_basis(basis, [], {})
+    columns, lift_rank = trim_basis(basis, [])
     assert columns == list(basis) and lift_rank == 0
 
 
@@ -151,9 +153,9 @@ def test_trim_without_compatible_degrees(cusp):
     (beta3, basis3), = level3.components.items()
     index = push_index(raw_lift_sources(run.generators, level3.packing), level3, levels)
     assert list(index) == [beta3]
-    columns, lift_rank = trim_basis(basis3, index.get(beta3 + 1, []), {})
+    columns, lift_rank = trim_basis(basis3, index.get(beta3 + 1, []))
     assert lift_rank == 0 and columns == list(basis3)
-    columns, lift_rank = trim_basis(basis3, index[beta3], {})
+    columns, lift_rank = trim_basis(basis3, index[beta3])
     assert lift_rank == 3  # x*f, y*f, z*f are independent shifts
     # levels enumerated with different packings cannot be combined
     mixed = {d: enumerate_level(grading, d) for d in (1, 2, 3)}
@@ -161,43 +163,82 @@ def test_trim_without_compatible_degrees(cusp):
         push_index(raw_lift_sources(run.generators, mixed[3].packing), mixed[3], mixed)
 
 
-def test_trim_pivot_cache_matches_fresh_elimination(gr25):
-    # components of a symmetric map share lift rows; reusing their pivots changes nothing
-    grading = grading_for_map(gr25)
-    run = components_of_kernel(gr25, 2)
-    levels = shared_levels(grading, 4)
-    pivots: dict = {}
-    for degree in (3, 4):
-        sources = raw_lift_sources(run.generators, levels[degree].packing)
-        index = push_index(sources, levels[degree], levels)
-        for beta, basis in levels[degree].components.items():
-            lifts = index.get(beta, [])
-            assert trim_basis(basis, lifts, pivots) == trim_basis(basis, lifts, {})
-    assert 0 < len(pivots) < sum(1 for lifts in index.values() if lifts)
+def test_trim_matches_sympy_rref_of_shifted_generators(gr25):
+    # the lift rows of a component built with no push index: each lower-degree
+    # generator times each shift monomial, read in member order; the trim keeps
+    # the columns that are not pivots of their rref, with the tail's columns
+    # deleted, over Q and mod p
+    import sympy
+
+    checked = 0
+    # the quadrics' cubic generators have dense coefficients of up to 83 digits;
+    # their 35 lift rows over 70 members have rank 25, but 10 mod 3, and one
+    # exact rref of them takes most of a second, so they are cut at no tail
+    maps = ((gr25, 2, (3, 4), (0, 1, 2)), (rational_quadrics_map(), 3, (4,), (0,)))
+    for phi, below, degrees, tails in maps:
+        run = components_of_kernel(phi, below)
+        levels = shared_levels(grading_for_map(phi), degrees[-1])
+        for degree in degrees:
+            level = levels[degree]
+            index = push_index(raw_lift_sources(run.generators, level.packing), level, levels)
+            products = [
+                g.poly * Polynomial(phi.n, {Monomial((i, 1) for i in shift): 1})
+                for g in run.generators
+                for shift in itertools.combinations_with_replacement(range(phi.n), degree - g.weighted_degree)
+            ]
+            for key, basis in level.components.items():
+                members = unpacked(level, basis)
+                inside = set(members)
+                lifted = [f for f in products if inside.intersection(f.terms)]
+                assert all(inside.issuperset(f.terms) for f in lifted)
+                assert bool(lifted) == (key in index)
+                if not lifted:
+                    continue
+                rows = [[int(f.terms.get(m, 0)) for m in members] for f in lifted]
+                for tail in tails:
+                    cut = len(members) - tail
+                    kept = [row[:cut] for row in rows]
+                    for prime in (None, 3, DEFAULT_PRIME):
+                        if prime:
+                            pivots = sympy_pivots_mod_p(kept, cut, prime)
+                        else:
+                            pivots = list(sympy.Matrix(kept).rref()[1])
+                        expected = [b for j, b in enumerate(basis) if j not in pivots], len(pivots)
+                        assert trim_basis(basis, index[key], prime, tail) == expected, (degree, tail, prime)
+                checked += 1
+    assert checked == 161
 
 
-def test_trim_pivot_cache_keeps_column_prefixes_apart():
+def test_trim_pivot_keeps_column_prefixes_apart():
     # the lift row x11 - x12 has its pivot in a tail of two members: a trim cut
-    # there finds no pivot, and that must answer no trim of another prefix
+    # there finds no pivot, while a trim of a longer prefix finds it
     lifts = [((11, 12), (1, -1), (0,))]
-    pivots: dict = {}
-    assert trim_basis((10, 11, 12), lifts, pivots, tail=2) == ([10, 11, 12], 0)
-    assert trim_basis((10, 11, 12), lifts, pivots) == ([10, 12], 1)
-    assert trim_basis((10, 11, 12), lifts, pivots, tail=1) == ([10, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, tail=2) == ([10, 11, 12], 0)
+    assert trim_basis((10, 11, 12), lifts) == ([10, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, tail=1) == ([10, 12], 1)
     # the same rows and tail in a longer component leave a longer prefix
-    assert trim_basis((10, 11, 12, 13), lifts, pivots, tail=2) == ([10, 12, 13], 1)
+    assert trim_basis((10, 11, 12, 13), lifts, tail=2) == ([10, 12, 13], 1)
 
 
-def test_trim_pivot_cache_keeps_primes_apart():
-    # 3 x10 + x11 leads at x10 over Q but at x11 mod 3: one cache holds the
-    # pivots of each kind, and each trim gets its own
+def test_trim_pivot_keeps_primes_apart():
+    # 3 x10 + x11 leads at x10 over Q but at x11 mod 3
     lifts = [((10, 11), (3, 1), (0,))]
-    pivots: dict = {}
-    assert trim_basis((10, 11, 12), lifts, pivots, 3) == ([10, 12], 1)
-    assert trim_basis((10, 11, 12), lifts, pivots) == ([11, 12], 1)
-    assert trim_basis((10, 11, 12), lifts, pivots, 5) == ([11, 12], 1)
-    assert trim_basis((10, 11, 12), lifts, pivots, 3) == ([10, 12], 1)
-    assert len(pivots) == 3
+    assert trim_basis((10, 11, 12), lifts, 3) == ([10, 12], 1)
+    assert trim_basis((10, 11, 12), lifts) == ([11, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, 5) == ([11, 12], 1)
+    assert trim_basis((10, 11, 12), lifts, 3) == ([10, 12], 1)
+
+
+def test_trim_rejects_a_lift_that_escapes_its_component():
+    # every shift is looked up before the tail is cut: a lift monomial outside
+    # the basis is an engine fault, also mod p and where it would sort into the
+    # tail (9 lies below every member), never an entry to drop
+    basis = (12, 11, 10)
+    for lifts, stray in (([((12, 11), (1, -1), (0, -2))], 9), ([((12, 11), (1, -1), (1,))], 13)):
+        for prime in (None, 3):
+            for tail in (0, 1, 2):
+                with pytest.raises(EngineInvariantError, match=f"^lift monomial {stray} escapes its component$"):
+                    trim_basis(basis, lifts, prime, tail)
 
 
 def received_sources(monkeypatch, phi, top):
@@ -260,7 +301,7 @@ def test_reduced_lift_sources_trim_like_raw_generators(gr25, monkeypatch):
             assert index.keys() == raw_index.keys()
             for key, basis in level.components.items():
                 lifts, raw_lifts = index.get(key, []), raw_index.get(key, [])
-                assert trim_basis(basis, lifts, {}) == trim_basis(basis, raw_lifts, {})
+                assert trim_basis(basis, lifts) == trim_basis(basis, raw_lifts)
     assert reduced_groups == 2  # a lone Pluecker quadric is its own reduced basis
 
 
@@ -270,8 +311,8 @@ def test_fallback_under_small_primes(monkeypatch):
     events = []
     trim, kernel = engine.trim_basis, engine.nullspace_primitive
 
-    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
-        columns, rank = trim(basis, lifts, pivots, prime, tail)
+    def spy_trim(basis, lifts, prime=None, tail=0):
+        columns, rank = trim(basis, lifts, prime, tail)
         events.append(("trim", basis, prime, rank))
         return columns, rank
 
@@ -306,11 +347,11 @@ def test_trim_cut_at_the_tail_is_sound(monkeypatch):
     cut = []
     trim = engine.trim_basis
 
-    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
-        result = trim(basis, lifts, pivots, prime, tail)
+    def spy_trim(basis, lifts, prime=None, tail=0):
+        result = trim(basis, lifts, prime, tail)
         if tail:
             cut.append(tail)
-            assert result == trim(basis, lifts, {}, prime, tail) == trim(basis, lifts, {}, prime)
+            assert result == trim(basis, lifts, prime)
         return result
 
     monkeypatch.setattr(engine, "trim_basis", spy_trim)
@@ -389,10 +430,10 @@ def test_failed_tail_guess_falls_back(monkeypatch):
     trims = []
     trim = engine.trim_basis
 
-    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
+    def spy_trim(basis, lifts, prime=None, tail=0):
         if not prime and len(basis) == 120:
             trims.append(tail)
-        return trim(basis, lifts, pivots, prime, tail)
+        return trim(basis, lifts, prime, tail)
 
     monkeypatch.setattr(engine, "trim_basis", spy_trim)
     calls = spy_levels(monkeypatch, "rank_mod_p", "certify_no_generators")
@@ -594,7 +635,7 @@ def test_trim_off_kernel_dimension_identity(gr24, gr25, cusp):
         for degree, level in levels.items():
             index = push_index(raw_lift_sources(run.generators, level.packing), level, levels)
             for key, basis in level.components.items():
-                _, lift_rank = trim_basis(basis, index.get(key, []), {})
+                _, lift_rank = trim_basis(basis, index.get(key, []))
                 full = nullspace_primitive(assembled_rows(phi, unpacked(level, basis)), len(basis))
                 assert len(full) == found[degree, level.packing.beta(key)] + lift_rank
 
@@ -713,7 +754,7 @@ def test_every_component_is_certified_or_solved(gr24, monkeypatch):
         (degree, key), = {component_of[mono] for mono in columns}
         level = levels[degree]
         lifts = indexes[degree].get(key, [])
-        screened, rank_p = trim_basis(level.components[key], lifts, {}, DEFAULT_PRIME)
+        screened, rank_p = trim_basis(level.components[key], lifts, DEFAULT_PRIME)
         assert columns and tuple(screened) == columns
         if ok:
             certified[bool(rank_p)] += 1

@@ -109,10 +109,10 @@ def test_certificate_needs_as_many_rows_as_columns(monkeypatch):
     tails = []
     trim = engine.trim_basis
 
-    def spy_trim(basis, lifts, pivots, prime=None, tail=0):
+    def spy_trim(basis, lifts, prime=None, tail=0):
         if not prime:
             tails.append((len(basis), tail))
-        return trim(basis, lifts, pivots, prime, tail)
+        return trim(basis, lifts, prime, tail)
 
     monkeypatch.setattr(engine, "trim_basis", spy_trim)
     result = components_of_kernel(generic_cubics_map(2), 3)
