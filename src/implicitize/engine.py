@@ -66,16 +66,19 @@ W. Then r_p <= rank_Q(L) = dim U <= dim W, and a full-rank certificate on
 C_p gives W meet span(e_C_p) = 0, so dim W <= |P_p| = r_p. Hence U = W: the
 component has no new generators, for every prime, and no exact trim or
 matrix is needed. Only when that fails does the exact trim run, then the
-exact solve, which reuses the certificate's psi^alpha when its columns are
-C_p. When they differ, the component goes straight to the exact solve, so
+exact solve, which expands the images of the columns it keeps: the
+certificate hands it a verdict and a tail, nothing else. Whatever columns
+the exact trim keeps, the component goes straight to the exact solve, so
 each is certified at most once and a prime that drops the lift rank costs
 work, never an answer. An empty C_p means r_p is every column: the lift rows
 span the whole component, so U = W with no certificate (`skipped_prescreen`).
 
 A failed certificate still shortens the exact trim. Its elimination takes
 the columns smallest first, so the leading run of its pivots is a tail T:
-the last t columns of C_p, independent mod p and so over Q, with t capped so
-that T is also the last t members of the component. A kernel vector
+the last t columns of C_p, independent mod p and so over Q. The certificate
+caps t at the run of last members of the component that C_p kept, so that T
+is also the last t members of the component; the cap is 0 when C_p is the
+whole component, which has then no lift rows to trim. A kernel vector
 whose leading column lies in T is supported on T, so it is zero; every lift
 row, and every row of its echelon form, is a kernel vector, so no exact
 pivot lies in T. The pivots of a column prefix are the prefix of the
@@ -368,49 +371,54 @@ def component_rows(images: list[dict[int, int]]) -> list[dict[int, int]]:
 
 
 def certify_no_generators(
-    columns: list[int], images: IntegerImages, packing: MonomialPacking, prime: int, trailing: int = 0
-) -> tuple[bool, list[dict[int, int]] | None, int]:
-    """(certified, images, tail): True proves that the packed `columns` have independent images.
+    columns: list[int], basis: tuple[int, ...], images: IntegerImages, packing: MonomialPacking, prime: int
+) -> tuple[bool, bool, int]:
+    """(certified, by leading terms, tail): True proves that the packed `columns` have independent images.
 
-    `packing` is the `MonomialPacking(phi.n, bound)` of `images`. Leading terms
-    come first, with no expansion: under a monomial order, the leading
+    `columns` are what the mod-p trim kept of the component's `basis`, and
+    `packing` is the `MonomialPacking(phi.n, bound)` of `images`. Leading
+    terms come first, with no expansion: under a monomial order, the leading
     monomial of psi^alpha is sum_i alpha_i LM(psi_i), with a nonzero
     coefficient, so c columns whose leading monomials are pairwise distinct
     under one of `images.leading_keys()`'s orders have independent images
-    over Q, whatever the prime (returned images None). A lone column is the
-    one-column case. Columns that touch a variable with zero image are not
-    tried. Otherwise the c images psi^alpha = d^alpha phi(x^alpha) are
-    expanded, and returned for the exact solve, as R x c rows
-    (`component_rows`). With d^alpha > 0 they have the rank of the
-    component's coefficient matrix, and rank only drops from Q to GF(p), so
-    rank c mod p proves a trivial kernel at every prime, dividing a
-    denominator or not.
+    over Q, whatever the prime. A lone column is the one-column case.
+    Columns that touch a variable with zero image are not tried. Otherwise
+    the c images psi^alpha = d^alpha phi(x^alpha) are expanded as R x c rows
+    (`component_rows`) and dropped after the verdict. With d^alpha > 0 they
+    have the rank of the component's coefficient matrix, and rank only drops
+    from Q to GF(p), so rank c mod p proves a trivial kernel at every prime,
+    dividing a denominator or not.
 
-    `tail` is how many of the last `trailing` columns are proven
-    independent: all of them on success. The elimination takes the columns
-    last first, which leaves the rank unchanged; when it falls short, the
-    leading run 0, 1, ..., t - 1 of its pivots shows the last t columns
-    independent mod p, and so over Q. R < c rows cannot reach rank c, so
-    they are eliminated only for the tail, when `trailing` asks for one.
+    `tail` is how many of the last columns are proven independent, capped at
+    the common suffix of `columns` and `basis`, since an exact trim can only
+    cut a tail of last members of `basis`: the whole cap on success. The cap
+    is 0 when the two have the same length, for then the component has no
+    lift rows: a lift row is primitive and nonzero, so it is nonzero mod p
+    and the mod-p trim takes at least one column for it. The elimination takes
+    the columns last first, which leaves the rank unchanged; when it falls
+    short, the leading run 0, 1, ..., t - 1 of its pivots shows the last t
+    columns independent mod p, and so over Q. R < c rows cannot reach rank
+    c, so they are eliminated only for the tail, when the cap allows one.
     """
     c = len(columns)
+    shared = zip(reversed(basis), reversed(columns))  # the last members of basis the trim kept
+    cap = next((j for j, (b, column) in enumerate(shared) if b != column), c) if c < len(basis) else 0
     alphas = list(map(packing.pairs, columns))
     if not any(column & images.zero_fields for column in columns):
         for lead in images.leading_keys():
             if len({sum([e * lead[i] for i, e in alpha]) for alpha in alphas}) == c:
-                return True, None, trailing
-    expanded = images.expand(alphas)
-    rows = component_rows(expanded[::-1])
+                return True, True, cap
+    rows = component_rows(images.expand(alphas[::-1]))
     if len(rows) >= c:
         pivots = rank_mod_p(rows, prime, c)
         if len(pivots) == c:
-            return True, expanded, trailing
-    elif trailing:
+            return True, False, cap
+    elif cap:
         pivots = rank_mod_p(rows, prime)
     else:
-        return False, expanded, 0
+        return False, False, 0
     run = next((t for t, pivot in enumerate(pivots) if pivot != t), len(pivots))
-    return False, expanded, min(run, trailing)
+    return False, False, min(run, cap)
 
 
 def image_degrees(phi: RingMap) -> list[int] | None:
@@ -506,7 +514,6 @@ def components_of_kernel(
             return "certified_by_symmetry"
         basis = level.members(k)
         lifts = index.get(key, [])
-        screened = expanded = None  # the mod-p trim's columns, and their images
         reach = hopeless = 0  # hopeless: no certificate can pass
         now = time.perf_counter()
         if len(basis) > least_reach:
@@ -518,22 +525,16 @@ def components_of_kernel(
             now = lap("trim", now)
             if not screened:  # rank mod p is every column, so the lift rows span it
                 return "skipped_prescreen"
-            # only an exact trim reads the tail, which must be the last members of basis
-            trailing = 0
-            if lifts:
-                shared = zip(reversed(basis), reversed(screened))
-                trailing = next((j for j, (b, c) in enumerate(shared) if b != c), len(screened))
-            certified, expanded, tail = certify_no_generators(screened, images, packing, prime, trailing)
+            certified, by_leading_terms, tail = certify_no_generators(screened, basis, images, packing, prime)
             now = lap("certify", now)
             if certified:
-                tally["certified_by_leading_terms"] += expanded is None
+                tally["certified_by_leading_terms"] += by_leading_terms
                 return "skipped_prescreen" if rank_p else "skipped_matroid"
         for tail in (tail, 0):  # a refuted tail gets one more pass, with none
             columns, _ = trim_basis(basis, lifts, tail=tail)
             now = lap("trim", now)
             alphas = [packing.pairs(c) for c in columns]
-            if columns != screened:  # else the certificate expanded these columns' images
-                expanded = images.expand(alphas)
+            expanded = images.expand(alphas)
             rows = component_rows(expanded)
             now = lap("assemble", now)
             vectors = nullspace_primitive(rows, len(columns))

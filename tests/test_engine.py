@@ -22,6 +22,7 @@ from implicitize import (
     components_of_kernel,
     enumerate_level,
     grading_for_map,
+    sunlet_k3p_symmetries,
 )
 from implicitize import cli, engine
 from implicitize.engine import (
@@ -500,6 +501,41 @@ def test_each_component_is_certified_at_most_once(monkeypatch):
             components_of_kernel(phi, top, prime=prime)
             certified = Counter(component_of[columns[0]] for columns, _ in calls)
             assert calls and max(certified.values()) == 1, prime
+
+
+def test_the_exact_solve_expands_the_columns_it_keeps(sunlet, gr25, monkeypatch):
+    # the certificate hands the exact solve a verdict and a tail, no images:
+    # every exact pass expands the images of exactly the columns its trim
+    # kept, also right after a failed certificate expanded those same columns
+    events = []
+    trim, expand = engine.trim_basis, IntegerImages.expand
+
+    def spy_trim(basis, lifts, prime=None, tail=0):
+        result = trim(basis, lifts, prime, tail)
+        events.append(("mod p" if prime else "exact", result[0]))
+        return result
+
+    def spy_expand(self, columns):
+        columns = list(columns)
+        events.append(("expand", columns))
+        return expand(self, columns)
+
+    monkeypatch.setattr(engine, "trim_basis", spy_trim)
+    monkeypatch.setattr(IntegerImages, "expand", spy_expand)
+    failed: Counter = Counter()
+    for name, phi in (("sunlet", sunlet.with_symmetries(sunlet_k3p_symmetries())), ("gr25", gr25)):
+        events.clear()
+        components_of_kernel(phi, 3)
+        pairs = MonomialPacking(phi.n, 3, grading_for_map(phi).A).pairs
+        passes = [i for i, (kind, _) in enumerate(events) if kind == "exact"]
+        assert passes, name
+        for i in passes:
+            columns = events[i][1]
+            assert events[i + 1] == ("expand", [pairs(c) for c in columns]), name
+            # a failed certificate on the same columns expanded them last first
+            after_certificate = ("mod p", columns), ("expand", [pairs(c) for c in columns[::-1]])
+            failed[name] += tuple(events[i - 2 : i]) == after_certificate
+    assert failed == {"sunlet": 14, "gr25": 5}
 
 
 def test_generic_cubics_reach_degree_four():

@@ -94,7 +94,8 @@ def test_rank_mod_p_pivots_match_sympy_gf():
 
 
 def _certified(columns, images, packing, p):
-    return certify_no_generators(columns, images, packing, p)[0]
+    """The certificate's verdict on `columns` as a whole component, nothing trimmed."""
+    return certify_no_generators(columns, columns, images, packing, p)[0]
 
 
 def test_prescreen_examples(gr24):
@@ -114,11 +115,8 @@ def test_prescreen_examples(gr24):
     ]
     assert _certified(trimmed, images, packing, 101) is True
     assert _certified(quadric[:2], images, packing, 101) is True
-    # the images come back for the exact solve to reuse
-    _, expanded, _ = certify_no_generators(quadric, images, packing, 101)
-    assert expanded == images.expand(map(packing.pairs, quadric))
     # one column with a nonzero image needs no elimination and no expansion
-    assert certify_no_generators(quadric[:1], images, packing, 101) == (True, None, 0)
+    assert certify_no_generators(quadric[:1], quadric[:1], images, packing, 101) == (True, True, 0)
 
 
 def test_prescreen_zero_image_column():

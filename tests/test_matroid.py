@@ -147,12 +147,17 @@ def test_independent_tail_stops_at_a_dependent_column():
     # tail is 2 although x0 is independent again; with t3 the 4 x 4 rows reach
     # the certificate's elimination, without it the 3 x 4 rows only the tail's
     t = [Polynomial.variable(4, j) for j in range(4)]
-    packing = MonomialPacking(4, 1)
+    packing = MonomialPacking(4, 2)
     columns = [packing.pack(Monomial.variable(i)) for i in range(4)]
+    trimmed = packing.pack(Monomial.variable(0) * Monomial.variable(1))
+    # the cap is the common suffix of columns and basis, 0 when nothing was
+    # trimmed: a basis that ends x2, x0*x1, x3 caps the tail at 1 (x3 alone),
+    # one whose trimmed member comes first caps it at 4
+    bases = [columns, columns[:3] + [trimmed, columns[3]], [trimmed] + columns]
     for top in (t[2] + t[3], t[2]):
-        images = IntegerImages(RingMap([top, t[0] + t[1], t[1], t[0]]), 1)
-        results = [engine.certify_no_generators(columns, images, packing, 101, trailing) for trailing in (0, 1, 4)]
-        assert [(certified, tail) for certified, _, tail in results] == [(False, 0), (False, 1), (False, 2)]
+        images = IntegerImages(RingMap([top, t[0] + t[1], t[1], t[0]]), 2)
+        results = [engine.certify_no_generators(columns, basis, images, packing, 101) for basis in bases]
+        assert results == [(False, False, 0), (False, False, 1), (False, False, 2)]
 
 
 def _spy_routes(monkeypatch) -> list[tuple[tuple[int, ...], bool, bool]]:
@@ -161,8 +166,8 @@ def _spy_routes(monkeypatch) -> list[tuple[tuple[int, ...], bool, bool]]:
     certify = engine.certify_no_generators
 
     def spy(columns, *args):
-        result = certified, expanded, _ = certify(columns, *args)
-        calls.append((tuple(columns), certified, certified and expanded is None))
+        result = certified, by_leading, _ = certify(columns, *args)
+        calls.append((tuple(columns), certified, by_leading))
         return result
 
     monkeypatch.setattr(engine, "certify_no_generators", spy)
@@ -202,10 +207,10 @@ def test_zero_image_columns_skip_leading_terms(monkeypatch):
     packing = MonomialPacking(phi.n, 3)
     pack = lambda *exps: packing.pack(Monomial(exps))  # noqa: E731
     for columns in ([pack((2, 1))], [pack((0, 1), (2, 1))], [pack((0, 1)), pack((2, 1))], [pack((2, 3))]):
-        certified, expanded, _ = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
-        assert not certified and expanded is not None
+        assert engine.certify_no_generators(columns, columns, images, packing, DEFAULT_PRIME) == (False, False, 0)
     # the same columns without the zero-image variable are certified by leading terms
-    assert engine.certify_no_generators([pack((0, 1)), pack((1, 1))], images, packing, 3) == (True, None, 0)
+    columns = [pack((0, 1)), pack((1, 1))]
+    assert engine.certify_no_generators(columns, columns, images, packing, 3) == (True, True, 0)
     calls = _spy_routes(monkeypatch)
     zero = images.zero_fields
     for prime in (DEFAULT_PRIME, None):
@@ -225,8 +230,7 @@ def test_colliding_leading_terms_fall_back_to_rank():
     packing = MonomialPacking(phi.n, 2)
     pack = lambda *exps: packing.pack(Monomial(exps))  # noqa: E731
     for columns in ([pack((0, 1)), pack((1, 1))], [pack((0, 2)), pack((0, 1), (1, 1)), pack((1, 2))]):
-        certified, expanded, _ = engine.certify_no_generators(columns, images, packing, DEFAULT_PRIME)
-        assert certified and expanded == images.expand(map(packing.pairs, columns))
+        assert engine.certify_no_generators(columns, columns, images, packing, DEFAULT_PRIME) == (True, False, 0)
     result = components_of_kernel(phi, 2)
     assert result.generators == []
     assert [(st.components, st.skipped_matroid, st.certified_by_leading_terms) for st in result.level_stats] == [
